@@ -33,7 +33,10 @@
 //!   the gated `cells`/`baseline` objects are never touched, so the
 //!   `--check` gate is unaffected. Each row records `host_threads` —
 //!   on a single-core runner the sharded engine degrades to
-//!   sequential execution and the honest speedup is ~1.0.
+//!   sequential execution and the honest speedup is ~1.0 — and the
+//!   fig5 rows record `build_secs`, one timed `StaticGrid` build on
+//!   their population: `wall_secs` minus it is the loop's share. A
+//!   population no grid can be built from exits 2.
 //! * `--shards <S>` — shard count for the scaling suite's parallel
 //!   arm (default 4).
 
@@ -337,6 +340,11 @@ struct ScalingRow {
     name: String,
     wall_secs: f64,
     events: u64,
+    /// One timed `StaticGrid` build on the row's population — the part
+    /// of `wall_secs` (and so of `events_per_sec`) that is one-time
+    /// construction, not the event loop. `None` on churn rows, which
+    /// build no static grid.
+    build_secs: Option<f64>,
     /// Sequential wall / this wall — only on multi-shard arms.
     speedup_vs_s1: Option<f64>,
     /// `host_threads()` at measurement time, recorded so a reader can
@@ -352,12 +360,16 @@ impl ScalingRow {
         } else {
             "null".to_string()
         };
+        let build = self
+            .build_secs
+            .map_or("null".to_string(), |s| format!("{s:.6}"));
         let speedup = self
             .speedup_vs_s1
             .map_or("null".to_string(), |s| format!("{s:.4}"));
         format!(
-            "    {{ \"name\": \"{}\", \"wall_secs\": {:.6}, \"events\": {}, \
-             \"events_per_sec\": {eps}, \"speedup_vs_s1\": {speedup}, \"host_threads\": {} }}",
+            "    {{ \"name\": \"{}\", \"wall_secs\": {:.6}, \"build_secs\": {build}, \
+             \"events\": {}, \"events_per_sec\": {eps}, \"speedup_vs_s1\": {speedup}, \
+             \"host_threads\": {} }}",
             self.name, self.wall_secs, self.events, self.host_threads
         )
     }
@@ -395,12 +407,25 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
     );
     let mut rows: Vec<ScalingRow> = Vec::new();
 
+    // The grid both fig5 arms will build inside their runs, built once
+    // on its own so construction is reported apart from the loop.
+    let population = generate_nodes(&sc.node_gen, sc.nodes, sc.seed);
+    let t = Instant::now();
+    let built = StaticGrid::try_build(DimensionLayout::with_dims(sc.dims), population, sc.seed);
+    let build_secs = Some(t.elapsed().as_secs_f64());
+    if let Err(e) = built {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
+    drop(built);
+
     let t = Instant::now();
     let seq = run_load_balance(&sc, SchedulerChoice::CanHet);
     let seq_secs = t.elapsed().as_secs_f64();
     rows.push(ScalingRow {
         name: format!("scaling/fig5/n{n}/s1"),
         wall_secs: seq_secs,
+        build_secs,
         events: seq.events_fired,
         speedup_vs_s1: None,
         host_threads: threads,
@@ -417,6 +442,7 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
     rows.push(ScalingRow {
         name: format!("scaling/fig5/n{n}/s{shards}"),
         wall_secs: par_secs,
+        build_secs,
         events: par.events_fired,
         speedup_vs_s1: Some(seq_secs / par_secs),
         host_threads: threads,
@@ -437,6 +463,7 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
         rows.push(ScalingRow {
             name: format!("scaling/fig7/n{n}/compact"),
             wall_secs: t.elapsed().as_secs_f64(),
+            build_secs: None,
             events: r.delivered_messages,
             speedup_vs_s1: None,
             host_threads: threads,
@@ -447,8 +474,11 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
         let speedup = row
             .speedup_vs_s1
             .map_or(String::new(), |s| format!("   speedup {s:.2}x"));
+        let build = row
+            .build_secs
+            .map_or(String::new(), |s| format!("   build {s:.3} s"));
         println!(
-            "{:<28} {:>9.3} s   {:>12} events{speedup}",
+            "{:<28} {:>9.3} s   {:>12} events{build}{speedup}",
             row.name, row.wall_secs, row.events
         );
     }
@@ -875,6 +905,7 @@ mod tests {
         let row = |name: &str, wall: f64| ScalingRow {
             name: name.into(),
             wall_secs: wall,
+            build_secs: name.contains("fig5").then_some(0.125),
             events: 100,
             speedup_vs_s1: (name.ends_with("s4")).then_some(2.0),
             host_threads: 1,
@@ -884,21 +915,25 @@ mod tests {
             &path,
             &[
                 row("scaling/fig5/n10/s1", 1.0),
+                row("scaling/fig7/n10/compact", 3.0),
                 row("scaling/fig5/n10/s4", 0.5),
             ],
         );
-        assert_eq!(read_scaling_lines(&path).len(), 2);
-        // A re-measurement replaces its own row and keeps the other.
+        assert_eq!(read_scaling_lines(&path).len(), 3);
+        // A re-measurement replaces its own row and keeps the others.
         merge_scaling(&path, &[row("scaling/fig5/n10/s4", 0.25)]);
         let lines = read_scaling_lines(&path);
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert!(lines.iter().any(|l| l.contains("0.250000")), "{lines:?}");
         assert!(lines.iter().any(|l| l.contains("/s1")), "{lines:?}");
         assert_eq!(
-            scaling_row_name(&lines[1]),
+            scaling_row_name(&lines[2]),
             Some("scaling/fig5/n10/s4"),
             "fresh rows append after preserved ones"
         );
+        // Grid rows carry their build time, churn rows a null.
+        assert!(lines[0].contains("\"build_secs\": 0.125000"), "{lines:?}");
+        assert!(lines[1].contains("\"build_secs\": null"), "{lines:?}");
         // A default-mode rewrite carries the block through verbatim.
         let json = render_json(&[], 1.0, &[("fig5_total".to_string(), 1.0)], &lines);
         std::fs::write(&path, json).unwrap();

@@ -237,8 +237,27 @@ mod tests {
     use pgrid_simcore::SimRng;
     use std::collections::HashMap;
 
+    /// `tree.for_each_abutting_pair` must emit exactly `reference`'s
+    /// edges, each once, oriented and labeled as `Zone::abut_dim` has it.
+    fn assert_tree_pairs_match(tree: &SplitTree, reference: &Adjacency) {
+        let mut pairs = Vec::new();
+        tree.for_each_abutting_pair(|low, high, dim| {
+            assert_eq!(
+                tree.zone(low).abut_dim(tree.zone(high)),
+                Some((dim, 1)),
+                "{low} / {high} do not touch along dim {dim}"
+            );
+            assert!(reference.are_neighbors(low, high));
+            pairs.push((low, high));
+        });
+        pairs.sort_unstable();
+        assert!(pairs.windows(2).all(|w| w[0] != w[1]), "pair emitted twice");
+        assert_eq!(2 * pairs.len(), reference.directed_edges());
+    }
+
     /// Drives a split tree and incremental adjacency together through
-    /// random churn, verifying against the O(n²) recomputation.
+    /// random churn, verifying both — and the tree's own pair traversal
+    /// — against the O(n²) recomputation.
     #[test]
     fn incremental_matches_recompute_under_churn() {
         let dims = 4;
@@ -249,6 +268,7 @@ mod tests {
         let mut coords: HashMap<NodeId, Vec<f64>> = HashMap::new();
         coords.insert(NodeId(0), vec![0.01; dims]);
         let mut next = 1u32;
+        let (mut merges, mut relocations) = (0, 0);
 
         for step in 0..600 {
             let join = tree.len() <= 3 || rng.chance(0.5);
@@ -283,6 +303,7 @@ mod tests {
                 coords.remove(&victim);
                 match tree.remove(victim) {
                     ZoneChange::Merged { owner, .. } => {
+                        merges += 1;
                         adj.on_merge(victim, owner, |n| tree.zone(n));
                     }
                     ZoneChange::Relocated {
@@ -290,6 +311,7 @@ mod tests {
                         absorber,
                         ..
                     } => {
+                        relocations += 1;
                         adj.on_relocate(victim, relocator, absorber, |n| tree.zone(n));
                     }
                     ZoneChange::Emptied => {
@@ -304,11 +326,17 @@ mod tests {
                     adj.same_as(&reference),
                     "incremental adjacency diverged at step {step}"
                 );
+                assert_tree_pairs_match(&tree, &reference);
             }
         }
         let reference = Adjacency::recompute(tree.members(), |n| tree.zone(n));
         assert!(adj.same_as(&reference));
+        assert_tree_pairs_match(&tree, &reference);
         assert!(adj.mean_degree() > 1.0);
+        assert!(
+            merges > 0 && relocations > 0,
+            "churn must exercise both take-over shapes ({merges} merges, {relocations} relocations)"
+        );
     }
 
     #[test]

@@ -538,6 +538,122 @@ impl SplitTree {
         }
     }
 
+    /// Calls `emit(low, high, dim)` once for every pair of members whose
+    /// zones abut, where the zones touch along `dim` and `high` is on
+    /// the high side: `zone(low).abut_dim(zone(high)) == Some((dim, 1))`.
+    /// Emission order is arena order, not id order.
+    ///
+    /// Two abutting leaves meet at exactly one internal node — their
+    /// lowest common ancestor — and its split plane separates them, so
+    /// the face they share lies in that plane. For every internal node
+    /// the two children are therefore descended *together*: a side
+    /// whose next cut is along the plane's own dimension keeps only the
+    /// child next to the plane; any other cut keeps each child whose
+    /// extent still overlaps the other side's with positive measure in
+    /// the cut dimension. That test is `Zone::abut_dim`'s
+    /// `min(hi) - max(lo) > 0.0` on the same `f64` bounds, regions only
+    /// shrink on the way down, and the last cut along a dimension is
+    /// tested against bounds that are already final, so the leaf pairs
+    /// reached are exactly the abutting ones — no leaf zone is read.
+    ///
+    /// Both sides start from the unit box instead of the internal
+    /// node's own region: a bound neither side has cut yet is the same
+    /// on both, and every cut lies strictly inside it, so the test
+    /// reads the same either way. The descent runs on an explicit
+    /// stack, so tree depth is bounded by memory, not by the call
+    /// stack.
+    pub fn for_each_abutting_pair(&self, mut emit: impl FnMut(NodeId, NodeId, usize)) {
+        /// One entry of the descent stack.
+        enum Step {
+            /// Visit a (low-side node, high-side node) pair.
+            Pair(Idx, Idx),
+            /// Write one region bound: a cut on the way down, or its
+            /// undo on the way back up.
+            Bound(usize, f64),
+        }
+        let dims = self.dims;
+        // `[lo.., hi..]` of the low side's region, then the high side's.
+        // Every cut is undone, so the unit box is restored between
+        // internal nodes.
+        let mut region: Vec<f64> = [0.0, 1.0, 0.0, 1.0]
+            .into_iter()
+            .flat_map(|b| std::iter::repeat_n(b, dims))
+            .collect();
+        let mut stack: Vec<Step> = Vec::new();
+        for slot in &self.slots {
+            let Slot::Internal {
+                dim: face,
+                lower,
+                upper,
+                ..
+            } = slot
+            else {
+                continue;
+            };
+            stack.push(Step::Pair(*lower, *upper));
+            while let Some(step) = stack.pop() {
+                let (low, high) = match step {
+                    Step::Bound(at, value) => {
+                        region[at] = value;
+                        continue;
+                    }
+                    Step::Pair(low, high) => (low, high),
+                };
+                // Refine the low side down to a leaf first, then the
+                // high side against that leaf's exact extent.
+                let (low_side, cut) = match (&self.slots[low], &self.slots[high]) {
+                    (Slot::Leaf { owner: a, .. }, Slot::Leaf { owner: b, .. }) => {
+                        emit(*a, *b, *face);
+                        continue;
+                    }
+                    (cut @ Slot::Internal { .. }, _) => (true, cut),
+                    (_, cut) => (false, cut),
+                };
+                let Slot::Internal {
+                    dim,
+                    at,
+                    lower,
+                    upper,
+                    ..
+                } = cut
+                else {
+                    unreachable!("descent reached a free slot");
+                };
+                let pair = |child: Idx| {
+                    if low_side {
+                        Step::Pair(child, high)
+                    } else {
+                        Step::Pair(low, child)
+                    }
+                };
+                if dim == face {
+                    // Only the child next to the plane can touch it.
+                    stack.push(pair(if low_side { *upper } else { *lower }));
+                    continue;
+                }
+                let (mine, other) = if low_side {
+                    (0, 2 * dims)
+                } else {
+                    (2 * dims, 0)
+                };
+                let (lo, hi) = (region[mine + dim], region[mine + dims + dim]);
+                let (other_lo, other_hi) = (region[other + dim], region[other + dims + dim]);
+                // The upper child raises `lo` to the cut, the lower
+                // child drops `hi` to it.
+                for (child, bound, old, child_lo, child_hi) in [
+                    (*upper, mine + dim, lo, *at, hi),
+                    (*lower, mine + dims + dim, hi, lo, *at),
+                ] {
+                    if child_hi.min(other_hi) - child_lo.max(other_lo) > 0.0 {
+                        stack.push(Step::Bound(bound, old));
+                        stack.push(pair(child));
+                        stack.push(Step::Bound(bound, *at));
+                    }
+                }
+            }
+        }
+    }
+
     /// Exhaustive invariant check for tests: leaves partition the unit
     /// space, `leaf_of` is consistent, parents link correctly.
     pub fn check_invariants(&self) {
@@ -647,6 +763,43 @@ mod tests {
         assert_eq!(t.owner_at(&pt(&[0.9, 0.1])), Some(NodeId(1)));
         assert_eq!(t.owner_at(&pt(&[0.1, 0.9])), Some(NodeId(2)));
         assert_eq!(t.owner_at(&pt(&[0.9, 0.9])), Some(NodeId(3)));
+    }
+
+    #[test]
+    fn quad_abutting_pairs_carry_their_face() {
+        // Quadrants touch along faces only: the diagonal pairs (0, 3)
+        // and (1, 2) meet in a corner and must not be emitted.
+        let t = quad();
+        let mut pairs = Vec::new();
+        t.for_each_abutting_pair(|low, high, dim| pairs.push((low.0, high.0, dim)));
+        pairs.sort_unstable();
+        assert_eq!(pairs, [(0, 1, 0), (0, 2, 1), (1, 3, 1), (2, 3, 0)]);
+        let single = SplitTree::new(3, NodeId(9));
+        single.for_each_abutting_pair(|_, _, _| panic!("one zone has no neighbor"));
+    }
+
+    #[test]
+    fn abutting_pairs_of_a_100k_deep_chain_do_not_overflow_the_stack() {
+        // Node 0 keeps [0, 1/N); node 1's zone [1/N, 1) is then peeled
+        // from the top, slice by slice, so the root's upper subtree is
+        // a chain of N - 2 nested internal nodes that all cut along
+        // dimension 0, each with its deep child next to the root's
+        // plane — the root's descent follows the whole chain. The
+        // zones are the N slices of [0, 1), so exactly the N - 1
+        // consecutive slices abut.
+        const N: u32 = 100_000;
+        let slice = |k: u32| k as f64 / N as f64;
+        let mid = |k: u32| pt(&[slice(k) + 0.5 / N as f64, 0.5]);
+        let mut t = SplitTree::new(2, NodeId(0));
+        t.split(NodeId(0), &mid(0), NodeId(1), &mid(1), 0, slice(1));
+        for k in (2..N).rev() {
+            t.split(NodeId(1), &mid(1), NodeId(k), &mid(k), 0, slice(k));
+        }
+        let mut pairs = Vec::new();
+        t.for_each_abutting_pair(|low, high, dim| pairs.push((low.0, high.0, dim)));
+        pairs.sort_unstable();
+        let expect: Vec<(u32, u32, usize)> = (0..N - 1).map(|k| (k, k + 1, 0)).collect();
+        assert_eq!(pairs, expect);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the CAN substrate.
 
+use pgrid_can::adjacency::Adjacency;
 use pgrid_can::geom::Zone;
 use pgrid_can::protocol::{CanSim, HeartbeatScheme, ProtocolConfig};
-use pgrid_can::split_tree::{choose_split_plane, SplitTree};
+use pgrid_can::split_tree::{choose_split_plane, choose_split_plane_free, SplitTree, ZoneChange};
 use pgrid_can::wire::WireModel;
 use pgrid_simcore::SimRng;
 use pgrid_types::NodeId;
@@ -100,7 +101,7 @@ proptest! {
             let plane = if zone.contains(&hc) {
                 choose_split_plane(&zone, &hc, &c)
             } else {
-                Some(pgrid_can::split_tree::choose_split_plane_free(&zone))
+                Some(choose_split_plane_free(&zone))
             };
             if let Some((dim, at)) = plane {
                 let id = NodeId(next);
@@ -116,16 +117,80 @@ proptest! {
         let plan = tree.takeover_plan(victim);
         let change = tree.remove(victim);
         match change {
-            pgrid_can::split_tree::ZoneChange::Merged { owner, .. } => {
+            ZoneChange::Merged { owner, .. } => {
                 prop_assert_eq!(Some(owner), plan.heir);
             }
-            pgrid_can::split_tree::ZoneChange::Relocated { relocator, absorber, .. } => {
+            ZoneChange::Relocated { relocator, absorber, .. } => {
                 prop_assert_eq!(Some(relocator), plan.heir);
                 prop_assert_eq!(Some(absorber), plan.absorber);
             }
-            pgrid_can::split_tree::ZoneChange::Emptied => prop_assert!(n == 1),
+            ZoneChange::Emptied => prop_assert!(n == 1),
         }
         tree.check_invariants();
+    }
+
+    /// Three routes to the neighbor relation agree after any join/leave
+    /// stream: the split tree's dual descent, the incrementally
+    /// maintained `Adjacency` (through splits, sibling merges and
+    /// defragmenting relocations), and the O(n²) recomputation from
+    /// the zones. Every pair the descent emits is oriented and labeled
+    /// as `Zone::abut_dim` has it.
+    #[test]
+    fn abutting_pairs_match_both_adjacencies_under_churn(
+        ops in prop::collection::vec((unit_point(3), 0u32..3, 0usize..1 << 16), 1..120),
+    ) {
+        let mut tree = SplitTree::new(3, NodeId(0));
+        let mut adj = Adjacency::new();
+        adj.insert_first(NodeId(0));
+        let mut coords = vec![(NodeId(0), vec![0.01, 0.01, 0.01])];
+        let mut next = 1u32;
+        for (p, kind, pick) in ops {
+            // Two joins per leave keep the tree deep enough for the
+            // sibling of a departing leaf to have split further.
+            if kind > 0 || tree.len() <= 2 {
+                let host = tree.owner_at(&p).unwrap();
+                let hc = &coords.iter().find(|(n, _)| *n == host).unwrap().1;
+                let zone = tree.zone(host);
+                let plane = if zone.contains(hc) {
+                    choose_split_plane(zone, hc, &p)
+                } else {
+                    Some(choose_split_plane_free(zone))
+                };
+                if let Some((dim, at)) = plane {
+                    let id = NodeId(next);
+                    next += 1;
+                    tree.split(host, hc, id, &p, dim, at);
+                    adj.on_split(host, id, |n| tree.zone(n));
+                    coords.push((id, p));
+                }
+            } else {
+                let victim = coords.swap_remove(pick % coords.len()).0;
+                match tree.remove(victim) {
+                    ZoneChange::Merged { owner, .. } => {
+                        adj.on_merge(victim, owner, |n| tree.zone(n));
+                    }
+                    ZoneChange::Relocated { relocator, absorber, .. } => {
+                        adj.on_relocate(victim, relocator, absorber, |n| tree.zone(n));
+                    }
+                    ZoneChange::Emptied => unreachable!("at least three members"),
+                }
+            }
+        }
+        let reference = Adjacency::recompute(tree.members(), |n| tree.zone(n));
+        prop_assert!(adj.same_as(&reference), "incremental adjacency diverged");
+        let mut pairs = Vec::new();
+        let mut mislabeled = None;
+        tree.for_each_abutting_pair(|low, high, dim| {
+            if tree.zone(low).abut_dim(tree.zone(high)) != Some((dim, 1)) {
+                mislabeled = Some((low, high, dim));
+            }
+            pairs.push((low, high));
+        });
+        prop_assert_eq!(mislabeled, None);
+        pairs.sort_unstable();
+        prop_assert!(pairs.windows(2).all(|w| w[0] != w[1]), "pair emitted twice");
+        prop_assert!(pairs.iter().all(|&(a, b)| reference.are_neighbors(a, b)));
+        prop_assert_eq!(2 * pairs.len(), reference.directed_edges());
     }
 
     /// Figure 4 of the paper sketches a worst case where *all* of a

@@ -1,6 +1,7 @@
 //! The `pgrid` subcommands.
 
 use crate::args::Args;
+use crate::CliError;
 use pgrid::prelude::*;
 use pgrid::types::DimensionLayout;
 use pgrid::workload::trace;
@@ -159,7 +160,7 @@ fn render_sim_results(results: &[SimResult]) -> String {
 }
 
 /// `pgrid simulate`
-pub fn simulate(args: Args) -> Result<String, String> {
+pub fn simulate(args: Args) -> Result<String, CliError> {
     let scenario = scenario_from(&args)?;
     let schedulers = parse_schedulers(args.get("scheduler").unwrap_or("all"))?;
     let shards = parse_shards(&args)?;
@@ -172,10 +173,10 @@ pub fn simulate(args: Args) -> Result<String, String> {
         scenario.job_gen.mean_interarrival,
         scenario.job_gen.constraint_ratio
     );
-    let results: Vec<SimResult> = schedulers
+    let results = schedulers
         .into_iter()
-        .map(|c| run_load_balance_sharded(&scenario, c, shards))
-        .collect();
+        .map(|c| try_run_load_balance_sharded(&scenario, c, shards))
+        .collect::<Result<Vec<SimResult>, _>>()?;
     out.push_str(&render_sim_results(&results));
     Ok(out)
 }
@@ -607,7 +608,7 @@ pub fn fuzz(args: Args) -> Result<String, String> {
 }
 
 /// `pgrid trace ...`
-pub fn trace(rest: &[String]) -> Result<String, String> {
+pub fn trace(rest: &[String]) -> Result<String, CliError> {
     let Some(sub) = rest.first() else {
         return Err("trace needs a subcommand: gen-nodes | gen-jobs | replay".into());
     };
@@ -622,7 +623,7 @@ pub fn trace(rest: &[String]) -> Result<String, String> {
             let slots = ((dims.saturating_sub(5)) / 3) as u8;
             let nodes = generate_nodes(&NodeGenConfig::paper_defaults(slots), count, seed);
             let text = trace::write_nodes(&nodes);
-            emit(text, out_path)
+            Ok(emit(text, out_path)?)
         }
         "gen-jobs" => {
             let count: usize = args.get_or("count", 1000)?;
@@ -636,7 +637,7 @@ pub fn trace(rest: &[String]) -> Result<String, String> {
             let mut stream = JobStream::new(JobGenConfig::paper_defaults(slots, ratio, ia), seed);
             let jobs = stream.take_jobs(count);
             let text = trace::write_jobs(&jobs);
-            emit(text, out_path)
+            Ok(emit(text, out_path)?)
         }
         "replay" => {
             let nodes_path = args
@@ -664,7 +665,7 @@ pub fn trace(rest: &[String]) -> Result<String, String> {
                 render_sim_results(&results)
             ))
         }
-        other => Err(format!("unknown trace subcommand '{other}'")),
+        other => Err(format!("unknown trace subcommand '{other}'").into()),
     }
 }
 
@@ -685,10 +686,7 @@ pub fn replay(
     jobs: &[(f64, JobSpec)],
     schedulers: &[SchedulerChoice],
     seed: u64,
-) -> Result<Vec<SimResult>, String> {
-    if population.is_empty() {
-        return Err("empty node population".into());
-    }
+) -> Result<Vec<SimResult>, CliError> {
     let max_slot = population
         .iter()
         .flat_map(|n| n.ces().iter())
@@ -701,12 +699,12 @@ pub fn replay(
     // error instead of a simulation panic).
     for (_, j) in jobs {
         if !population.iter().any(|n| j.satisfied_by(n)) {
-            return Err(format!("job {} is unsatisfiable by the population", j.id));
+            return Err(format!("job {} is unsatisfiable by the population", j.id).into());
         }
     }
     let mut results = Vec::new();
     for &choice in schedulers {
-        let mut grid = pgrid::sched::StaticGrid::build(layout.clone(), population.to_vec(), seed);
+        let mut grid = StaticGrid::try_build(layout.clone(), population.to_vec(), seed)?;
         let params = PushParams::default();
         let mut matchmaker: Box<dyn Matchmaker> = match choice {
             SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
@@ -780,13 +778,24 @@ mod tests {
     #[test]
     fn simulate_rejects_bad_dims() {
         let err = simulate(a(&["--dims", "7"])).unwrap_err();
-        assert!(err.contains("--dims"));
+        assert!(err.message.contains("--dims"));
+    }
+
+    #[test]
+    fn unbuildable_populations_are_status_2_errors() {
+        let err = simulate(a(&["--nodes", "0", "--jobs", "10"])).unwrap_err();
+        assert_eq!(err.status, 2, "{}", err.message);
+        assert!(err.message.contains("non-empty"));
+        let err = replay(&[], &[], &[SchedulerChoice::Central], 1).unwrap_err();
+        assert_eq!(err.status, 2, "{}", err.message);
+        // A bad invocation stays a status-1 error.
+        assert_eq!(simulate(a(&["--dims", "7"])).unwrap_err().status, 1);
     }
 
     #[test]
     fn simulate_rejects_unknown_flag() {
         let err = simulate(a(&["--bogus", "1"])).unwrap_err();
-        assert!(err.contains("bogus"));
+        assert!(err.message.contains("bogus"));
     }
 
     #[test]
@@ -882,7 +891,7 @@ mod tests {
     fn trace_replay_requires_files() {
         let raw = |v: Vec<&str>| v.into_iter().map(String::from).collect::<Vec<_>>();
         let err = trace(&raw(vec!["replay"])).unwrap_err();
-        assert!(err.contains("--nodes"));
+        assert!(err.message.contains("--nodes"));
         let err = trace(&raw(vec![
             "replay",
             "--nodes",
@@ -891,7 +900,7 @@ mod tests {
             "/nonexistent",
         ]))
         .unwrap_err();
-        assert!(err.contains("cannot read") || err.contains("nonexistent"));
+        assert!(err.message.contains("cannot read") || err.message.contains("nonexistent"));
     }
 
     #[test]

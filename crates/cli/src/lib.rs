@@ -31,6 +31,38 @@ pub mod commands;
 
 use std::process::ExitCode;
 
+/// A failed command: what to tell the user, and the exit status.
+#[derive(Debug)]
+pub struct CliError {
+    /// Printed after `error: ` on stderr.
+    pub message: String,
+    /// 1 for a bad invocation or a failed run; 2 for input no grid can
+    /// be built from (the status the experiment binaries use for
+    /// configurations they cannot run).
+    pub status: u8,
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError { message, status: 1 }
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
+impl From<pgrid::sched::BuildError> for CliError {
+    fn from(e: pgrid::sched::BuildError) -> Self {
+        CliError {
+            message: e.to_string(),
+            status: 2,
+        }
+    }
+}
+
 /// Entry point used by the `pgrid` binary.
 pub fn run(argv: Vec<String>) -> ExitCode {
     match dispatch(argv) {
@@ -39,31 +71,31 @@ pub fn run(argv: Vec<String>) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {}", e.message);
             eprintln!("run `pgrid help` for usage");
-            ExitCode::FAILURE
+            ExitCode::from(e.status)
         }
     }
 }
 
 /// Parses and executes; returns the full textual output (testable).
-pub fn dispatch(argv: Vec<String>) -> Result<String, String> {
+pub fn dispatch(argv: Vec<String>) -> Result<String, CliError> {
     let mut it = argv.into_iter();
     let _program = it.next();
     let Some(cmd) = it.next() else {
         return Ok(commands::help());
     };
     let rest: Vec<String> = it.collect();
-    match cmd.as_str() {
-        "simulate" => commands::simulate(args::Args::parse(&rest)?),
-        "churn" => commands::churn(args::Args::parse(&rest)?),
-        "chaos" => commands::chaos(args::Args::parse(&rest)?),
-        "scenarios" => commands::scenarios(args::Args::parse(&rest)?),
-        "detector" => commands::detector(args::Args::parse(&rest)?),
-        "fuzz" => commands::fuzz(args::Args::parse(&rest)?),
-        "trace" => commands::trace(&rest),
-        "info" => Ok(commands::info()),
-        "help" | "--help" | "-h" => Ok(commands::help()),
-        other => Err(format!("unknown command '{other}'")),
-    }
+    Ok(match cmd.as_str() {
+        "simulate" => commands::simulate(args::Args::parse(&rest)?)?,
+        "churn" => commands::churn(args::Args::parse(&rest)?)?,
+        "chaos" => commands::chaos(args::Args::parse(&rest)?)?,
+        "scenarios" => commands::scenarios(args::Args::parse(&rest)?)?,
+        "detector" => commands::detector(args::Args::parse(&rest)?)?,
+        "fuzz" => commands::fuzz(args::Args::parse(&rest)?)?,
+        "trace" => commands::trace(&rest)?,
+        "info" => commands::info(),
+        "help" | "--help" | "-h" => commands::help(),
+        other => return Err(format!("unknown command '{other}'").into()),
+    })
 }

@@ -68,9 +68,10 @@ pub mod prelude {
     pub use crate::sched::{
         run_load_balance, run_load_balance_ablated, run_load_balance_chaos,
         run_load_balance_chaos_sharded, run_load_balance_overload_sharded,
-        run_load_balance_sharded, AiEntry, AiGrouping, AiTable, CentralMatchmaker,
-        CrashChaosConfig, GridShards, HetFeatures, Matchmaker, PushParams, PushingMatchmaker,
-        RecoveryStats, SchedulerChoice, SimResult, StaticGrid, SuspicionConfig,
+        run_load_balance_sharded, try_run_load_balance_sharded, AiEntry, AiGrouping, AiTable,
+        BuildError, CentralMatchmaker, CrashChaosConfig, GridShards, HetFeatures, Matchmaker,
+        PushParams, PushingMatchmaker, RecoveryStats, SchedulerChoice, SimResult, StaticGrid,
+        SuspicionConfig,
     };
     pub use crate::simcore::{
         EventQueue, FaultSchedule, Fnv, ScheduleBudget, ScheduleMacro, SimRng, TraceParseError,

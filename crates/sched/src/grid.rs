@@ -36,7 +36,6 @@ fn ce_order(runtimes: &[NodeRuntime], ty: CeType, a: NodeId, b: NodeId) -> std::
 pub struct StaticGrid {
     layout: DimensionLayout,
     tree: SplitTree,
-    adj: Adjacency,
     coords: Vec<Point>,
     runtimes: Vec<NodeRuntime>,
     /// Per-node zone copies in id order. The split tree stores zones
@@ -79,6 +78,97 @@ pub struct StaticGrid {
     node_clock: Vec<u64>,
 }
 
+/// Virtual-coordinate draws a joining node gets before
+/// [`StaticGrid::try_build`] gives up on it.
+const JOIN_RETRIES: usize = 64;
+
+/// Why a population cannot be frozen into a [`StaticGrid`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuildError {
+    /// The population has no nodes.
+    EmptyPopulation,
+    /// No virtual coordinate separated `node` (its index in the
+    /// population) from the zone owner it landed on.
+    Unplaceable {
+        /// Index of the node in the population.
+        node: usize,
+    },
+    /// The neighbor relation has more directed edges than the CSR
+    /// arenas' `u32` offsets can address.
+    TooManyEdges {
+        /// Directed edge count (2x the abutting zone pairs).
+        edges: usize,
+    },
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::EmptyPopulation => write!(f, "node population must be non-empty"),
+            BuildError::Unplaceable { node } => write!(
+                f,
+                "could not place node {node} after {JOIN_RETRIES} virtual-coordinate retries"
+            ),
+            BuildError::TooManyEdges { edges } => write!(
+                f,
+                "{edges} directed neighbor edges exceed the grid's 32-bit offsets"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// The directed edges of `pairs` abutting zone pairs, provided the CSR
+/// arenas' `u32` offsets can address that many.
+fn checked_edge_count(pairs: usize) -> Result<usize, BuildError> {
+    let edges = pairs.saturating_mul(2);
+    match u32::try_from(edges) {
+        Ok(_) => Ok(edges),
+        Err(_) => Err(BuildError::TooManyEdges { edges }),
+    }
+}
+
+/// The face-bucket arena of a grid whose abutting zone pairs are
+/// `pairs` (`(low, high, dim)`: the zones touch along `dim`, `high` on
+/// the high side): CSR offsets over `n * dims * 2` buckets indexed
+/// `(node * dims + dim) * 2 + (dir < 0)`, and the buckets themselves,
+/// each sorted ascending.
+fn face_csr(
+    n: usize,
+    dims: usize,
+    pairs: &[(NodeId, NodeId, u32)],
+) -> Result<(Vec<u32>, Vec<NodeId>), BuildError> {
+    let edges = checked_edge_count(pairs.len())?;
+    let bucket = |id: NodeId, dim: u32, toward_origin: bool| {
+        (id.idx() * dims + dim as usize) * 2 + usize::from(toward_origin)
+    };
+    // Counting scatter: bucket sizes, prefix sums, then fill.
+    let mut off = vec![0u32; n * dims * 2 + 1];
+    for &(low, high, dim) in pairs {
+        off[bucket(low, dim, false) + 1] += 1;
+        off[bucket(high, dim, true) + 1] += 1;
+    }
+    for b in 1..off.len() {
+        off[b] += off[b - 1];
+    }
+    let mut next = off.clone();
+    let mut arena = vec![NodeId(0); edges];
+    for &(low, high, dim) in pairs {
+        for (b, neighbor) in [
+            (bucket(low, dim, false), high),
+            (bucket(high, dim, true), low),
+        ] {
+            arena[next[b] as usize] = neighbor;
+            next[b] += 1;
+        }
+    }
+    for w in off.windows(2) {
+        arena[w[0] as usize..w[1] as usize].sort_unstable();
+    }
+    Ok((off, arena))
+}
+
 impl StaticGrid {
     /// Builds the CAN by joining `population` sequentially. Virtual
     /// coordinates come from the seeded RNG; nodes whose coordinate
@@ -87,43 +177,54 @@ impl StaticGrid {
     ///
     /// # Panics
     ///
-    /// Panics if the population is empty, or a node cannot be placed
-    /// after many virtual-coordinate retries (pathologically identical
-    /// populations).
+    /// Panics where [`StaticGrid::try_build`] returns an error.
     pub fn build(layout: DimensionLayout, population: Vec<NodeSpec>, seed: u64) -> Self {
-        assert!(!population.is_empty(), "population must be non-empty");
+        Self::try_build(layout, population, seed).expect("population builds a static grid")
+    }
+
+    /// [`StaticGrid::build`] for populations that come from outside the
+    /// program: an empty population, a node that cannot be placed after
+    /// 64 virtual-coordinate draws (pathologically
+    /// identical populations), or a neighbor relation too large for
+    /// the CSR offsets is an error, not a panic.
+    pub fn try_build(
+        layout: DimensionLayout,
+        population: Vec<NodeSpec>,
+        seed: u64,
+    ) -> Result<Self, BuildError> {
+        let Some(first) = population.first() else {
+            return Err(BuildError::EmptyPopulation);
+        };
         let mut rng = SimRng::sub_stream(seed, 0x96D);
         let dims = layout.dims();
-        let first_coord = layout.node_coord(&population[0], rng.unit());
+        let mut coords = vec![layout.node_coord(first, rng.unit())];
         let mut tree = SplitTree::new(dims, NodeId(0));
-        let mut adj = Adjacency::new();
-        adj.insert_first(NodeId(0));
-        let mut coords = vec![first_coord];
         for (i, spec) in population.iter().enumerate().skip(1) {
             let id = NodeId(i as u32);
             let mut placed = false;
-            for _retry in 0..64 {
+            for _retry in 0..JOIN_RETRIES {
                 let coord = layout.node_coord(spec, rng.unit());
                 let host = tree.owner_at(&coord).expect("non-empty tree");
                 let host_coord = &coords[host.idx()];
-                let host_zone = tree.zone(host).clone();
+                let host_zone = tree.zone(host);
                 // Balanced split-plane policy shared with the join
                 // protocol (see `pgrid_can::split_tree`).
                 let plane = if host_zone.contains(host_coord) {
-                    pgrid_can::split_tree::choose_split_plane(&host_zone, host_coord, &coord)
+                    pgrid_can::split_tree::choose_split_plane(host_zone, host_coord, &coord)
                 } else {
-                    Some(pgrid_can::split_tree::choose_split_plane_free(&host_zone))
+                    Some(pgrid_can::split_tree::choose_split_plane_free(host_zone))
                 };
                 let Some((dim, at)) = plane else {
                     continue; // coordinate collision: retry virtual dim
                 };
-                tree.split(host, &coords[host.idx()].clone(), id, &coord, dim, at);
-                adj.on_split(host, id, |n| tree.zone(n));
+                tree.split(host, host_coord, id, &coord, dim, at);
                 coords.push(coord);
                 placed = true;
                 break;
             }
-            assert!(placed, "could not place node {i} after 64 retries");
+            if !placed {
+                return Err(BuildError::Unplaceable { node: i });
+            }
         }
         let runtimes: Vec<NodeRuntime> = population
             .into_iter()
@@ -132,38 +233,22 @@ impl StaticGrid {
             .collect();
         let n = runtimes.len();
 
-        // Freeze the adjacency into CSR arenas: sorted neighbor slices
-        // plus per-(dim, dir) face buckets, so steady-state queries
-        // never allocate or re-sort.
-        let mut nbr_off: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut nbr_arena: Vec<NodeId> = Vec::new();
-        let mut face_off: Vec<u32> = Vec::with_capacity(n * dims * 2 + 1);
-        let mut face_arena: Vec<NodeId> = Vec::new();
-        nbr_off.push(0);
-        face_off.push(0);
-        let mut sorted: Vec<NodeId> = Vec::new();
-        let mut faces: Vec<Option<(usize, i8)>> = Vec::new();
-        for i in 0..n {
-            let id = NodeId(i as u32);
-            sorted.clear();
-            sorted.extend(adj.neighbors(id));
-            sorted.sort_unstable();
-            nbr_arena.extend_from_slice(&sorted);
-            nbr_off.push(nbr_arena.len() as u32);
-            let z = tree.zone(id);
-            faces.clear();
-            faces.extend(sorted.iter().map(|&m| z.abut_dim(tree.zone(m))));
-            for d in 0..dims {
-                for dir in [1i8, -1] {
-                    // Scanning the sorted list keeps each bucket sorted.
-                    for (k, &m) in sorted.iter().enumerate() {
-                        if faces[k] == Some((d, dir)) {
-                            face_arena.push(m);
-                        }
-                    }
-                    face_off.push(face_arena.len() as u32);
-                }
-            }
+        // The neighbor relation is read off the finished split tree in
+        // one traversal and frozen into CSR arenas: per-(dim, dir) face
+        // buckets, and per node the sorted union of its buckets, so
+        // steady-state queries never allocate or re-sort.
+        // (`dim` fits `u32` with room to spare — a layout has at most
+        // 5 + 3·255 dimensions — and keeps a pair at 12 bytes.)
+        let mut pairs: Vec<(NodeId, NodeId, u32)> = Vec::new();
+        tree.for_each_abutting_pair(|low, high, dim| pairs.push((low, high, dim as u32)));
+        let (face_off, face_arena) = face_csr(n, dims, &pairs)?;
+        drop(pairs);
+        // A neighbor abuts on exactly one face, so a node's buckets
+        // hold its neighbor list once over.
+        let nbr_off: Vec<u32> = face_off.iter().step_by(dims * 2).copied().collect();
+        let mut nbr_arena = face_arena.clone();
+        for w in nbr_off.windows(2) {
+            nbr_arena[w[0] as usize..w[1] as usize].sort_unstable();
         }
         let available: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let zones: Vec<pgrid_can::geom::Zone> = (0..n as u32)
@@ -194,10 +279,9 @@ impl StaticGrid {
             list.sort_by(|&a, &b| ce_order(&runtimes, ty, a, b));
         }
 
-        StaticGrid {
+        Ok(StaticGrid {
             layout,
             tree,
-            adj,
             coords,
             zones,
             zone_bounds,
@@ -210,7 +294,7 @@ impl StaticGrid {
             load_clock: 0,
             node_clock: vec![0; n],
             runtimes,
-        }
+        })
     }
 
     /// Stamps a node as dirty: every load-mutation path funnels through
@@ -399,14 +483,13 @@ impl StaticGrid {
 
     /// Mean neighbor degree (diagnostics).
     pub fn mean_degree(&self) -> f64 {
-        self.adj.mean_degree()
+        self.nbr_arena.len() as f64 / self.len() as f64
     }
 
     /// Test-time invariant check.
     pub fn check_invariants(&self) {
         self.tree.check_invariants();
         let reference = Adjacency::recompute(self.tree.members(), |n| self.tree.zone(n));
-        assert!(self.adj.same_as(&reference), "adjacency diverged");
         assert_eq!(self.tree.len(), self.runtimes.len());
         for i in 0..self.len() {
             let id = NodeId(i as u32);
@@ -532,6 +615,25 @@ mod tests {
         g.check_invariants();
         assert_eq!(g.len(), 200);
         assert!(g.mean_degree() > 2.0);
+    }
+
+    #[test]
+    fn empty_population_is_an_error_not_a_panic() {
+        let err = StaticGrid::try_build(DimensionLayout::with_dims(5), Vec::new(), 1)
+            .err()
+            .expect("nothing to build from");
+        assert_eq!(err, BuildError::EmptyPopulation);
+        assert!(err.to_string().contains("non-empty"));
+    }
+
+    #[test]
+    fn edge_counts_beyond_u32_offsets_are_rejected() {
+        // 2^31 pairs are 2^32 directed edges: one past `u32::MAX`.
+        assert_eq!(
+            checked_edge_count(1 << 31),
+            Err(BuildError::TooManyEdges { edges: 1 << 32 })
+        );
+        assert_eq!(checked_edge_count((1 << 31) - 1), Ok(u32::MAX as usize - 1));
     }
 
     #[test]

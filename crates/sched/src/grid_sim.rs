@@ -25,7 +25,7 @@
 //! results in a canonical order (ascending node id / shard id) so
 //! thread scheduling cannot reorder any arithmetic (`DESIGN.md` §15).
 
-use crate::grid::StaticGrid;
+use crate::grid::{BuildError, StaticGrid};
 use crate::matchmakers::{
     CentralMatchmaker, HetFeatures, Matchmaker, Placement, PushParams, PushingMatchmaker,
 };
@@ -176,6 +176,58 @@ pub fn run_load_balance_sharded(
     choice: SchedulerChoice,
     shards: usize,
 ) -> SimResult {
+    try_run_load_balance_sharded(scenario, choice, shards).expect(UNBUILDABLE)
+}
+
+/// [`run_load_balance_sharded`] for scenarios that come from outside
+/// the program (`pgrid simulate`): a population no grid can be built
+/// from is an error, not a panic.
+pub fn try_run_load_balance_sharded(
+    scenario: &LoadBalanceScenario,
+    choice: SchedulerChoice,
+    shards: usize,
+) -> Result<SimResult, BuildError> {
+    run_scenario(scenario, choice, None, None, shards)
+}
+
+/// The shared body of the scenario entry points.
+fn run_scenario(
+    scenario: &LoadBalanceScenario,
+    choice: SchedulerChoice,
+    chaos: Option<&CrashChaosConfig>,
+    overload: Option<&OverloadConfig>,
+    shards: usize,
+) -> Result<SimResult, BuildError> {
+    let (mut grid, jobs) = instantiate(scenario)?;
+    let params = push_params(scenario);
+    let mut matchmaker: Box<dyn Matchmaker> = match choice {
+        SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
+        SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
+        SchedulerChoice::Central => Box::new(CentralMatchmaker),
+    };
+    Ok(run_with(
+        &mut grid,
+        matchmaker.as_mut(),
+        &jobs,
+        scenario.ai_refresh_period,
+        scenario.seed,
+        choice,
+        scenario.eviction.as_ref(),
+        chaos,
+        overload,
+        shards,
+    ))
+}
+
+/// Why the infallible entry points panic: their scenarios are the
+/// program's own.
+const UNBUILDABLE: &str = "scenario population builds a static grid";
+
+/// A scenario made concrete: the grid over its generated population,
+/// and its job trace.
+fn instantiate(
+    scenario: &LoadBalanceScenario,
+) -> Result<(StaticGrid, Vec<(f64, JobSpec)>), BuildError> {
     let layout = DimensionLayout::with_dims(scenario.dims);
     // Generate the population once: the job stream borrows it for
     // satisfiability filtering, then hands it back for the grid build —
@@ -187,29 +239,16 @@ pub fn run_load_balance_sharded(
     let population = stream
         .into_population()
         .expect("stream built with population");
-    let mut grid = StaticGrid::build(layout, population, scenario.seed);
+    let grid = StaticGrid::try_build(layout, population, scenario.seed)?;
+    Ok((grid, jobs))
+}
 
-    let params = PushParams {
+/// The push parameters a scenario prescribes.
+fn push_params(scenario: &LoadBalanceScenario) -> PushParams {
+    PushParams {
         stopping_factor: scenario.stopping_factor,
         ..PushParams::default()
-    };
-    let mut matchmaker: Box<dyn Matchmaker> = match choice {
-        SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
-        SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
-        SchedulerChoice::Central => Box::new(CentralMatchmaker),
-    };
-    run_with(
-        &mut grid,
-        matchmaker.as_mut(),
-        &jobs,
-        scenario.ai_refresh_period,
-        scenario.seed,
-        choice,
-        scenario.eviction.as_ref(),
-        None,
-        None,
-        shards,
-    )
+    }
 }
 
 /// Chaos entry point: the scenario's workload under fail-stop node
@@ -234,35 +273,7 @@ pub fn run_load_balance_chaos_sharded(
     chaos: &CrashChaosConfig,
     shards: usize,
 ) -> SimResult {
-    let layout = DimensionLayout::with_dims(scenario.dims);
-    let population = generate_nodes(&scenario.node_gen, scenario.nodes, scenario.seed);
-    let mut stream = scenario.job_stream(population);
-    let jobs: Vec<(f64, JobSpec)> = stream.take_jobs(scenario.jobs);
-    let population = stream
-        .into_population()
-        .expect("stream built with population");
-    let mut grid = StaticGrid::build(layout, population, scenario.seed);
-    let params = PushParams {
-        stopping_factor: scenario.stopping_factor,
-        ..PushParams::default()
-    };
-    let mut matchmaker: Box<dyn Matchmaker> = match choice {
-        SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
-        SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
-        SchedulerChoice::Central => Box::new(CentralMatchmaker),
-    };
-    run_with(
-        &mut grid,
-        matchmaker.as_mut(),
-        &jobs,
-        scenario.ai_refresh_period,
-        scenario.seed,
-        choice,
-        scenario.eviction.as_ref(),
-        Some(chaos),
-        None,
-        shards,
-    )
+    run_scenario(scenario, choice, Some(chaos), None, shards).expect(UNBUILDABLE)
 }
 
 /// Overload entry point: the scenario's workload with the overload
@@ -289,35 +300,7 @@ pub fn run_load_balance_overload_sharded(
     overload: &OverloadConfig,
     shards: usize,
 ) -> SimResult {
-    let layout = DimensionLayout::with_dims(scenario.dims);
-    let population = generate_nodes(&scenario.node_gen, scenario.nodes, scenario.seed);
-    let mut stream = scenario.job_stream(population);
-    let jobs: Vec<(f64, JobSpec)> = stream.take_jobs(scenario.jobs);
-    let population = stream
-        .into_population()
-        .expect("stream built with population");
-    let mut grid = StaticGrid::build(layout, population, scenario.seed);
-    let params = PushParams {
-        stopping_factor: scenario.stopping_factor,
-        ..PushParams::default()
-    };
-    let mut matchmaker: Box<dyn Matchmaker> = match choice {
-        SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
-        SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
-        SchedulerChoice::Central => Box::new(CentralMatchmaker),
-    };
-    run_with(
-        &mut grid,
-        matchmaker.as_mut(),
-        &jobs,
-        scenario.ai_refresh_period,
-        scenario.seed,
-        choice,
-        scenario.eviction.as_ref(),
-        chaos,
-        Some(overload),
-        shards,
-    )
+    run_scenario(scenario, choice, chaos, Some(overload), shards).expect(UNBUILDABLE)
 }
 
 /// Ablation entry point: can-het with selected features disabled.
@@ -325,19 +308,8 @@ pub fn run_load_balance_ablated(
     scenario: &LoadBalanceScenario,
     features: HetFeatures,
 ) -> SimResult {
-    let layout = DimensionLayout::with_dims(scenario.dims);
-    let population = generate_nodes(&scenario.node_gen, scenario.nodes, scenario.seed);
-    let mut stream = scenario.job_stream(population);
-    let jobs: Vec<(f64, JobSpec)> = stream.take_jobs(scenario.jobs);
-    let population = stream
-        .into_population()
-        .expect("stream built with population");
-    let mut grid = StaticGrid::build(layout, population, scenario.seed);
-    let params = PushParams {
-        stopping_factor: scenario.stopping_factor,
-        ..PushParams::default()
-    };
-    let mut matchmaker = PushingMatchmaker::with_features(&grid, params, features);
+    let (mut grid, jobs) = instantiate(scenario).expect(UNBUILDABLE);
+    let mut matchmaker = PushingMatchmaker::with_features(&grid, push_params(scenario), features);
     run_with(
         &mut grid,
         &mut matchmaker,

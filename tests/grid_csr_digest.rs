@@ -13,49 +13,35 @@
 
 use p2p_ce_grid::prelude::*;
 
-/// 64-bit FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn ids(&mut self, ids: &[NodeId]) {
-        self.u64(ids.len() as u64);
-        for n in ids {
-            self.u64(n.0 as u64);
-        }
+fn write_ids(h: &mut Fnv, ids: &[NodeId]) {
+    h.write_usize(ids.len());
+    for n in ids {
+        h.write_u64(n.0 as u64);
     }
 }
 
 fn digest(g: &StaticGrid) -> u64 {
     let dims = g.layout().dims();
     let mut h = Fnv::new();
-    h.u64(g.len() as u64);
+    h.write_usize(g.len());
     for i in 0..g.len() as u32 {
         let id = NodeId(i);
-        h.ids(g.neighbors(id));
+        write_ids(&mut h, g.neighbors(id));
         for d in 0..dims {
             for dir in [1i8, -1] {
-                h.ids(g.face_neighbors(id, d, dir));
+                write_ids(&mut h, g.face_neighbors(id, d, dir));
             }
         }
         let z = g.zone(id);
         for d in 0..dims {
-            h.u64(z.lo(d).to_bits());
-            h.u64(z.hi(d).to_bits());
+            h.write_f64(z.lo(d));
+            h.write_f64(z.hi(d));
         }
         for &c in g.coord(id) {
-            h.u64(c.to_bits());
+            h.write_f64(c);
         }
     }
-    h.0
+    h.finish()
 }
 
 fn check(label: &str, expected: u64, g: &StaticGrid) {

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and
 //! cross-crate invariants.
 
+use p2p_ce_grid::can::adjacency::Adjacency;
 use p2p_ce_grid::can::geom::Zone;
 use p2p_ce_grid::can::split_tree::SplitTree;
 use p2p_ce_grid::prelude::*;
@@ -52,7 +53,9 @@ proptest! {
     }
 
     /// The split tree keeps zones partitioning the space and ownership
-    /// lookups consistent through arbitrary join/leave sequences.
+    /// lookups consistent through arbitrary join/leave sequences, and
+    /// after every step its abutting-pair traversal is exactly the
+    /// neighbor relation recomputed from the zones.
     #[test]
     fn split_tree_partition_under_churn(ops in prop::collection::vec((unit_point(3), any::<bool>()), 1..60)) {
         let mut tree = SplitTree::new(3, NodeId(0));
@@ -80,6 +83,20 @@ proptest! {
                 coords.retain(|(n, _)| *n != victim);
             }
             tree.check_invariants();
+            let reference = Adjacency::recompute(tree.members(), |n| tree.zone(n));
+            let mut pairs = Vec::new();
+            let mut mislabeled = None;
+            tree.for_each_abutting_pair(|low, high, dim| {
+                if tree.zone(low).abut_dim(tree.zone(high)) != Some((dim, 1)) {
+                    mislabeled = Some((low, high, dim));
+                }
+                pairs.push((low, high));
+            });
+            prop_assert_eq!(mislabeled, None);
+            pairs.sort_unstable();
+            prop_assert!(pairs.windows(2).all(|w| w[0] != w[1]), "pair emitted twice");
+            prop_assert!(pairs.iter().all(|&(a, b)| reference.are_neighbors(a, b)));
+            prop_assert_eq!(2 * pairs.len(), reference.directed_edges());
         }
         // Ownership is total: every probe point has exactly one owner.
         let probe = vec![0.37, 0.91, 0.12];
