@@ -4,7 +4,8 @@
 //! Runs the quick-scale Figure 5 / Figure 6 / Figure 7 cells
 //! *single-threaded* (one simulation at a time, so wall-clock numbers
 //! are not confounded by scheduling), plus an `ai_refresh` scratch-vs-
-//! incremental microbenchmark at n ∈ {256, 1024, 4096}, and reports
+//! incremental microbenchmark at n ∈ {256, 1024, 4096} and a greedy
+//! `route` microbenchmark at n ∈ {1000, 32 768}, and reports
 //! wall-clock plus events/sec for each, then writes
 //! `BENCH_hotpath.json` at the repo root.
 //!
@@ -201,6 +202,41 @@ fn run_ai_refresh_cells(cells: &mut Vec<Cell>, want: &dyn Fn(&str) -> bool) {
     }
 }
 
+/// Greedy CAN routing alone — the first half of every `place` — at the
+/// paper population and at the scaling suite's large one: each job of
+/// the scaling scenario is routed to its coordinate from a random
+/// entry node, the query stream of the repo benchmark's route probe.
+/// `events` counts hops, so events/s is hops/s.
+fn run_route_cells(cells: &mut Vec<Cell>, want: &dyn Fn(&str) -> bool) {
+    for n in [1000usize, 32_768] {
+        let name = format!("route/n{n}");
+        if !want(&name) {
+            continue;
+        }
+        let sc = scaling_scenario(n);
+        let mut stream = sc.job_stream(generate_nodes(&sc.node_gen, sc.nodes, sc.seed));
+        let jobs = stream.take_jobs(sc.jobs);
+        let population = stream
+            .into_population()
+            .expect("stream keeps its population");
+        let grid = StaticGrid::build(DimensionLayout::with_dims(sc.dims), population, sc.seed);
+        let mut rng = SimRng::sub_stream(sc.seed, 0xB0B7E);
+        let mut hops = 0u64;
+        let t = Instant::now();
+        for (_, job) in &jobs {
+            let coord = grid.layout().job_coord(job, rng.unit());
+            let entry = NodeId(rng.below(n) as u32);
+            hops += grid.route_to(entry, &coord).hops as u64;
+        }
+        cells.push(Cell {
+            name,
+            wall_secs: t.elapsed().as_secs_f64(),
+            events: hops,
+        });
+        report(cells.last().unwrap());
+    }
+}
+
 struct Args {
     /// Run only cells whose name contains this substring.
     cell: Option<String>,
@@ -330,6 +366,9 @@ fn run_cells(want: &dyn Fn(&str) -> bool) -> Vec<Cell> {
     // AI-refresh microbenchmark: incremental vs from-scratch refresh
     // under fixed churn, at growing grid sizes.
     run_ai_refresh_cells(&mut cells, want);
+
+    // Routing microbenchmark: hops/s of the greedy walk on its own.
+    run_route_cells(&mut cells, want);
     cells
 }
 

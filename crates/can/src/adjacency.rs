@@ -21,6 +21,11 @@ pub struct Adjacency {
     nbrs: HashMap<NodeId, HashSet<NodeId>>,
 }
 
+/// Iterator over a node's neighbor ids, in no particular order
+/// ([`Adjacency::neighbors`]).
+pub type Neighbors<'a> =
+    std::iter::Copied<std::iter::Flatten<std::option::IntoIter<&'a HashSet<NodeId>>>>;
+
 impl Adjacency {
     /// Empty graph.
     pub fn new() -> Self {
@@ -38,7 +43,7 @@ impl Adjacency {
     }
 
     /// The current neighbor set of `id` (empty if unknown).
-    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn neighbors(&self, id: NodeId) -> Neighbors<'_> {
         self.nbrs.get(&id).into_iter().flatten().copied()
     }
 

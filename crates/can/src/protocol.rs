@@ -727,11 +727,17 @@ impl CanSim {
             .unwrap_or_default()
     }
 
-    /// Ground-truth neighbor ids of a member.
+    /// Ground-truth neighbor ids of a member, sorted ascending.
     pub fn true_neighbors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.adj.neighbors(id).collect();
+        let mut v: Vec<NodeId> = self.neighbor_ids(id).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Ground-truth neighbor ids of a member, in no particular order
+    /// and without the allocation and sort of [`Self::true_neighbors`].
+    pub(crate) fn neighbor_ids(&self, id: NodeId) -> crate::adjacency::Neighbors<'_> {
+        self.adj.neighbors(id)
     }
 
     /// Ground-truth mean neighbor degree.

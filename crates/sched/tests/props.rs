@@ -1,6 +1,8 @@
-//! Property tests for the incremental AI refresh: arbitrary
-//! interleavings of `evict_node` / `restore_node` / job placement /
-//! completion / `refresh` must preserve
+//! Property tests for the incremental AI refresh, and the differential
+//! tests of `StaticGrid`'s routing (second half of the file).
+//!
+//! Arbitrary interleavings of `evict_node` / `restore_node` / job
+//! placement / completion / `refresh` must preserve
 //!
 //! 1. **incremental ≡ from-scratch** — the incrementally-maintained
 //!    table is bit-identical to a shadow rebuilt from scratch at every
@@ -10,8 +12,12 @@
 //!    set) has a bit-unchanged local entry, so no mutation path can
 //!    escape the tracking.
 
+use pgrid_can::geom::Point;
+use pgrid_can::routing::{route, RoutingView};
 use pgrid_sched::{AiEntry, AiGrouping, AiTable, StaticGrid};
-use pgrid_types::{CeRequirement, CeType, DimensionLayout, JobId, JobSpec};
+use pgrid_simcore::SimRng;
+use pgrid_types::{CeRequirement, CeType, DimensionLayout, JobId, JobSpec, NodeId, NodeSpec};
+use pgrid_workload::jobgen::{JobGenConfig, JobStream};
 use pgrid_workload::nodegen::{generate_nodes, NodeGenConfig};
 use proptest::prelude::*;
 
@@ -169,4 +175,187 @@ proptest! {
         }
         grid.check_invariants();
     }
+}
+
+// ------------------------------------------------ routing differential
+//
+// `StaticGrid` picks each hop's closest neighbor its own way; the
+// reference is the `RoutingView` default, a scan of the whole neighbor
+// list. CI runs these in release (`--test props route`): the
+// every-start and n = 8192 arms are slow at `opt-level = 1`.
+
+/// `StaticGrid`'s topology and zones under the trait's default
+/// `closest_neighbor`.
+struct FullScan<'a>(&'a StaticGrid);
+
+impl RoutingView for FullScan<'_> {
+    type NeighborIter<'b>
+        = <StaticGrid as RoutingView>::NeighborIter<'b>
+    where
+        Self: 'b;
+    fn route_neighbors(&self, id: NodeId) -> Self::NeighborIter<'_> {
+        self.0.route_neighbors(id)
+    }
+    fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
+        self.0.zone_distance(id, p)
+    }
+    fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
+        self.0.zone_contains(id, p)
+    }
+}
+
+/// [`FullScan`], asserting at every hop that the grid's own
+/// `closest_neighbor` returns the same neighbor at the same distance —
+/// so a tie resolved the wrong way cannot hide behind an equal hop
+/// count.
+struct Checked<'a>(FullScan<'a>);
+
+impl RoutingView for Checked<'_> {
+    type NeighborIter<'b>
+        = <StaticGrid as RoutingView>::NeighborIter<'b>
+    where
+        Self: 'b;
+    fn route_neighbors(&self, id: NodeId) -> Self::NeighborIter<'_> {
+        self.0.route_neighbors(id)
+    }
+    fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
+        self.0.zone_distance(id, p)
+    }
+    fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
+        self.0.zone_contains(id, p)
+    }
+    fn closest_neighbor(&self, id: NodeId, p: &Point) -> Option<(NodeId, f64)> {
+        let bits = |c: Option<(NodeId, f64)>| c.map(|(n, d)| (n, d.to_bits()));
+        let full = self.0.closest_neighbor(id, p);
+        let grid = self.0 .0.closest_neighbor(id, p);
+        assert_eq!(bits(grid), bits(full), "closest neighbor of {id} to {p:?}");
+        full
+    }
+}
+
+/// Routes `start` → `p` through the full scan and through the grid;
+/// returns 1 if the two `Route`s (owner and hops) differ.
+fn route_mismatch(grid: &StaticGrid, start: NodeId, p: &Point) -> usize {
+    let want = route(&Checked(FullScan(grid)), start, p).expect("grid is connected");
+    usize::from(grid.route_to(start, p) != want)
+}
+
+/// The largest coordinate inside the unit space: a zone's outermost
+/// `hi` is 1.0, which no zone contains.
+const INNERMOST: f64 = 1.0 - f64::EPSILON / 2.0;
+
+/// Target points of the three kinds the differential test routes to:
+/// (a) coordinates of generated jobs, (b) uniform points, and
+/// (c) adversarial points — node coordinates, zone `lo`/`hi` corners,
+/// and points agreeing with the faces of one zone, or of several, in
+/// 1…dims dimensions. The last kind is where distances tie and walks
+/// plateau.
+fn targets(grid: &StaticGrid, population: &[NodeSpec], per_kind: usize, seed: u64) -> Vec<Point> {
+    let layout = grid.layout();
+    let dims = layout.dims();
+    let n = grid.len();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut out: Vec<Point> = Vec::new();
+
+    let slots = layout.gpu_slots();
+    let cfg = JobGenConfig::paper_defaults(slots, 0.6, 3.0);
+    let mut stream = JobStream::with_population(cfg, seed, population.to_vec());
+    for _ in 0..per_kind {
+        let (_, job) = stream.next_job();
+        out.push(layout.job_coord(&job, rng.unit()));
+    }
+
+    for _ in 0..per_kind {
+        out.push((0..dims).map(|_| rng.unit()).collect());
+    }
+
+    let inside = |x: f64| x.min(INNERMOST);
+    for i in 0..per_kind {
+        let id = NodeId(rng.below(n) as u32);
+        let z = grid.zone(id);
+        let mut p: Point = (0..dims)
+            .map(|d| z.lo(d) + rng.unit() * (z.hi(d) - z.lo(d)))
+            .collect();
+        match i % 5 {
+            0 => p = grid.coord(id).clone(),
+            1 => p = (0..dims).map(|d| z.lo(d)).collect(),
+            2 => p = (0..dims).map(|d| inside(z.hi(d))).collect(),
+            kind => {
+                // 1…dims dimensions moved onto a face: of this zone
+                // (kind 3), or of another zone each (kind 4).
+                let on_faces = 1 + rng.below(dims);
+                for _ in 0..on_faces {
+                    let d = rng.below(dims);
+                    let z = if kind == 3 {
+                        z
+                    } else {
+                        grid.zone(NodeId(rng.below(n) as u32))
+                    };
+                    p[d] = if rng.below(2) == 0 {
+                        z.lo(d)
+                    } else {
+                        inside(z.hi(d))
+                    };
+                }
+            }
+        }
+        out.push(p);
+    }
+    out
+}
+
+/// Routes to every target from every node (`starts == None`) or from
+/// that many random ones; returns `(routes, mismatches)`.
+fn differential(
+    grid: &StaticGrid,
+    population: &[NodeSpec],
+    per_kind: usize,
+    starts: Option<usize>,
+) -> (usize, usize) {
+    let n = grid.len();
+    let mut rng = SimRng::seed_from_u64(0xD1FF);
+    let (mut routes, mut mismatches) = (0, 0);
+    for p in targets(grid, population, per_kind, 77) {
+        assert_eq!(
+            grid.route_to(NodeId(0), &p).owner,
+            grid.owner_at(&p),
+            "route ends at the wrong owner for {p:?}"
+        );
+        let from: Vec<NodeId> = match starts {
+            None => (0..n as u32).map(NodeId).collect(),
+            Some(k) => (0..k).map(|_| NodeId(rng.below(n) as u32)).collect(),
+        };
+        for start in from {
+            routes += 1;
+            mismatches += route_mismatch(grid, start, &p);
+        }
+    }
+    (routes, mismatches)
+}
+
+#[test]
+fn route_matches_the_full_scan_on_generated_populations() {
+    // The populations of `tests/grid_csr_digest.rs`.
+    for (dims, slots) in [(5usize, 0u8), (11, 2)] {
+        for (n, per_kind, starts) in [(200, 40, None), (1000, 10, None), (8192, 150, Some(8))] {
+            let population = generate_nodes(&NodeGenConfig::paper_defaults(slots), n, 2011);
+            let grid =
+                StaticGrid::build(DimensionLayout::with_dims(dims), population.clone(), 2011);
+            let (routes, mismatches) = differential(&grid, &population, per_kind, starts);
+            assert_eq!(
+                mismatches, 0,
+                "{dims}-d n={n}: {mismatches} of {routes} routes differ from the full scan"
+            );
+        }
+    }
+}
+
+#[test]
+fn route_matches_the_full_scan_on_identical_nodes() {
+    // Fifty byte-identical nodes separate along the virtual dimension
+    // only: every face is that dimension's, every other term ties.
+    let population = vec![NodeSpec::cpu_only(2.0, 8.0, 4, 100.0); 50];
+    let grid = StaticGrid::build(DimensionLayout::with_dims(5), population.clone(), 7);
+    let (routes, mismatches) = differential(&grid, &population, 60, None);
+    assert_eq!(mismatches, 0, "{mismatches} of {routes} routes differ");
 }
