@@ -52,12 +52,22 @@ pub trait RoutingView {
         let mut best: Option<(NodeId, f64)> = None;
         for n in self.route_neighbors(id) {
             let nd = self.zone_distance(n, p);
-            match best {
-                Some((bid, bd)) if nd > bd || (nd == bd && n >= bid) => {}
-                _ => best = Some((n, nd)),
+            if displaces(n, nd, best) {
+                best = Some((n, nd));
             }
         }
         best
+    }
+}
+
+/// Whether neighbor `n` at distance `nd` replaces `best` as the closest
+/// seen so far: it is strictly closer, or as close with a lower id. The
+/// one statement of [`RoutingView::closest_neighbor`]'s order, for
+/// every implementation of it.
+pub fn displaces(n: NodeId, nd: f64, best: Option<(NodeId, f64)>) -> bool {
+    match best {
+        Some((bid, bd)) => !(nd > bd || (nd == bd && n >= bid)),
+        None => true,
     }
 }
 

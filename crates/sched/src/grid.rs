@@ -15,7 +15,7 @@
 
 use pgrid_can::adjacency::Adjacency;
 use pgrid_can::geom::Point;
-use pgrid_can::routing::{route, Route, RoutingView};
+use pgrid_can::routing::{displaces, route, Route, RoutingView};
 use pgrid_can::split_tree::SplitTree;
 use pgrid_simcore::SimRng;
 use pgrid_types::{CeType, DimensionLayout, NodeId, NodeSpec};
@@ -471,6 +471,13 @@ impl StaticGrid {
         &self.zones[id.idx()]
     }
 
+    /// A zone's `(lo, hi)` bounds out of the flat cache.
+    fn bounds(&self, id: NodeId) -> (&[f64], &[f64]) {
+        let dims = self.layout.dims();
+        let base = id.idx() * dims * 2;
+        self.zone_bounds[base..base + 2 * dims].split_at(dims)
+    }
+
     /// Owner of a point.
     pub fn owner_at(&self, p: &Point) -> NodeId {
         self.tree.owner_at(p).expect("grid is non-empty")
@@ -564,37 +571,104 @@ impl StaticGrid {
     }
 }
 
+/// An upper bound on every sum of squared gaps whose distance (its
+/// correctly rounded `sqrt`) is `d` or less. A sum above the cut
+/// therefore has a distance strictly above `d`; a sum whose distance
+/// ties with `d` never exceeds it.
+///
+/// Let `u` be the float after `d`. A sum `s > cut(d)` has `s > u²` in
+/// the reals (the float after the rounded product `u * u` lies above
+/// the exact one), so `√s > u`, and rounding, being monotone, leaves
+/// `sqrt(s) >= u > d`.
+fn cut(d: f64) -> f64 {
+    let u = d.next_up();
+    (u * u).next_up()
+}
+
+/// The squared gap between `p` and the zone `[lo, hi)`, term by term in
+/// dimension order: the sum `Zone::distance_to` takes the root of, with
+/// the same arithmetic in the same order — except that a running sum
+/// exceeding `cut` is returned as it stands: terms are non-negative and
+/// rounding is monotone, so the total could only be larger still.
+fn gap_sum(lo: &[f64], hi: &[f64], p: &[f64], cut: f64) -> f64 {
+    let mut sum = 0.0;
+    for d in 0..p.len() {
+        let gap = if p[d] < lo[d] {
+            lo[d] - p[d]
+        } else if p[d] >= hi[d] {
+            p[d] - hi[d]
+        } else {
+            0.0
+        };
+        sum += gap * gap;
+        if sum > cut {
+            break;
+        }
+    }
+    sum
+}
+
 impl RoutingView for StaticGrid {
     type NeighborIter<'a> = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
     fn route_neighbors(&self, id: NodeId) -> Self::NeighborIter<'_> {
         self.neighbors(id).iter().copied()
     }
     fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
-        // Same arithmetic (and evaluation order) as
-        // `Zone::distance_to`, reading the flat bounds cache.
-        let dims = self.layout.dims();
-        let base = id.idx() * dims * 2;
-        let lo = &self.zone_bounds[base..base + dims];
-        let hi = &self.zone_bounds[base + dims..base + 2 * dims];
-        let mut sum = 0.0;
-        for d in 0..dims {
-            let gap = if p[d] < lo[d] {
-                lo[d] - p[d]
-            } else if p[d] >= hi[d] {
-                p[d] - hi[d]
-            } else {
-                0.0
-            };
-            sum += gap * gap;
-        }
-        sum.sqrt()
+        let (lo, hi) = self.bounds(id);
+        gap_sum(lo, hi, p, f64::INFINITY).sqrt()
     }
     fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
-        let dims = self.layout.dims();
-        let base = id.idx() * dims * 2;
-        let lo = &self.zone_bounds[base..base + dims];
-        let hi = &self.zone_bounds[base + dims..base + 2 * dims];
-        (0..dims).all(|d| lo[d] <= p[d] && p[d] < hi[d])
+        let (lo, hi) = self.bounds(id);
+        (0..lo.len()).all(|d| lo[d] <= p[d] && p[d] < hi[d])
+    }
+
+    /// The full scan's answer from a fraction of the neighbor list (the
+    /// exactness argument is DESIGN.md §6, "Routing: the face-bounded
+    /// argmin"). Every neighbor in the `(k, +1)` face bucket has
+    /// `lo[k]` bit-equal to this zone's `hi[k]`, so when `p[k] < hi[k]`
+    /// its sum of squared gaps contains the term `(hi[k] - p[k])²`
+    /// exactly, and is at least that large; mirrored for `(k, -1)`. A
+    /// bucket whose known term already exceeds the cut of the best
+    /// distance so far holds only strictly farther neighbors and is
+    /// skipped whole; inside a bucket a neighbor is dropped as soon as
+    /// its running sum exceeds the cut. Buckets with no known term come
+    /// first, since those are the faces `p` lies beyond and the closest
+    /// neighbor is almost always behind one of them.
+    fn closest_neighbor(&self, id: NodeId, p: &Point) -> Option<(NodeId, f64)> {
+        let (lo, hi) = self.bounds(id);
+        let mut best: Option<(NodeId, f64)> = None;
+        let mut cut_sum = f64::INFINITY;
+        for known_terms in [false, true] {
+            for k in 0..lo.len() {
+                for dir in [1i8, -1] {
+                    // The k-gap of a neighbor across this face, as
+                    // `gap_sum` computes it; with `p` on or beyond the
+                    // face it can be anything from 0 up.
+                    let gap = match dir {
+                        1 if p[k] < hi[k] => hi[k] - p[k],
+                        -1 if p[k] >= lo[k] => p[k] - lo[k],
+                        _ => 0.0,
+                    };
+                    let known = gap * gap;
+                    if (known > 0.0) != known_terms || known > cut_sum {
+                        continue;
+                    }
+                    for &n in self.face_neighbors(id, k, dir) {
+                        let (nlo, nhi) = self.bounds(n);
+                        let sum = gap_sum(nlo, nhi, p, cut_sum);
+                        if sum > cut_sum {
+                            continue;
+                        }
+                        let nd = sum.sqrt();
+                        if displaces(n, nd, best) {
+                            best = Some((n, nd));
+                            cut_sum = cut(nd);
+                        }
+                    }
+                }
+            }
+        }
+        best
     }
 }
 
@@ -670,6 +744,72 @@ mod tests {
             let p: Point = (0..11).map(|_| rng.unit() * 0.9).collect();
             let r = g.route_to(NodeId(0), &p);
             assert_eq!(r.owner, g.owner_at(&p));
+        }
+    }
+
+    #[test]
+    fn cut_bounds_every_sum_at_or_below_the_distance() {
+        let mut rng = pgrid_simcore::SimRng::seed_from_u64(3);
+        // Distances up to the unit space's diagonal, at every scale
+        // down to gaps of one part in 10^12, and the two ends.
+        let mut distances = vec![0.0, f64::MIN_POSITIVE, 11f64.sqrt(), f64::INFINITY];
+        for _ in 0..20_000 {
+            distances.push(rng.unit() * 3.4 * 10f64.powi(-(rng.below(13) as i32)));
+        }
+        for d in distances {
+            let c = cut(d);
+            // Pruning stays sharp: nothing two floats past `d` survives
+            // (where d² is a normal number).
+            if d > 1e-150 {
+                assert!(c.sqrt() <= d.next_up().next_up(), "cut({d}) = {c} is loose");
+            }
+            if d == f64::INFINITY {
+                continue;
+            }
+            // Every sum around d² whose rounded root is `d` or less —
+            // the ties included — is at or below the cut.
+            let around = (d * d).to_bits();
+            for s in (around.saturating_sub(64)..=around + 64).map(f64::from_bits) {
+                if s.sqrt() <= d {
+                    assert!(s <= c, "sqrt({s}) <= {d} but {s} > cut = {c}");
+                }
+            }
+            assert!(c.next_up().sqrt() > d, "a sum above cut({d}) ties with it");
+        }
+    }
+
+    #[test]
+    fn gap_sums_only_grow_term_by_term() {
+        // On the lattice's own gaps: no term and no running sum exceeds
+        // the total, which is what lets a face's known term and a
+        // partial sum stand in for it — and `gap_sum` stops early
+        // exactly when the total is over the cut.
+        let g = grid(200);
+        let mut rng = pgrid_simcore::SimRng::seed_from_u64(4);
+        let mut points: Vec<Point> = (0..200).map(|i| g.coord(NodeId(i)).clone()).collect();
+        points.extend((0..200).map(|_| (0..11).map(|_| rng.unit()).collect::<Point>()));
+        for p in &points {
+            for i in 0..200 {
+                let (lo, hi) = g.bounds(NodeId(i));
+                let total = gap_sum(lo, hi, p, f64::INFINITY);
+                assert_eq!(
+                    total.sqrt().to_bits(),
+                    g.zone(NodeId(i)).distance_to(p).to_bits()
+                );
+                let mut running = 0.0;
+                for d in 0..11 {
+                    let term = gap_sum(&lo[d..=d], &hi[d..=d], &p[d..=d], f64::INFINITY);
+                    running += term;
+                    assert!(term <= total && running <= total);
+                    let early = gap_sum(lo, hi, p, running);
+                    if total <= running {
+                        assert_eq!(early.to_bits(), total.to_bits());
+                    } else {
+                        assert!(early > running && early <= total);
+                    }
+                }
+                assert_eq!(running.to_bits(), total.to_bits());
+            }
         }
     }
 

@@ -204,11 +204,11 @@ impl RoutingView for FullScan<'_> {
     }
 }
 
-/// [`FullScan`], asserting at every hop that the grid's own
-/// `closest_neighbor` returns the same neighbor at the same distance —
-/// so a tie resolved the wrong way cannot hide behind an equal hop
-/// count.
-struct Checked<'a>(FullScan<'a>);
+/// The same view, asserting at every hop that the grid's own
+/// `closest_neighbor` returns the full scan's neighbor at the same
+/// distance — so a tie resolved the wrong way cannot hide behind an
+/// equal hop count.
+struct Checked<'a>(&'a StaticGrid);
 
 impl RoutingView for Checked<'_> {
     type NeighborIter<'b>
@@ -226,8 +226,8 @@ impl RoutingView for Checked<'_> {
     }
     fn closest_neighbor(&self, id: NodeId, p: &Point) -> Option<(NodeId, f64)> {
         let bits = |c: Option<(NodeId, f64)>| c.map(|(n, d)| (n, d.to_bits()));
-        let full = self.0.closest_neighbor(id, p);
-        let grid = self.0 .0.closest_neighbor(id, p);
+        let full = FullScan(self.0).closest_neighbor(id, p);
+        let grid = self.0.closest_neighbor(id, p);
         assert_eq!(bits(grid), bits(full), "closest neighbor of {id} to {p:?}");
         full
     }
@@ -236,7 +236,7 @@ impl RoutingView for Checked<'_> {
 /// Routes `start` → `p` through the full scan and through the grid;
 /// returns 1 if the two `Route`s (owner and hops) differ.
 fn route_mismatch(grid: &StaticGrid, start: NodeId, p: &Point) -> usize {
-    let want = route(&Checked(FullScan(grid)), start, p).expect("grid is connected");
+    let want = route(&Checked(grid), start, p).expect("grid is connected");
     usize::from(grid.route_to(start, p) != want)
 }
 
