@@ -204,22 +204,32 @@ pub struct AiTable {
     ce_types: Vec<CeType>,
     dims: usize,
     n: usize,
-    /// `[dim][node][ce_idx]` flattened — dimension-major so the
-    /// per-dimension inward-propagation passes (which are independent
-    /// across dimensions) can hand each dimension its own contiguous
-    /// `chunks_mut` slice and run in parallel.
+    /// `[dim][node][ce_idx]` flattened — dimension-major, so one
+    /// dimension's rows (which only ever read each other) are one
+    /// contiguous chunk. A row is meaningful only while its
+    /// [`AiTable::stale`] flag is clear.
     data: Vec<AiEntry>,
+    /// `[dim][node]` flattened: the row must be recomputed from
+    /// `locals` before it is read. Kept *inward-closed* per dimension
+    /// (a stale row's inward face neighbors are all stale), so a fresh
+    /// row only ever depends on fresh rows.
+    stale: Vec<bool>,
     /// Per-node local loads as of the last refresh (`[node][ce_idx]`
-    /// flattened). The incremental path recomputes only dirty nodes'
-    /// rows and keeps the rest.
+    /// flattened) — the snapshot every row is a function of. A refresh
+    /// recomputes only dirty nodes' rows and keeps the rest.
     locals: Vec<AiEntry>,
-    /// Processing order per dimension (descending upper zone bound).
+    /// Processing order per dimension (descending upper zone bound);
+    /// built by the first [`AiTable::refresh_scratch`], which alone
+    /// walks it.
     order: Vec<Vec<NodeId>>,
     /// Grid load-clock value at the last refresh (`None` before the
     /// first — the first refresh always builds from scratch).
     synced_clock: Option<u64>,
     /// Scratch: nodes whose local entry changed in the current refresh.
     changed_locals: Vec<NodeId>,
+    /// Scratch: the explicit stack of the marking and materializing
+    /// walks — `(node, outward neighbors already descended into)`.
+    stack: Vec<(NodeId, u32)>,
     /// Per-dimension propagation scratch (generation-stamped "needs
     /// recompute" flags). One instance per dimension so the dimension
     /// passes can run on separate threads without sharing state.
@@ -241,10 +251,34 @@ impl AiTable {
             AiGrouping::PerCe => grid.layout().ce_types(),
             AiGrouping::Pooled => vec![CeType::CPU], // single slot
         };
-        let order: Vec<Vec<NodeId>> = (0..dims)
+        let slots = ce_types.len();
+        AiTable {
+            grouping,
+            ce_types,
+            dims,
+            n,
+            data: vec![AiEntry::default(); n * dims * slots],
+            stale: vec![true; n * dims],
+            locals: vec![AiEntry::default(); n * slots],
+            order: Vec::new(),
+            synced_clock: None,
+            changed_locals: Vec::new(),
+            stack: Vec::new(),
+            dim_scratch: Vec::new(),
+            pressure_bound: None,
+            refreshed_at: 0.0,
+        }
+    }
+
+    /// The descending-`hi` walk order of every dimension (outward
+    /// regions first), built on first use.
+    fn ensure_order(&mut self, grid: &StaticGrid) {
+        if !self.order.is_empty() {
+            return;
+        }
+        self.order = (0..self.dims)
             .map(|d| {
-                let mut ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-                // Descending upper bound: outward regions first.
+                let mut ids: Vec<NodeId> = (0..self.n as u32).map(NodeId).collect();
                 ids.sort_by(|a, b| {
                     grid.zone(*b)
                         .hi(d)
@@ -254,21 +288,6 @@ impl AiTable {
                 ids
             })
             .collect();
-        let slots = 1.max(ce_types_len(grouping, grid));
-        AiTable {
-            grouping,
-            ce_types,
-            dims,
-            n,
-            data: vec![AiEntry::default(); n * dims * slots],
-            locals: vec![AiEntry::default(); n * slots],
-            order,
-            synced_clock: None,
-            changed_locals: Vec::new(),
-            dim_scratch: Vec::new(),
-            pressure_bound: None,
-            refreshed_at: 0.0,
-        }
     }
 
     /// Arms (or disarms) the queue-pressure congestion bit: a node
@@ -347,36 +366,45 @@ impl AiTable {
         }
     }
 
-    /// Brings every entry up to date with the grid's current load
-    /// state, stamping the refresh time. In the real system this
-    /// information flows inward one heartbeat hop per period;
-    /// recomputing on the heartbeat period preserves the essential
-    /// property — decisions use data up to a full period old.
+    /// Snapshots the grid's current load state, stamping the refresh
+    /// time. In the real system this information flows inward one
+    /// heartbeat hop per period; snapshotting on the heartbeat period
+    /// preserves the essential property — decisions use data up to a
+    /// full period old.
     ///
-    /// The work is proportional to *churn*, not grid size: only nodes
-    /// dirtied since the last refresh (tracked by
-    /// [`StaticGrid::load_clock`]) get their local entry recomputed,
-    /// and per dimension only entries reachable from a changed local
-    /// along the inward propagation front are rebuilt, with an early
-    /// exit wherever the recomputed entry is bit-identical to the old
-    /// one. Every rebuilt entry is *recomputed* by the same `absorb`
-    /// sequence in the same order as [`AiTable::refresh_scratch`] —
-    /// never patched by adding a delta — so the result is bit-identical
-    /// to a from-scratch build (see `DESIGN.md` §10 for the induction
-    /// argument).
+    /// What a later [`AiTable::beyond`] may observe is fixed *here*: the
+    /// per-node `locals` are brought up to date eagerly (only nodes
+    /// dirtied since the last refresh, tracked by
+    /// [`StaticGrid::load_clock`], are recomputed), while the aggregate
+    /// rows are only *marked*: per dimension, every row in the inward
+    /// closure of a changed local goes stale and is recomputed from the
+    /// snapshot by the first read that needs it. A changed local changes
+    /// most of the grid's rows along every dimension, so the eager
+    /// alternative costs O(n · dims) per period whatever is read
+    /// afterwards; marking costs only the rows that were fresh. See
+    /// `DESIGN.md` §10 for the invariants and the induction argument.
     pub fn refresh(&mut self, grid: &StaticGrid, now: f64) {
         let clock = grid.load_clock();
+        self.refreshed_at = now;
+        let slots = self.slots();
         let Some(synced) = self.synced_clock else {
-            self.refresh_scratch(grid, now);
+            // First refresh, or a new pressure bound: every local is
+            // (re)taken and no row survives.
+            let mut locals = std::mem::take(&mut self.locals);
+            for i in 0..self.n {
+                for s in 0..slots {
+                    locals[i * slots + s] = self.local(grid, NodeId(i as u32), s);
+                }
+            }
+            self.locals = locals;
+            self.stale.fill(true);
+            self.synced_clock = Some(clock);
             return;
         };
-        self.refreshed_at = now;
         if clock == synced {
-            // No load mutation since the last sync: a rebuild would
-            // recompute identical bits from identical inputs.
+            // No load mutation since the last sync: the snapshot stands.
             return;
         }
-        let slots = self.slots();
         // Phase 1: recompute the local entry of every dirty node,
         // recording the nodes whose row actually changed (a mutation
         // that nets out — e.g. evict immediately followed by restore of
@@ -401,32 +429,65 @@ impl AiTable {
                 changed_locals.push(id);
             }
         }
-        // Phase 2: one independent [`propagate_dim`] pass per
-        // dimension (see its docs for the propagation-front argument).
-        let span = self.n * slots;
-        let mut scratch = std::mem::take(&mut self.dim_scratch);
-        scratch.resize_with(self.dims, DimScratch::default);
-        for ((d, chunk), scr) in self
-            .data
-            .chunks_mut(span)
-            .enumerate()
-            .zip(scratch.iter_mut())
-        {
-            propagate_dim(
-                grid,
-                d,
-                &self.order[d],
-                &locals,
-                &changed_locals,
-                slots,
-                chunk,
-                scr,
-            );
+        // Phase 2: a row depends only on the locals and rows of its
+        // outward face neighbors, so the rows a changed local can reach
+        // are exactly its inward closure. A row that is already stale
+        // ends the walk: the stale set is inward-closed, so everything
+        // behind it is marked already.
+        for (d, stale) in self.stale.chunks_mut(self.n).enumerate() {
+            for &m in &changed_locals {
+                self.stack.push((m, 0));
+                while let Some((x, _)) = self.stack.pop() {
+                    for &p in grid.face_neighbors(x, d, -1) {
+                        if !stale[p.idx()] {
+                            stale[p.idx()] = true;
+                            self.stack.push((p, 0));
+                        }
+                    }
+                }
+            }
         }
-        self.dim_scratch = scratch;
         self.locals = locals;
         self.changed_locals = changed_locals;
         self.synced_clock = Some(clock);
+    }
+
+    /// Recomputes the stale part of the outward closure of row
+    /// `(node, d)` from the snapshotted `locals` — never the live
+    /// runtimes — outermost rows first, on an explicit stack (the
+    /// chain of outward neighbors can be as long as the grid). Each row
+    /// is computed by the absorb sequence of [`build_dim`], and its
+    /// flag is cleared only once every row it read is fresh, so a fresh
+    /// row always equals what [`AiTable::refresh_scratch`] would have
+    /// written at the last refresh, bit for bit. Outward neighbors have
+    /// a strictly larger `hi(d)`, so the walk terminates.
+    fn materialize(&mut self, grid: &StaticGrid, node: NodeId, d: usize) {
+        let slots = self.slots();
+        let span = self.n * slots;
+        let chunk = &mut self.data[d * span..(d + 1) * span];
+        let stale = &mut self.stale[d * self.n..(d + 1) * self.n];
+        self.stack.push((node, 0));
+        while let Some(top) = self.stack.last_mut() {
+            let x = top.0;
+            let outward = grid.outward_neighbors(x, d);
+            let seen = top.1 as usize;
+            if let Some(k) = outward[seen..].iter().position(|m| stale[m.idx()]) {
+                top.1 = (seen + k + 1) as u32;
+                self.stack.push((outward[seen + k], 0));
+                continue;
+            }
+            for s in 0..slots {
+                let mut acc = AiEntry::default();
+                for &m in outward {
+                    acc.absorb(&self.locals[m.idx() * slots + s]);
+                    let beyond = chunk[m.idx() * slots + s];
+                    acc.absorb(&beyond);
+                }
+                chunk[x.idx() * slots + s] = acc;
+            }
+            stale[x.idx()] = false;
+            self.stack.pop();
+        }
     }
 
     /// [`AiTable::refresh`] with the per-dimension propagation passes
@@ -451,6 +512,7 @@ impl AiTable {
         if clock == synced {
             return;
         }
+        debug_assert!(!self.stale.contains(&true), "eager pass over a lazy table");
         let slots = self.slots();
         let threads = shards.shards();
         // Phase 1: dirty locals, partitioned by zone-region shard.
@@ -520,6 +582,7 @@ impl AiTable {
     /// bit-identical against (differential harness, golden digests),
     /// and the baseline side of the `ai-refresh` perf scenario.
     pub fn refresh_scratch(&mut self, grid: &StaticGrid, now: f64) {
+        self.ensure_order(grid);
         let slots = self.slots();
         // Cache local loads once per node, into the reusable scratch
         // buffer (every entry is overwritten before any is read).
@@ -533,6 +596,7 @@ impl AiTable {
         for (d, chunk) in self.data.chunks_mut(span).enumerate() {
             build_dim(grid, d, &self.order[d], &locals, slots, chunk);
         }
+        self.stale.fill(false);
         self.locals = locals;
         self.synced_clock = Some(grid.load_clock());
         self.refreshed_at = now;
@@ -546,6 +610,7 @@ impl AiTable {
         if shards.shards() <= 1 {
             return self.refresh_scratch(grid, now);
         }
+        self.ensure_order(grid);
         let slots = self.slots();
         let threads = shards.shards();
         let mut locals = std::mem::take(&mut self.locals);
@@ -581,18 +646,20 @@ impl AiTable {
                 build_dim(grid, d, &order[d], locals_ref, slots, chunk);
             });
         }
+        self.stale.fill(false);
         self.locals = locals;
         self.synced_clock = Some(grid.load_clock());
         self.refreshed_at = now;
     }
 
     /// The aggregated load of the region beyond `node` along `dim` for
-    /// CE type `ce` (pooled tables ignore `ce`). A CE type outside the
-    /// layout reads as an empty region.
-    pub fn beyond(&self, node: NodeId, dim: usize, ce: CeType) -> &AiEntry {
+    /// CE type `ce` (pooled tables ignore `ce`), as of the last refresh;
+    /// a stale row is recomputed from that refresh's snapshot first. A
+    /// CE type outside the layout reads as an empty region.
+    pub fn beyond(&mut self, grid: &StaticGrid, node: NodeId, dim: usize, ce: CeType) -> AiEntry {
         match self.ce_index(ce) {
-            Some(s) => &self.data[self.idx(node, dim, s)],
-            None => &AiEntry::EMPTY,
+            Some(s) => self.entry_at(grid, node, dim, s),
+            None => AiEntry::EMPTY,
         }
     }
 
@@ -614,10 +681,25 @@ impl AiTable {
     }
 
     /// The entry for `(node, dim, slot)`, `slot` indexing
-    /// [`AiTable::slot_types`]. Diagnostic surface for the differential
-    /// and property harnesses.
-    pub fn entry_at(&self, node: NodeId, dim: usize, slot: usize) -> &AiEntry {
-        &self.data[self.idx(node, dim, slot)]
+    /// [`AiTable::slot_types`] — [`AiTable::beyond`] by slot, and the
+    /// differential and property harnesses' way in.
+    pub fn entry_at(
+        &mut self,
+        grid: &StaticGrid,
+        node: NodeId,
+        dim: usize,
+        slot: usize,
+    ) -> AiEntry {
+        if self.stale[dim * self.n + node.idx()] {
+            self.materialize(grid, node, dim);
+        }
+        self.data[self.idx(node, dim, slot)]
+    }
+
+    /// Whether row `(node, dim)` is waiting to be recomputed.
+    /// Diagnostic surface for the property harness.
+    pub fn is_stale(&self, node: NodeId, dim: usize) -> bool {
+        self.stale[dim * self.n + node.idx()]
     }
 
     /// Recomputes the local (single-node) entry for `slot` from the
@@ -677,13 +759,6 @@ impl AiTable {
     }
 }
 
-fn ce_types_len(grouping: AiGrouping, grid: &StaticGrid) -> usize {
-    match grouping {
-        AiGrouping::PerCe => grid.layout().ce_types().len(),
-        AiGrouping::Pooled => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,7 +779,7 @@ mod tests {
         ai.refresh(&g, 0.0);
         for i in 0..100u32 {
             for d in 0..11 {
-                let e = ai.beyond(NodeId(i), d, CeType::CPU);
+                let e = ai.beyond(&g, NodeId(i), d, CeType::CPU);
                 assert_eq!(e.required_cores, 0.0);
                 assert_eq!(e.free_nodes, e.nodes, "idle grid: every node free");
             }
@@ -721,7 +796,7 @@ mod tests {
             // with no outward neighbors must see an empty region.
             for i in 0..80u32 {
                 if g.zone(NodeId(i)).hi(d) == 1.0 {
-                    let e = ai.beyond(NodeId(i), d, CeType::CPU);
+                    let e = ai.beyond(&g, NodeId(i), d, CeType::CPU);
                     assert_eq!(e.nodes, 0, "node {i} dim {d}");
                 }
             }
@@ -752,7 +827,7 @@ mod tests {
         ai.refresh(&g, 0.0);
         // Some node must observe the loaded region beyond it.
         let seen = (0..60u32)
-            .any(|i| (0..5).any(|d| ai.beyond(NodeId(i), d, Ct::CPU).required_cores > 0.0));
+            .any(|i| (0..5).any(|d| ai.beyond(&g, NodeId(i), d, Ct::CPU).required_cores > 0.0));
         assert!(seen, "load at the corner must appear in someone's AI");
     }
 
@@ -806,9 +881,9 @@ mod tests {
                     .layout()
                     .ce_types()
                     .iter()
-                    .map(|&t| per.beyond(NodeId(i), d, t).cores)
+                    .map(|&t| per.beyond(&g, NodeId(i), d, t).cores)
                     .sum();
-                let p = pooled.beyond(NodeId(i), d, CeType::CPU).cores;
+                let p = pooled.beyond(&g, NodeId(i), d, CeType::CPU).cores;
                 assert!(
                     (sum - p).abs() < 1e-9,
                     "node {i} dim {d}: per-CE sum {sum} != pooled {p}"
@@ -882,7 +957,7 @@ mod tests {
             let mut memo = HashMap::new();
             for i in 0..70u32 {
                 let expect = brute(&g, NodeId(i), d, CeType::CPU, &mut memo);
-                let got = ai.beyond(NodeId(i), d, CeType::CPU);
+                let got = ai.beyond(&g, NodeId(i), d, CeType::CPU);
                 assert_eq!(got.nodes, expect.nodes, "node {i} dim {d}");
                 assert!((got.cores - expect.cores).abs() < 1e-9);
                 assert!((got.required_cores - expect.required_cores).abs() < 1e-9);
@@ -914,7 +989,7 @@ mod tests {
         ai.refresh(&g, 0.0);
         assert_eq!(g.layout().gpu_slots(), 1, "8-dim layout: one GPU slot");
         for missing in [CeType::gpu(1), CeType::gpu(7)] {
-            let e = ai.beyond(NodeId(0), 0, missing);
+            let e = ai.beyond(&g, NodeId(0), 0, missing);
             assert_eq!(e.nodes, 0);
             assert_eq!(e.cores, 0.0);
             assert_eq!(e.required_cores, 0.0);
@@ -926,13 +1001,13 @@ mod tests {
             );
         }
         // The carried types still resolve.
-        assert!(ai.beyond(NodeId(0), 0, CeType::CPU).nodes > 0 || g.len() == 1);
+        assert!(ai.beyond(&g, NodeId(0), 0, CeType::CPU).nodes > 0 || g.len() == 1);
         // Pooled tables ignore the CE type entirely.
         let mut pooled = AiTable::new(&g, AiGrouping::Pooled);
         pooled.refresh(&g, 0.0);
         assert_eq!(
-            pooled.beyond(NodeId(0), 0, CeType::gpu(7)).nodes,
-            pooled.beyond(NodeId(0), 0, CeType::CPU).nodes
+            pooled.beyond(&g, NodeId(0), 0, CeType::gpu(7)).nodes,
+            pooled.beyond(&g, NodeId(0), 0, CeType::CPU).nodes
         );
     }
 
@@ -984,10 +1059,10 @@ mod tests {
             for i in 0..80u32 {
                 for d in 0..11 {
                     for s in 0..inc.slot_types().len() {
-                        let a = inc.entry_at(NodeId(i), d, s);
-                        let b = scr.entry_at(NodeId(i), d, s);
+                        let a = inc.entry_at(&g, NodeId(i), d, s);
+                        let b = scr.entry_at(&g, NodeId(i), d, s);
                         assert!(
-                            super::bits_eq(a, b),
+                            super::bits_eq(&a, &b),
                             "round {round} node {i} dim {d} slot {s}: {a:?} != {b:?}"
                         );
                     }
@@ -1014,7 +1089,7 @@ mod tests {
         // Idle grid: nobody is pressured.
         for i in 0..60u32 {
             for d in 0..8 {
-                assert_eq!(inc.beyond(NodeId(i), d, Ct::CPU).pressured, 0);
+                assert_eq!(inc.beyond(&g, NodeId(i), d, Ct::CPU).pressured, 0);
             }
         }
         // Churn queues past and below the bound and diff every round.
@@ -1051,10 +1126,10 @@ mod tests {
                 assert_eq!(local.pressured, expect, "node {i} round {round}");
                 for d in 0..8 {
                     for s in 0..inc.slot_types().len() {
-                        let a = inc.entry_at(NodeId(i), d, s);
-                        let b = scr.entry_at(NodeId(i), d, s);
+                        let a = inc.entry_at(&g, NodeId(i), d, s);
+                        let b = scr.entry_at(&g, NodeId(i), d, s);
                         assert!(
-                            super::bits_eq(a, b),
+                            super::bits_eq(&a, &b),
                             "round {round} node {i} dim {d} slot {s}: {a:?} != {b:?}"
                         );
                     }
@@ -1101,13 +1176,22 @@ mod tests {
         ai.set_pressure_bound(Some(1));
         ai.refresh(&g, 0.0);
         let was_pressured = ai.local_of(&g, target, 0).pressured == 1;
-        // Disarm without any load change: the forced rebuild must wipe
-        // every pressure bit even though no node is dirty.
+        for i in 0..40u32 {
+            ai.beyond(&g, NodeId(i), 0, Ct::CPU);
+        }
+        // Disarm without any load change: the next refresh must leave
+        // no row fresh, and so wipe every pressure bit, even though no
+        // node is dirty.
         ai.set_pressure_bound(None);
         ai.refresh(&g, 1.0);
         for i in 0..40u32 {
             for d in 0..8 {
-                assert_eq!(ai.beyond(NodeId(i), d, Ct::CPU).pressured, 0);
+                assert!(ai.is_stale(NodeId(i), d), "row ({i}, {d}) survived");
+            }
+        }
+        for i in 0..40u32 {
+            for d in 0..8 {
+                assert_eq!(ai.beyond(&g, NodeId(i), d, Ct::CPU).pressured, 0);
             }
         }
         assert!(
@@ -1172,10 +1256,10 @@ mod tests {
                 for i in 0..90u32 {
                     for d in 0..11 {
                         for s in 0..seq.slot_types().len() {
-                            let a = seq.entry_at(NodeId(i), d, s);
-                            let b = par.entry_at(NodeId(i), d, s);
+                            let a = seq.entry_at(&g, NodeId(i), d, s);
+                            let b = par.entry_at(&g, NodeId(i), d, s);
                             assert!(
-                                super::bits_eq(a, b),
+                                super::bits_eq(&a, &b),
                                 "shards {shards} round {round} node {i} dim {d} slot {s}: \
                                  {a:?} != {b:?}"
                             );

@@ -315,8 +315,8 @@ impl PushingMatchmaker {
 
     /// The pushing objective of moving toward neighbor `n` along `dim`:
     /// Eq. 3 over the region at-and-beyond `n`.
-    fn push_objective(&self, grid: &StaticGrid, n: NodeId, dim: usize, ce: CeType) -> f64 {
-        let mut region = *self.ai.beyond(n, dim, ce);
+    fn push_objective(&mut self, grid: &StaticGrid, n: NodeId, dim: usize, ce: CeType) -> f64 {
+        let mut region = self.ai.beyond(grid, n, dim, ce);
         // Include the target node itself in the region estimate.
         let rt = grid.runtime(n);
         let pressured = u64::from(
@@ -464,7 +464,7 @@ impl Matchmaker for PushingMatchmaker {
             let want_stop = match best {
                 None => true, // outer corner or no capable region left
                 Some((_, td, _)) => {
-                    let beyond = self.ai.beyond(current, td, ce).nodes;
+                    let beyond = self.ai.beyond(grid, current, td, ce).nodes;
                     rng.unit() < stop_probability(beyond, self.params.stopping_factor)
                 }
             };
