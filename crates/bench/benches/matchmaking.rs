@@ -55,12 +55,29 @@ fn bench_place() {
 }
 
 fn bench_ai_refresh() {
-    let (grid, _) = setup();
-    let mut m = PushingMatchmaker::heterogeneous(&grid, PushParams::default());
-    let mut t = 0.0;
+    // A refresh alone only snapshots and marks; the aggregate rows are
+    // computed by the reads. So: one node's worth of churn, the refresh
+    // that snapshots it, and every row read — the dense worst case.
+    let (mut grid, _) = setup();
+    let (n, dims) = (grid.len(), grid.layout().dims());
+    let mut ai = AiTable::new(&grid, AiGrouping::PerCe);
+    let mut i = 0usize;
     bench("matchmaking/ai_refresh_1000_nodes", 200, || {
-        t += 60.0;
-        m.refresh(&grid, t);
+        let node = NodeId((i / 2 * 7919 % n) as u32);
+        if i.is_multiple_of(2) {
+            grid.evict_node(node);
+        } else {
+            grid.restore_node(node);
+        }
+        i += 1;
+        ai.refresh(&grid, 60.0 * i as f64);
+        let mut nodes = 0u64;
+        for id in (0..n as u32).map(NodeId) {
+            for d in 0..dims {
+                nodes += ai.beyond(&grid, id, d, CeType::CPU).nodes;
+            }
+        }
+        nodes
     });
 }
 

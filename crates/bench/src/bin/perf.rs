@@ -3,9 +3,11 @@
 //!
 //! Runs the quick-scale Figure 5 / Figure 6 / Figure 7 cells
 //! *single-threaded* (one simulation at a time, so wall-clock numbers
-//! are not confounded by scheduling), plus an `ai_refresh` scratch-vs-
-//! incremental microbenchmark at n ∈ {256, 1024, 4096} and a greedy
-//! `route` microbenchmark at n ∈ {1000, 32 768}, and reports
+//! are not confounded by scheduling), plus an `ai_refresh`
+//! microbenchmark — the demand-driven table read densely and sparsely
+//! at n ∈ {256, 1024, 4096, 32 768}, against the from-scratch rebuild
+//! up to 4096 — and a greedy `route` microbenchmark at
+//! n ∈ {1000, 32 768}, and reports
 //! wall-clock plus events/sec for each, then writes
 //! `BENCH_hotpath.json` at the repo root.
 //!
@@ -148,18 +150,28 @@ fn churn_event(
     }
 }
 
-/// Scratch-vs-incremental `AiTable::refresh` at several grid sizes
-/// under a fixed per-tick churn budget. Both tables see the identical
-/// grid each tick; `events` counts refresh ticks.
+/// The demand-driven `AiTable` against the from-scratch rebuild at
+/// several grid sizes under a fixed per-tick churn budget. Every table
+/// sees the identical grid each tick; `events` counts refresh ticks.
+/// A refresh alone only marks rows, so the lazy cells time it *plus*
+/// reads: `lazy_dense` reads every row (the worst case — all of
+/// `scratch`'s arithmetic, found by walking instead of a precomputed
+/// order), `lazy_sparse` the rows the pushes of one period read.
 fn run_ai_refresh_cells(cells: &mut Vec<Cell>, want: &dyn Fn(&str) -> bool) {
     const TICKS: u64 = 150;
     const MUTATIONS_PER_TICK: usize = 32;
-    for n in [256usize, 1024, 4096] {
-        // Both variants share one churned grid, so a size is skipped
-        // only when the filter matches neither of its cells.
-        if !want(&format!("ai_refresh/n{n}/incremental"))
-            && !want(&format!("ai_refresh/n{n}/scratch"))
-        {
+    const PUSHES_PER_TICK: usize = 32;
+    // `scratch` stops at 4096: `lazy_dense` is its cost there and above.
+    for (n, variants) in [
+        (256usize, &["lazy_dense", "lazy_sparse", "scratch"][..]),
+        (1024, &["lazy_dense", "lazy_sparse", "scratch"]),
+        (4096, &["lazy_dense", "lazy_sparse", "scratch"]),
+        (32_768, &["lazy_dense", "lazy_sparse"]),
+    ] {
+        // The variants share one churned grid, so a size is skipped
+        // only when the filter matches none of its cells.
+        let wanted = |v: &str| variants.contains(&v) && want(&format!("ai_refresh/n{n}/{v}"));
+        if !variants.iter().any(|v| wanted(v)) {
             continue;
         }
         let layout = DimensionLayout::with_dims(11);
@@ -167,33 +179,70 @@ fn run_ai_refresh_cells(cells: &mut Vec<Cell>, want: &dyn Fn(&str) -> bool) {
         let jobcfg = JobGenConfig::paper_defaults(2, 0.6, 3.0);
         let mut stream = JobStream::with_population(jobcfg, 99, pop.clone());
         let mut grid = StaticGrid::build(layout, pop, 99);
-        let mut inc = AiTable::new(&grid, AiGrouping::PerCe);
+        let dims = grid.layout().dims();
+        let mut dense = AiTable::new(&grid, AiGrouping::PerCe);
+        let mut sparse = AiTable::new(&grid, AiGrouping::PerCe);
         let mut scr = AiTable::new(&grid, AiGrouping::PerCe);
-        inc.refresh(&grid, 0.0);
+        dense.refresh(&grid, 0.0);
+        sparse.refresh(&grid, 0.0);
         scr.refresh_scratch(&grid, 0.0);
         let mut rng = SimRng::seed_from_u64(0xA1F0 ^ n as u64);
+        let mut walk = SimRng::seed_from_u64(0x9057 ^ n as u64);
         let mut running: Vec<(NodeId, JobId)> = Vec::new();
         let mut evicted: Vec<NodeId> = Vec::new();
-        let (mut inc_secs, mut scr_secs) = (0.0f64, 0.0f64);
+        let (mut dense_secs, mut sparse_secs, mut scr_secs) = (0.0f64, 0.0f64, 0.0f64);
+        let mut read = 0u64;
         for tick in 0..TICKS {
             for _ in 0..MUTATIONS_PER_TICK {
                 churn_event(&mut grid, &mut stream, &mut running, &mut evicted, &mut rng);
             }
             let now = tick as f64;
-            let t = Instant::now();
-            inc.refresh(&grid, now);
-            inc_secs += t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            scr.refresh_scratch(&grid, now);
-            scr_secs += t.elapsed().as_secs_f64();
+            if wanted("lazy_dense") {
+                let t = Instant::now();
+                dense.refresh(&grid, now);
+                for i in 0..n as u32 {
+                    for d in 0..dims {
+                        read += dense.beyond(&grid, NodeId(i), d, CeType::CPU).nodes;
+                    }
+                }
+                dense_secs += t.elapsed().as_secs_f64();
+            }
+            if wanted("lazy_sparse") {
+                let t = Instant::now();
+                sparse.refresh(&grid, now);
+                // What a push step of `place` reads: the row of every
+                // outward neighbor of the node the job sits on, along
+                // the dimension they abut on, then the node's own row
+                // along the dimension chosen.
+                for _ in 0..PUSHES_PER_TICK {
+                    let current = NodeId(walk.below(n) as u32);
+                    for d in 0..dims {
+                        for &m in grid.outward_neighbors(current, d) {
+                            read += sparse.beyond(&grid, m, d, CeType::CPU).nodes;
+                        }
+                    }
+                    let toward = walk.below(dims);
+                    read += sparse.beyond(&grid, current, toward, CeType::CPU).nodes;
+                }
+                sparse_secs += t.elapsed().as_secs_f64();
+            }
+            if wanted("scratch") {
+                let t = Instant::now();
+                scr.refresh_scratch(&grid, now);
+                scr_secs += t.elapsed().as_secs_f64();
+            }
         }
-        for (variant, secs) in [("incremental", inc_secs), ("scratch", scr_secs)] {
-            let name = format!("ai_refresh/n{n}/{variant}");
-            if !want(&name) {
+        std::hint::black_box(read);
+        for (variant, secs) in [
+            ("lazy_dense", dense_secs),
+            ("lazy_sparse", sparse_secs),
+            ("scratch", scr_secs),
+        ] {
+            if !wanted(variant) {
                 continue;
             }
             cells.push(Cell {
-                name,
+                name: format!("ai_refresh/n{n}/{variant}"),
                 wall_secs: secs,
                 events: TICKS,
             });
@@ -363,8 +412,8 @@ fn run_cells(want: &dyn Fn(&str) -> bool) -> Vec<Cell> {
         report(cells.last().unwrap());
     }
 
-    // AI-refresh microbenchmark: incremental vs from-scratch refresh
-    // under fixed churn, at growing grid sizes.
+    // AI-refresh microbenchmark: the demand-driven table vs the
+    // from-scratch rebuild under fixed churn, at growing grid sizes.
     run_ai_refresh_cells(&mut cells, want);
 
     // Routing microbenchmark: hops/s of the greedy walk on its own.
@@ -834,10 +883,10 @@ fn gate_budget(rows: &[(String, f64, f64)], baseline: &[(String, f64)]) -> (f64,
 fn report(c: &Cell) {
     match c.events_per_sec() {
         Some(eps) => println!(
-            "{:<24} {:>9.3} s   {:>12.0} events/s",
+            "{:<28} {:>9.3} s   {:>12.0} events/s",
             c.name, c.wall_secs, eps
         ),
-        None => println!("{:<24} {:>9.3} s", c.name, c.wall_secs),
+        None => println!("{:<28} {:>9.3} s", c.name, c.wall_secs),
     }
 }
 

@@ -13,14 +13,16 @@
 //! "inaccurate aggregated information" the paper blames for can-hom's
 //! misdirected pushes.
 //!
-//! AI is recomputed only every refresh period (the heartbeat period),
+//! AI is snapshotted only every refresh period (the heartbeat period),
 //! so matchmaking decisions run on *stale* aggregates — one of the two
 //! information gaps separating the decentralized schemes from the
 //! `central` baseline (the other being neighborhood-local visibility).
+//! The model fixes which snapshot a push step sees, not when the
+//! simulator does the sums: [`AiTable::refresh`] takes the snapshot,
+//! and a region's aggregate is computed from it when a push first reads
+//! it.
 
 use crate::grid::StaticGrid;
-use crate::sharding::GridShards;
-use pgrid_simcore::shard::{parallel_items, run_lanes};
 use pgrid_types::{CeType, NodeId};
 
 /// Aggregated load of a CAN region for one CE type (or pooled).
@@ -68,101 +70,16 @@ impl AiEntry {
     }
 }
 
-/// Bit-exact equality: `f64` fields compared via `to_bits`, so the
-/// incremental refresh's early exit can never conflate values that
-/// merely compare `==` (e.g. `0.0` vs `-0.0`) — skipped entries are
-/// guaranteed byte-identical to what a from-scratch rebuild would
-/// write.
+/// Bit-exact equality: `f64` fields compared via `to_bits`, so a
+/// local entry counts as unchanged — and stales nothing — only when it
+/// is byte-identical, never when it merely compares `==` (e.g. `0.0`
+/// vs `-0.0`).
 fn bits_eq(a: &AiEntry, b: &AiEntry) -> bool {
     a.nodes == b.nodes
         && a.free_nodes == b.free_nodes
         && a.pressured == b.pressured
         && a.cores.to_bits() == b.cores.to_bits()
         && a.required_cores.to_bits() == b.required_cores.to_bits()
-}
-
-/// Generation-stamped "needs recompute" flags for one dimension's
-/// propagation pass: node `i` needs a recompute in the current pass iff
-/// `needs[i] == gen`. Stamps replace per-pass clearing; each dimension
-/// owns its own instance so the passes can run on separate threads.
-#[derive(Debug, Default, Clone)]
-struct DimScratch {
-    needs: Vec<u32>,
-    gen: u32,
-}
-
-impl DimScratch {
-    /// Starts a new pass over `n` nodes, returning the pass generation.
-    fn begin(&mut self, n: usize) -> u32 {
-        if self.needs.len() != n {
-            self.needs = vec![0; n];
-            self.gen = 0;
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.needs.fill(0);
-            self.gen = 1;
-        }
-        self.gen
-    }
-}
-
-/// One dimension's incremental inward-propagation pass over its
-/// contiguous `[node][slot]` chunk of the table.
-///
-/// An entry depends only on the locals and beyond-entries of its
-/// outward face neighbors, so the set of entries that *can* change is
-/// exactly the inward closure of the changed locals. Seed the inward
-/// neighbors of every changed local, then walk the precomputed
-/// descending-`hi` order (outward regions first — each node's outward
-/// neighbors have strictly larger `hi`, hence are already final). A
-/// node whose recomputed entries all match the old bits stops the
-/// propagation front. Dimensions never read each other's chunks, which
-/// is what lets the sharded engine run them in parallel with
-/// bit-identical results.
-#[allow(clippy::too_many_arguments)]
-fn propagate_dim(
-    grid: &StaticGrid,
-    d: usize,
-    order_d: &[NodeId],
-    locals: &[AiEntry],
-    changed_locals: &[NodeId],
-    slots: usize,
-    chunk: &mut [AiEntry],
-    scr: &mut DimScratch,
-) {
-    let n = chunk.len() / slots.max(1);
-    let gen = scr.begin(n);
-    for &m in changed_locals {
-        for &p in grid.face_neighbors(m, d, -1) {
-            scr.needs[p.idx()] = gen;
-        }
-    }
-    for &node in order_d {
-        if scr.needs[node.idx()] != gen {
-            continue;
-        }
-        let mut changed = false;
-        for s in 0..slots {
-            // Identical absorb sequence to the scratch build.
-            let mut acc = AiEntry::default();
-            for &m in grid.outward_neighbors(node, d) {
-                acc.absorb(&locals[m.idx() * slots + s]);
-                let beyond = chunk[m.idx() * slots + s];
-                acc.absorb(&beyond);
-            }
-            let i = node.idx() * slots + s;
-            if !bits_eq(&acc, &chunk[i]) {
-                chunk[i] = acc;
-                changed = true;
-            }
-        }
-        if changed {
-            for &p in grid.face_neighbors(node, d, -1) {
-                scr.needs[p.idx()] = gen;
-            }
-        }
-    }
 }
 
 /// One dimension's from-scratch build over its `[node][slot]` chunk:
@@ -206,8 +123,8 @@ pub struct AiTable {
     n: usize,
     /// `[dim][node][ce_idx]` flattened — dimension-major, so one
     /// dimension's rows (which only ever read each other) are one
-    /// contiguous chunk. A row is meaningful only while its
-    /// [`AiTable::stale`] flag is clear.
+    /// contiguous chunk. A row is meaningful only while its `stale`
+    /// flag is clear.
     data: Vec<AiEntry>,
     /// `[dim][node]` flattened: the row must be recomputed from
     /// `locals` before it is read. Kept *inward-closed* per dimension
@@ -223,17 +140,14 @@ pub struct AiTable {
     /// walks it.
     order: Vec<Vec<NodeId>>,
     /// Grid load-clock value at the last refresh (`None` before the
-    /// first — the first refresh always builds from scratch).
+    /// first, and after a change of pressure bound: the next refresh
+    /// retakes every local and leaves no row fresh).
     synced_clock: Option<u64>,
     /// Scratch: nodes whose local entry changed in the current refresh.
     changed_locals: Vec<NodeId>,
     /// Scratch: the explicit stack of the marking and materializing
     /// walks — `(node, outward neighbors already descended into)`.
     stack: Vec<(NodeId, u32)>,
-    /// Per-dimension propagation scratch (generation-stamped "needs
-    /// recompute" flags). One instance per dimension so the dimension
-    /// passes can run on separate threads without sharing state.
-    dim_scratch: Vec<DimScratch>,
     /// Queue depth at which a node's local entry flags the pressure
     /// bit; `None` (default) disarms the congestion signal entirely.
     pressure_bound: Option<usize>,
@@ -264,7 +178,6 @@ impl AiTable {
             synced_clock: None,
             changed_locals: Vec::new(),
             stack: Vec::new(),
-            dim_scratch: Vec::new(),
             pressure_bound: None,
             refreshed_at: 0.0,
         }
@@ -292,9 +205,9 @@ impl AiTable {
 
     /// Arms (or disarms) the queue-pressure congestion bit: a node
     /// whose FIFO queue holds at least `bound` waiters flags
-    /// [`AiEntry::pressured`] in its local entries. Forces a
-    /// from-scratch rebuild on the next refresh so a mid-run change of
-    /// bound can never leave stale pressure bits behind.
+    /// [`AiEntry::pressured`] in its local entries. The next refresh
+    /// retakes every local and leaves no row fresh, so a mid-run change
+    /// of bound can never leave old pressure bits behind.
     pub fn set_pressure_bound(&mut self, bound: Option<usize>) {
         if self.pressure_bound != bound {
             self.pressure_bound = bound;
@@ -386,35 +299,23 @@ impl AiTable {
     pub fn refresh(&mut self, grid: &StaticGrid, now: f64) {
         let clock = grid.load_clock();
         self.refreshed_at = now;
-        let slots = self.slots();
-        let Some(synced) = self.synced_clock else {
-            // First refresh, or a new pressure bound: every local is
-            // (re)taken and no row survives.
-            let mut locals = std::mem::take(&mut self.locals);
-            for i in 0..self.n {
-                for s in 0..slots {
-                    locals[i * slots + s] = self.local(grid, NodeId(i as u32), s);
-                }
-            }
-            self.locals = locals;
-            self.stale.fill(true);
-            self.synced_clock = Some(clock);
-            return;
-        };
-        if clock == synced {
+        let synced = self.synced_clock;
+        if synced == Some(clock) {
             // No load mutation since the last sync: the snapshot stands.
             return;
         }
-        // Phase 1: recompute the local entry of every dirty node,
-        // recording the nodes whose row actually changed (a mutation
-        // that nets out — e.g. evict immediately followed by restore of
-        // an idle node — changes nothing downstream).
+        let slots = self.slots();
+        // Phase 1: recompute the local entry of every dirty node (every
+        // node, with no sync point to be dirty against), recording the
+        // nodes whose row actually changed (a mutation that nets out —
+        // e.g. evict immediately followed by restore of an idle node —
+        // changes nothing downstream).
         let mut changed_locals = std::mem::take(&mut self.changed_locals);
         changed_locals.clear();
         let mut locals = std::mem::take(&mut self.locals);
         for i in 0..self.n {
             let id = NodeId(i as u32);
-            if grid.node_load_clock(id) <= synced {
+            if synced.is_some_and(|at| grid.node_load_clock(id) <= at) {
                 continue;
             }
             let mut changed = false;
@@ -433,7 +334,11 @@ impl AiTable {
         // outward face neighbors, so the rows a changed local can reach
         // are exactly its inward closure. A row that is already stale
         // ends the walk: the stale set is inward-closed, so everything
-        // behind it is marked already.
+        // behind it is marked already. The first refresh, and the one
+        // after a change of pressure bound, leave no row fresh.
+        if synced.is_none() {
+            self.stale.fill(true);
+        }
         for (d, stale) in self.stale.chunks_mut(self.n).enumerate() {
             for &m in &changed_locals {
                 self.stack.push((m, 0));
@@ -490,97 +395,11 @@ impl AiTable {
         }
     }
 
-    /// [`AiTable::refresh`] with the per-dimension propagation passes
-    /// and the dirty-local recompute fanned out across shard threads.
-    ///
-    /// Bit-identical to the sequential path by construction: phase 1
-    /// computes each dirty node's local row independently (pure
-    /// function of that node's runtime) and merges the changed set in
-    /// ascending node order, and phase 2's dimension passes never read
-    /// each other's chunks, so thread assignment cannot reorder any
-    /// arithmetic. With one shard this *is* the sequential path.
-    pub fn refresh_threaded(&mut self, grid: &StaticGrid, now: f64, shards: &GridShards) {
-        if shards.shards() <= 1 {
-            return self.refresh(grid, now);
-        }
-        let clock = grid.load_clock();
-        let Some(synced) = self.synced_clock else {
-            self.refresh_scratch_threaded(grid, now, shards);
-            return;
-        };
-        self.refreshed_at = now;
-        if clock == synced {
-            return;
-        }
-        debug_assert!(!self.stale.contains(&true), "eager pass over a lazy table");
-        let slots = self.slots();
-        let threads = shards.shards();
-        // Phase 1: dirty locals, partitioned by zone-region shard.
-        let mut changed_locals = std::mem::take(&mut self.changed_locals);
-        changed_locals.clear();
-        let mut locals = std::mem::take(&mut self.locals);
-        {
-            let this = &*self;
-            let locals_ref = &locals;
-            let members = &shards.assignment.members;
-            let per_shard = run_lanes(threads, members.len(), |sh| {
-                let mut out: Vec<(u32, Vec<AiEntry>)> = Vec::new();
-                for &i in &members[sh] {
-                    let id = NodeId(i as u32);
-                    if grid.node_load_clock(id) <= synced {
-                        continue;
-                    }
-                    let mut row = Vec::with_capacity(slots);
-                    let mut changed = false;
-                    for s in 0..slots {
-                        let e = this.local(grid, id, s);
-                        if !bits_eq(&e, &locals_ref[i * slots + s]) {
-                            changed = true;
-                        }
-                        row.push(e);
-                    }
-                    if changed {
-                        out.push((i as u32, row));
-                    }
-                }
-                out
-            });
-            // Canonical merge: ascending node id, exactly the order the
-            // sequential phase 1 discovers changed locals in.
-            let mut flat: Vec<(u32, Vec<AiEntry>)> = per_shard.into_iter().flatten().collect();
-            flat.sort_unstable_by_key(|(i, _)| *i);
-            for (i, row) in flat {
-                let i = i as usize;
-                for (s, e) in row.into_iter().enumerate() {
-                    locals[i * slots + s] = e;
-                }
-                changed_locals.push(NodeId(i as u32));
-            }
-        }
-        // Phase 2: dimension passes on shard threads, one chunk each.
-        let span = self.n * slots;
-        let mut scratch = std::mem::take(&mut self.dim_scratch);
-        scratch.resize_with(self.dims, DimScratch::default);
-        {
-            let order = &self.order;
-            let locals_ref = &locals;
-            let changed = &changed_locals;
-            let items: Vec<(&mut [AiEntry], &mut DimScratch)> =
-                self.data.chunks_mut(span).zip(scratch.iter_mut()).collect();
-            parallel_items(threads.min(self.dims), items, |d, (chunk, scr)| {
-                propagate_dim(grid, d, &order[d], locals_ref, changed, slots, chunk, scr);
-            });
-        }
-        self.dim_scratch = scratch;
-        self.locals = locals;
-        self.changed_locals = changed_locals;
-        self.synced_clock = Some(clock);
-    }
-
-    /// Recomputes every entry from scratch, ignoring the dirty set —
-    /// the reference implementation the incremental path is proved
-    /// bit-identical against (differential harness, golden digests),
-    /// and the baseline side of the `ai-refresh` perf scenario.
+    /// Recomputes every local and every row from scratch, ignoring the
+    /// dirty set and the stale flags — the reference implementation
+    /// the demand-driven path is held bit-identical to (differential
+    /// harness, golden digests), and the baseline side of the
+    /// `ai_refresh` perf cells.
     pub fn refresh_scratch(&mut self, grid: &StaticGrid, now: f64) {
         self.ensure_order(grid);
         let slots = self.slots();
@@ -595,56 +414,6 @@ impl AiTable {
         let span = self.n * slots;
         for (d, chunk) in self.data.chunks_mut(span).enumerate() {
             build_dim(grid, d, &self.order[d], &locals, slots, chunk);
-        }
-        self.stale.fill(false);
-        self.locals = locals;
-        self.synced_clock = Some(grid.load_clock());
-        self.refreshed_at = now;
-    }
-
-    /// [`AiTable::refresh_scratch`] with the local-row sweep and the
-    /// per-dimension builds fanned out across shard threads; results
-    /// are bit-identical for the same reasons as
-    /// [`AiTable::refresh_threaded`].
-    pub fn refresh_scratch_threaded(&mut self, grid: &StaticGrid, now: f64, shards: &GridShards) {
-        if shards.shards() <= 1 {
-            return self.refresh_scratch(grid, now);
-        }
-        self.ensure_order(grid);
-        let slots = self.slots();
-        let threads = shards.shards();
-        let mut locals = std::mem::take(&mut self.locals);
-        {
-            let this = &*self;
-            let members = &shards.assignment.members;
-            let per_shard = run_lanes(threads, members.len(), |sh| {
-                let mut out = Vec::with_capacity(members[sh].len());
-                for &i in &members[sh] {
-                    let mut row = Vec::with_capacity(slots);
-                    for s in 0..slots {
-                        row.push(this.local(grid, NodeId(i as u32), s));
-                    }
-                    out.push((i as u32, row));
-                }
-                out
-            });
-            for shard_rows in per_shard {
-                for (i, row) in shard_rows {
-                    let i = i as usize;
-                    for (s, e) in row.into_iter().enumerate() {
-                        locals[i * slots + s] = e;
-                    }
-                }
-            }
-        }
-        let span = self.n * slots;
-        {
-            let order = &self.order;
-            let locals_ref = &locals;
-            let items: Vec<&mut [AiEntry]> = self.data.chunks_mut(span).collect();
-            parallel_items(threads.min(self.dims), items, |d, chunk| {
-                build_dim(grid, d, &order[d], locals_ref, slots, chunk);
-            });
         }
         self.stale.fill(false);
         self.locals = locals;
@@ -1198,77 +967,6 @@ mod tests {
             was_pressured || g.runtime(target).queued_count() == 0,
             "setup sanity: the target either queued up or could not"
         );
-    }
-
-    /// The threaded refresh must be bit-identical to the sequential
-    /// one under churn, for every shard count the equivalence suite
-    /// pins — including the from-scratch rebuild forced by arming the
-    /// pressure bound mid-run.
-    #[test]
-    fn threaded_refresh_matches_sequential_bit_for_bit() {
-        use crate::sharding::GridShards;
-        use pgrid_types::{CeRequirement, CeType as Ct, JobId, JobSpec};
-        for shards in [2usize, 4, 8] {
-            let mut g = grid(90, 11);
-            let gs = GridShards::build(&g, shards);
-            let mut seq = AiTable::new(&g, AiGrouping::PerCe);
-            let mut par = AiTable::new(&g, AiGrouping::PerCe);
-            let mut rng = pgrid_simcore::SimRng::seed_from_u64(123);
-            let mut next_id = 0u32;
-            for round in 1..=25u64 {
-                for _ in 0..4 {
-                    let target = NodeId(rng.below(90) as u32);
-                    match rng.below(5) {
-                        0 => {
-                            g.evict_node(target);
-                        }
-                        1 => g.restore_node(target),
-                        _ => {
-                            let job = JobSpec::new(
-                                JobId(next_id),
-                                vec![CeRequirement {
-                                    ce_type: Ct::CPU,
-                                    min_cores: Some(1),
-                                    ..Default::default()
-                                }],
-                                None,
-                                60.0,
-                            );
-                            next_id += 1;
-                            if job.satisfied_by(&g.runtime(target).spec) {
-                                g.with_runtime_mut(target, |rt| {
-                                    rt.enqueue(job, round as f64);
-                                    rt.start_ready();
-                                });
-                            }
-                        }
-                    }
-                }
-                if round == 12 {
-                    // Force the from-scratch rebuild path mid-run.
-                    seq.set_pressure_bound(Some(2));
-                    par.set_pressure_bound(Some(2));
-                }
-                let now = round as f64;
-                seq.refresh(&g, now);
-                par.refresh_threaded(&g, now, &gs);
-                assert_eq!(seq.synced_clock(), par.synced_clock());
-                for i in 0..90u32 {
-                    for d in 0..11 {
-                        for s in 0..seq.slot_types().len() {
-                            let a = seq.entry_at(&g, NodeId(i), d, s);
-                            let b = par.entry_at(&g, NodeId(i), d, s);
-                            assert!(
-                                super::bits_eq(&a, &b),
-                                "shards {shards} round {round} node {i} dim {d} slot {s}: \
-                                 {a:?} != {b:?}"
-                            );
-                        }
-                    }
-                    assert_eq!(seq.local_bits(NodeId(i)), par.local_bits(NodeId(i)));
-                }
-            }
-        }
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!
 //! Synchronization is conservative with the aggregate-refresh period
 //! as the time window: between refresh barriers the merged loop applies
-//! events in canonical `(time, sequence)` order, and at each barrier
-//! the expensive fan-out phases — the [`AiTable`](crate::AiTable)
-//! recompute and the overload depth scan — are partitioned by zone
-//! region and executed on shard threads, each phase merging its
-//! results in a canonical order (ascending node id / shard id) so
-//! thread scheduling cannot reorder any arithmetic (`DESIGN.md` §15).
+//! events in canonical `(time, sequence)` order. At each barrier the
+//! aggregate snapshot is taken on the coordinator — it costs what the
+//! period's churn costs, not the grid — and the one fan-out phase left,
+//! the overload depth scan, is partitioned by zone region and executed
+//! on shard threads, its per-shard maxima reduced in shard order
+//! (`DESIGN.md` §15).
 
 use crate::grid::{BuildError, StaticGrid};
 use crate::matchmakers::{

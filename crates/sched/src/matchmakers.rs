@@ -56,11 +56,11 @@ pub trait Matchmaker {
     fn place(&mut self, grid: &StaticGrid, job: &JobSpec, rng: &mut SimRng) -> Placement;
     /// Periodic refresh hook (aggregated load information).
     fn refresh(&mut self, _grid: &StaticGrid, _now: f64) {}
-    /// [`Matchmaker::refresh`] with a zone-region shard context: the
-    /// sharded engine's barrier phase fans the aggregate recompute out
-    /// across shard threads. Must be bit-identical to the sequential
-    /// refresh — the default simply delegates to it, which is the
-    /// correct behavior for matchmakers without aggregates.
+    /// [`Matchmaker::refresh`] as the sharded engine calls it at a
+    /// barrier, with the zone-region shard context. Must be
+    /// bit-identical to the sequential refresh. The default delegates
+    /// to it and no matchmaker here overrides that: the aggregate
+    /// snapshot is too cheap to fan out.
     fn refresh_threaded(&mut self, grid: &StaticGrid, now: f64, _shards: &crate::GridShards) {
         self.refresh(grid, now);
     }
@@ -374,10 +374,6 @@ impl Matchmaker for PushingMatchmaker {
 
     fn refresh(&mut self, grid: &StaticGrid, now: f64) {
         self.ai.refresh(grid, now);
-    }
-
-    fn refresh_threaded(&mut self, grid: &StaticGrid, now: f64, shards: &crate::GridShards) {
-        self.ai.refresh_threaded(grid, now, shards);
     }
 
     fn set_pressure_bound(&mut self, bound: Option<usize>) {

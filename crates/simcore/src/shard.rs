@@ -765,69 +765,6 @@ pub fn run_lanes<R: Send>(threads: usize, lanes: usize, f: impl Fn(usize) -> R +
         .collect()
 }
 
-/// Runs `f(index, item)` over owned work items, returning results in
-/// input order.
-///
-/// The owned-item counterpart of [`run_lanes`], for work that carries
-/// exclusive references (e.g. one mutable slice chunk per dimension):
-/// each item sits in a private mutex slot locked exactly once by the
-/// worker that claims its index, so the closure takes ownership without
-/// any shared-results lock. `threads <= 1` degrades to a sequential
-/// loop with positionally identical output.
-pub fn parallel_items<T: Send, R: Send>(
-    threads: usize,
-    items: Vec<T>,
-    f: impl Fn(usize, T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.min(host_threads());
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let workers = threads.min(n);
-    let slots: Vec<std::sync::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|t| std::sync::Mutex::new(Some(t)))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut merged: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item = slots[i]
-                            .lock()
-                            .expect("work slot poisoned")
-                            .take()
-                            .expect("slot claimed twice");
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("item worker panicked") {
-                merged[i] = Some(r);
-            }
-        }
-    });
-    merged
-        .into_iter()
-        .map(|r| r.expect("every item produced a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
