@@ -161,17 +161,14 @@ fn run_ai_refresh_cells(cells: &mut Vec<Cell>, want: &dyn Fn(&str) -> bool) {
     const TICKS: u64 = 150;
     const MUTATIONS_PER_TICK: usize = 32;
     const PUSHES_PER_TICK: usize = 32;
-    // `scratch` stops at 4096: `lazy_dense` is its cost there and above.
-    for (n, variants) in [
-        (256usize, &["lazy_dense", "lazy_sparse", "scratch"][..]),
-        (1024, &["lazy_dense", "lazy_sparse", "scratch"]),
-        (4096, &["lazy_dense", "lazy_sparse", "scratch"]),
-        (32_768, &["lazy_dense", "lazy_sparse"]),
-    ] {
-        // The variants share one churned grid, so a size is skipped
-        // only when the filter matches none of its cells.
-        let wanted = |v: &str| variants.contains(&v) && want(&format!("ai_refresh/n{n}/{v}"));
-        if !variants.iter().any(|v| wanted(v)) {
+    const VARIANTS: [&str; 3] = ["lazy_dense", "lazy_sparse", "scratch"];
+    for n in [256usize, 1024, 4096, 32_768] {
+        // `scratch` stops at 4096: `lazy_dense` is its cost there and
+        // above. The variants share one churned grid, so a size is
+        // skipped only when the filter matches none of its cells.
+        let wanted =
+            |v: &str| (v != "scratch" || n <= 4096) && want(&format!("ai_refresh/n{n}/{v}"));
+        if !VARIANTS.iter().any(|v| wanted(v)) {
             continue;
         }
         let layout = DimensionLayout::with_dims(11);
@@ -233,11 +230,10 @@ fn run_ai_refresh_cells(cells: &mut Vec<Cell>, want: &dyn Fn(&str) -> bool) {
             }
         }
         std::hint::black_box(read);
-        for (variant, secs) in [
-            ("lazy_dense", dense_secs),
-            ("lazy_sparse", sparse_secs),
-            ("scratch", scr_secs),
-        ] {
+        for (variant, secs) in VARIANTS
+            .into_iter()
+            .zip([dense_secs, sparse_secs, scr_secs])
+        {
             if !wanted(variant) {
                 continue;
             }

@@ -335,19 +335,19 @@ impl AiTable {
         // are exactly its inward closure. A row that is already stale
         // ends the walk: the stale set is inward-closed, so everything
         // behind it is marked already. The first refresh, and the one
-        // after a change of pressure bound, leave no row fresh.
+        // after a change of pressure bound, leave no row fresh — and so
+        // nothing to mark.
         if synced.is_none() {
             self.stale.fill(true);
+            changed_locals.clear();
         }
         for (d, stale) in self.stale.chunks_mut(self.n).enumerate() {
-            for &m in &changed_locals {
-                self.stack.push((m, 0));
-                while let Some((x, _)) = self.stack.pop() {
-                    for &p in grid.face_neighbors(x, d, -1) {
-                        if !stale[p.idx()] {
-                            stale[p.idx()] = true;
-                            self.stack.push((p, 0));
-                        }
+            self.stack.extend(changed_locals.iter().map(|&m| (m, 0)));
+            while let Some((x, _)) = self.stack.pop() {
+                for &p in grid.face_neighbors(x, d, -1) {
+                    if !stale[p.idx()] {
+                        stale[p.idx()] = true;
+                        self.stack.push((p, 0));
                     }
                 }
             }
@@ -781,7 +781,7 @@ mod tests {
     }
 
     /// Mini-differential: after scattered load mutations, evictions and
-    /// restores, the incremental refresh must be bit-identical to a
+    /// restores, the demand-driven table must be bit-identical to a
     /// from-scratch rebuild on a shadow table (the full-size harness
     /// lives in `tests/ai_refresh_differential.rs`).
     #[test]
@@ -842,7 +842,7 @@ mod tests {
 
     /// With the pressure bound armed, a node whose queue reaches the
     /// bound flags its local entries, the flag aggregates outward, and
-    /// the incremental refresh stays bit-identical to the scratch
+    /// the demand-driven table stays bit-identical to the scratch
     /// rebuild — the satellite guarantee of the congestion bit.
     #[test]
     fn pressure_bit_flags_saturated_nodes_and_stays_incremental() {

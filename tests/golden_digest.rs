@@ -114,13 +114,15 @@ fn golden_digests_with_eviction() {
 }
 
 /// Refresh-heavy digests: the AI table is refreshed 4× as often (15 s
-/// period vs the default 60 s) under eviction churn, so the
-/// incremental `AiTable::refresh` fast path runs many more times per
-/// trajectory, most of them over sparse dirty sets. Recorded with the
-/// from-scratch rebuild *before* the incremental path landed; the
-/// incremental path must reproduce them bit-exactly (its recompute
-/// builds every f64 sum by the same `absorb` sequence in the same
-/// order, so any divergence is a real behavior change).
+/// period vs the default 60 s) under eviction churn, so
+/// `AiTable::refresh` snapshots and marks many more times per
+/// trajectory, most of them over sparse dirty sets, and rows stay
+/// stale across several refreshes before a push reads them. Recorded
+/// with the from-scratch rebuild *before* any incremental or
+/// demand-driven path landed; the demand-driven table must reproduce
+/// them bit-exactly (it builds every f64 sum by the same `absorb`
+/// sequence in the same order, so any divergence is a real behavior
+/// change).
 const REFRESH_HEAVY: [(&str, u64); 3] = [
     ("can-het+fast-ai", 0x2178d2ea890a3142),
     ("can-hom+fast-ai", 0x05830d3374b924a9),
