@@ -605,6 +605,64 @@ mod tests {
         assert!(step_violations(&sim).is_empty());
     }
 
+    /// The two ways a scan stops at `MAX_PER_CHECK`, pinned string for
+    /// string: `ownership_exclusivity` cuts after the eighth report,
+    /// mid-zombie; `agg_slice_wellformed` lets the node that reaches
+    /// the cap finish its slice, so it reports ten.
+    #[test]
+    fn report_caps_cut_per_report_or_per_node() {
+        use crate::membership::LocalNode;
+        let mut sim = grown(12, HeartbeatScheme::Compact);
+        let members = sim.members();
+        // Six zombies that copy a live member: each is "simultaneously
+        // a live member", and all but the first (epoch 0, fenced) also
+        // hold an unfenced claim against their own original.
+        for (i, &m) in members[..6].iter().enumerate() {
+            let live = sim.local(m).expect("member has local state");
+            let mut z = LocalNode::new(m, live.coord.clone(), sim.zone(m).clone());
+            z.epoch = if i == 0 { 0 } else { live.epoch };
+            sim.park_zombie(z);
+        }
+        // One malformed slice, then three-finding slices: the fourth
+        // node crosses the cap, the fifth is never scanned.
+        assert!(sim.set_agg_slice(members[0], vec![1, 2, 3, 4]));
+        for &m in &members[1..5] {
+            let three_bad_slots = vec![1, 0, 0, 2, 0, 1, 0, 0, 0, 2, 1, 0, 0, 2, 2];
+            assert!(sim.set_agg_slice(m, three_bad_slots));
+        }
+        let unfenced = |n: u32, epoch: u64| {
+            format!(
+                "t=212: member n{n} (epoch {epoch}) and zombie n{n} (epoch {epoch}) hold \
+                 competing claims on overlapping space — stale claim not fenced"
+            )
+        };
+        let bad_slots = |n: u32| {
+            [
+                "free=2 pressured=0",
+                "free=0 pressured=2",
+                "free=2 pressured=2",
+            ]
+            .into_iter()
+            .enumerate()
+            .map(move |(slot, counts)| {
+                format!("t=212: agg slice of n{n} at n{n} slot {slot}: {counts} exceed nodes=1")
+            })
+        };
+        let mut expect = vec![
+            "t=212: zombie n0 is simultaneously a live member".to_string(),
+            "t=212: zombie n1 is simultaneously a live member".to_string(),
+            unfenced(1, 4),
+            "t=212: zombie n2 is simultaneously a live member".to_string(),
+            unfenced(2, 4),
+            "t=212: zombie n3 is simultaneously a live member".to_string(),
+            unfenced(3, 6),
+            "t=212: zombie n4 is simultaneously a live member".to_string(),
+            "t=212: agg slice of n0 at n0 has 4 words, not a multiple of 5".to_string(),
+        ];
+        expect.extend((1..=3).flat_map(bad_slots));
+        assert_eq!(step_violations(&sim), expect);
+    }
+
     #[test]
     fn frozen_node_fails_quiescence() {
         let mut sim = grown(12, HeartbeatScheme::Vanilla);

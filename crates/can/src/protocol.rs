@@ -943,6 +943,13 @@ impl CanSim {
         self.zombies.get(&id)
     }
 
+    /// Parks `node` as a zombie without expelling anyone — a corrupt
+    /// state no run reaches, for the oracle tests that need one.
+    #[cfg(test)]
+    pub(crate) fn park_zombie(&mut self, node: LocalNode) {
+        self.zombies.insert(node.id, node);
+    }
+
     /// Mean seconds from a node going silent (crash or freeze) to the
     /// first suspicion raised against it; `None` with no samples.
     pub fn mean_detection_lag(&self) -> Option<f64> {

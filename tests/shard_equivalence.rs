@@ -1,34 +1,15 @@
-//! Cross-shard-count equivalence suite: the sharded simulation engine
-//! must be **bit-identical** to the sequential engine for every shard
-//! count, across every execution stack.
-//!
-//! The matrix runs shards {1, 2, 4, 8} over:
-//!
-//! * the quick fig5 load-balance workload (all three schedulers, with
-//!   and without eviction churn) through `run_load_balance_sharded`,
-//! * fig7-style churn schedules under the vanilla and adaptive
-//!   heartbeat schemes through `run_schedule_sharded` (the DST oracle
-//!   observation plane partitioned by zone region),
-//! * one generated chaos schedule (sched crash phase armed) and one
-//!   overload-armed schedule through `run_case_sharded` — the full
-//!   cross-layer DST oracle set under N > 1 shards.
-//!
-//! Each comparison is over the *full trajectory digest* (every
-//! behavior-bearing output field), not summary statistics: a sharded
-//! run that reorders even one tie-break fails loudly. These tests are
-//! the contract that lets `--shards N` default to on anywhere without
-//! re-recording a single golden digest.
+//! Lane-count equivalence: `run_trace_sharded` stores node-local events
+//! on one queue lane per zone region, and the lanes share a sequence
+//! counter, so the lane count may not change the trajectory. Pinned
+//! here at 2, 4 and 8 lanes against `run_trace`, for all three
+//! schedulers, over the full-trajectory digest rather than summary
+//! statistics: a run that reorders even one tie-break fails.
 
 use p2p_ce_grid::prelude::*;
-use p2p_ce_grid::scenarios;
-use p2p_ce_grid::simcore::dst::generate;
+use p2p_ce_grid::sched::{run_trace, run_trace_sharded};
 
-/// The non-sequential shard counts of the matrix.
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
-
-/// Full-trajectory digest of a load-balance result: every
-/// behavior-bearing field, in a fixed order (the golden-digest
-/// fingerprint plus the opt-in fault/overload planes).
+/// Every behaviour-bearing field of a trace replay, in a fixed order
+/// (`recovery` and `overload` are `None` on this entry point).
 fn digest(r: &SimResult) -> u64 {
     let mut h = Fnv::new();
     h.write_usize(r.wait_times.len());
@@ -46,164 +27,50 @@ fn digest(r: &SimResult) -> u64 {
     h.write_f64(r.pushes.max().unwrap_or(-1.0));
     h.write_u64(r.fallback_placements);
     h.write_f64(r.makespan);
-    h.write_u64(r.evictions);
-    h.write_u64(r.resubmissions);
     h.write_u64(r.events_fired);
     h.write_u64(r.lost_jobs);
     for &b in &r.node_busy_seconds {
         h.write_f64(b);
     }
-    if let Some(rec) = &r.recovery {
-        h.write_u64(rec.crashes);
-        h.write_u64(rec.killed_running);
-        h.write_u64(rec.killed_queued);
-        h.write_u64(rec.requeued);
-        h.write_u64(rec.permanently_failed);
-        h.write_f64(rec.wasted_seconds);
-        h.write_u64(u64::from(rec.max_attempts));
-    }
-    if let Some(ov) = &r.overload {
-        h.write_u64(ov.admitted);
-        h.write_u64(ov.admission_rejects);
-        h.write_u64(ov.shed_admission);
-        h.write_u64(ov.shed_queue);
-        h.write_u64(ov.push_attempts);
-        h.write_u64(ov.max_boundary_depth);
-    }
     h.finish()
-}
-
-fn quick_scenario() -> LoadBalanceScenario {
-    let mut s = default_scenario().scaled_down(10); // 100 nodes
-    s.jobs = 400;
-    s
 }
 
 #[test]
 fn fig5_quick_matches_sequential_for_every_shard_count() {
-    let s = quick_scenario();
+    let mut s = default_scenario().scaled_down(10); // 100 nodes
+    s.jobs = 400;
+    let mut stream = s.job_stream(generate_nodes(&s.node_gen, s.nodes, s.seed));
+    let jobs = stream.take_jobs(s.jobs);
+    let population = stream
+        .into_population()
+        .expect("stream keeps its population");
+    let layout = DimensionLayout::with_dims(s.dims);
     for choice in SchedulerChoice::ALL {
-        let seq = digest(&run_load_balance(&s, choice));
-        assert_eq!(
-            digest(&run_load_balance_sharded(&s, choice, 1)),
-            seq,
-            "{choice:?}: shards=1 must be the sequential run"
-        );
-        for shards in SHARD_COUNTS {
-            let got = digest(&run_load_balance_sharded(&s, choice, shards));
+        let run = |shards: Option<usize>| {
+            let mut grid = StaticGrid::build(layout.clone(), population.clone(), s.seed);
+            let params = PushParams::default();
+            let mut mm: Box<dyn Matchmaker> = match choice {
+                SchedulerChoice::CanHet => {
+                    Box::new(PushingMatchmaker::heterogeneous(&grid, params))
+                }
+                SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
+                SchedulerChoice::Central => Box::new(CentralMatchmaker),
+            };
+            let (period, seed) = (s.ai_refresh_period, s.seed);
+            digest(&match shards {
+                None => run_trace(&mut grid, mm.as_mut(), &jobs, period, seed, choice),
+                Some(n) => {
+                    run_trace_sharded(&mut grid, mm.as_mut(), &jobs, period, seed, choice, n)
+                }
+            })
+        };
+        let seq = run(None);
+        for shards in [2, 4, 8] {
             assert_eq!(
-                got, seq,
-                "{choice:?}: {shards}-shard trajectory diverged from sequential"
+                run(Some(shards)),
+                seq,
+                "{choice:?}: {shards}-lane trajectory diverged from sequential"
             );
         }
-    }
-}
-
-#[test]
-fn fig5_quick_with_eviction_matches_sequential() {
-    // Eviction churn exercises the coordinator lane's Evict/Restore
-    // events crossing into node-local lanes at window barriers.
-    let s = quick_scenario().with_eviction(EvictionConfig::new(900.0));
-    let seq = digest(&run_load_balance(&s, SchedulerChoice::CanHet));
-    for shards in SHARD_COUNTS {
-        let got = digest(&run_load_balance_sharded(
-            &s,
-            SchedulerChoice::CanHet,
-            shards,
-        ));
-        assert_eq!(got, seq, "{shards}-shard eviction run diverged");
-    }
-}
-
-#[test]
-fn fig7_churn_schedules_match_sequential_for_vanilla_and_adaptive() {
-    // Fig7-style high-churn schedules: the rolling-partition scenario
-    // keeps zones splitting/merging throughout, so the zone-region
-    // oracle partition is repartitioned continuously.
-    let spec = scenarios::find("rolling-partition").expect("chaos trio is registered");
-    for scheme in ["vanilla", "adaptive"] {
-        let mut schedule = spec.compile_for(scheme, 83);
-        schedule.nodes = 32;
-        let seq = run_schedule(&schedule);
-        for shards in SHARD_COUNTS {
-            let got = run_schedule_sharded(&schedule, shards);
-            assert_eq!(
-                got, seq,
-                "{scheme}: {shards}-shard schedule report diverged from sequential"
-            );
-        }
-    }
-}
-
-/// First generated schedule at or after `start` satisfying `pick`.
-fn find_schedule(start: u64, pick: impl Fn(&FaultSchedule) -> bool) -> FaultSchedule {
-    (start..start + 500)
-        .map(|seed| generate(seed, &ScheduleBudget::smoke()))
-        .find(|s| pick(s))
-        .expect("schedule grammar produces the requested shape within 500 seeds")
-}
-
-#[test]
-fn chaos_schedule_case_matches_sequential_for_every_shard_count() {
-    // A schedule with the sched crash phase armed (and overload
-    // disarmed): both DST stacks run, all cross-layer oracles armed.
-    let schedule = find_schedule(1, |s| {
-        s.sched_crash_interval.is_some() && s.overload.is_none()
-    });
-    let seq = run_case(&schedule);
-    assert!(
-        seq.violations.is_empty(),
-        "picked schedule must be green sequentially: {:?}",
-        seq.violations
-    );
-    for shards in SHARD_COUNTS {
-        let got = run_case_sharded(&schedule, shards);
-        assert_eq!(
-            got, seq,
-            "{shards}-shard chaos case diverged from sequential"
-        );
-    }
-}
-
-#[test]
-fn overload_armed_case_matches_sequential_for_every_shard_count() {
-    // The generator never arms overload on its own (it stays out of the
-    // fuzzer grammar), so arm it on a generated schedule the same way a
-    // trace `overload` directive would.
-    let mut schedule = find_schedule(1, |s| s.sched_crash_interval.is_none());
-    schedule.overload = Some(p2p_ce_grid::simcore::OverloadRecord {
-        slots: 4,
-        wait: 900.0,
-        burst: 3,
-        refill: 0.01,
-    });
-    schedule.validate().expect("armed schedule stays valid");
-    let seq = run_case(&schedule);
-    for shards in SHARD_COUNTS {
-        let got = run_case_sharded(&schedule, shards);
-        assert_eq!(
-            got, seq,
-            "{shards}-shard overload-armed case diverged from sequential"
-        );
-    }
-}
-
-#[test]
-fn oracle_plane_stays_green_and_identical_under_many_shards() {
-    // The full DST oracle set under N > 1 shards on a scenario that
-    // exercises takeover, replication, and detector oracles together.
-    let spec = scenarios::find("rack-storm").expect("rack-storm is registered");
-    let mut schedule = spec.compile_for("compact", 83);
-    schedule.nodes = 32;
-    let seq = run_schedule(&schedule);
-    assert!(
-        seq.violations.is_empty(),
-        "rack-storm/compact must be green: {:?}",
-        seq.violations
-    );
-    for shards in SHARD_COUNTS {
-        let got = run_schedule_sharded(&schedule, shards);
-        assert_eq!(got.violations, seq.violations, "shards={shards}");
-        assert_eq!(got.digest, seq.digest, "shards={shards}");
     }
 }
