@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
-    let args = parse_seeded_cli(false, true, CHAOS_USAGE);
+    let args = parse_seeded_cli(false, CHAOS_USAGE);
     let seed = args.seed.unwrap_or(experiments::CHAOS_SEED);
     let started = Instant::now();
     println!(
@@ -32,14 +32,14 @@ fn main() -> ExitCode {
     );
 
     println!("--- CAN maintenance under chaos ---");
-    let reports = experiments::chaos_suite_seeded(args.scale, seed);
+    let reports = experiments::chaos_suite(args.scale, seed);
     println!("{}", render_chaos(&reports));
     let csv = args.out.join("chaos.csv");
     save_chaos_csv(&csv, &reports).expect("write csv");
 
     println!("--- Warm-standby takeover sweep (vanilla vs replicated) ---");
     let takeover_seed = args.seed.unwrap_or(experiments::TAKEOVER_SEED);
-    let cells = experiments::takeover_suite_seeded(args.scale, takeover_seed);
+    let cells = experiments::takeover_suite(args.scale, takeover_seed);
     println!("{}", render_takeover(&cells));
     let takeover_csv = args.out.join("takeover.csv");
     save_takeover_csv(&takeover_csv, &cells).expect("write csv");
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         .is_none_or(|b| started.elapsed().as_secs_f64() <= b)
     {
         println!("--- Crash-safe job recovery (conservation ledger armed) ---");
-        let cells = experiments::crash_recovery_suite_sharded(args.scale, args.shards);
+        let cells = experiments::crash_recovery_suite(args.scale);
         println!("{}", render_crash_recovery(&cells));
     } else {
         println!("(crash-recovery suite skipped: wall budget exceeded)");

@@ -17,14 +17,14 @@ use pgrid_bench::{parse_seeded_cli, render_detector, save_detector_csv, DETECTOR
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = parse_seeded_cli(false, false, DETECTOR_USAGE);
+    let args = parse_seeded_cli(false, DETECTOR_USAGE);
     let seed = args.seed.unwrap_or(experiments::DETECTOR_SEED);
     println!(
         "=== Failure detectors: fixed timeout vs adaptive suspicion, seed {seed} ({:?}) ===\n",
         args.scale
     );
 
-    let cells = experiments::detector_suite_seeded(args.scale, seed);
+    let cells = experiments::detector_suite(args.scale, seed);
     println!("{}", render_detector(&cells));
     let csv = args.out.join("detector.csv");
     save_detector_csv(&csv, &cells).expect("write csv");

@@ -16,7 +16,7 @@ use pgrid_bench::{parse_seeded_cli, render_fuzz, FUZZ_USAGE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = parse_seeded_cli(true, true, FUZZ_USAGE);
+    let args = parse_seeded_cli(true, FUZZ_USAGE);
     let quick = args.scale == Scale::Quick;
     let mut cfg = FuzzConfig::new(
         args.seed.unwrap_or(1),
@@ -26,7 +26,6 @@ fn main() -> ExitCode {
         cfg.budget = ScheduleBudget::default();
     }
     cfg.wall_budget = args.budget.unwrap_or(if quick { 120.0 } else { 900.0 });
-    cfg.shards = args.shards;
 
     println!(
         "=== Fault-schedule fuzzer: seeds {}..{} ({:?} grammar, {:.0} s wall budget) ===\n",

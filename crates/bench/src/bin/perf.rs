@@ -27,21 +27,16 @@
 //!   wall/baseline ratio across gated cells, clamped to ≥ 1): a cell
 //!   that regressed relative to the *rest of this run* fires the gate,
 //!   a uniformly slower CI runner does not. Leaves the JSON untouched.
-//! * `--scaling <n>` — run the multi-shard scaling suite at
-//!   population `n` instead of the default cell set: a fig5-style
-//!   load-balance cell sequentially and under `--shards` zone shards
-//!   (asserting the two runs are bit-identical), plus a fig7-style
-//!   churn cell at the same population. Results merge into the
-//!   `"scaling"` array of `BENCH_hotpath.json` keyed by cell name;
-//!   the gated `cells`/`baseline` objects are never touched, so the
-//!   `--check` gate is unaffected. Each row records `host_threads` —
-//!   on a single-core runner the sharded engine degrades to
-//!   sequential execution and the honest speedup is ~1.0 — and the
-//!   fig5 rows record `build_secs`, one timed `StaticGrid` build on
-//!   their population: `wall_secs` minus it is the loop's share. A
-//!   population no grid can be built from exits 2.
-//! * `--shards <S>` — shard count for the scaling suite's parallel
-//!   arm (default 4).
+//! * `--scaling <n>` — run the scaling suite at population `n`
+//!   instead of the default cell set: a fig5-style load-balance cell
+//!   (row `…/s1`) plus a fig7-style churn cell at the same
+//!   population. Results merge into the `"scaling"` array of
+//!   `BENCH_hotpath.json` keyed by cell name; the gated
+//!   `cells`/`baseline` objects are never touched, so the `--check`
+//!   gate is unaffected. Each row records the measurement host's
+//!   `host_threads`, and the fig5 row records `build_secs`, one timed
+//!   `StaticGrid` build on its population: `wall_secs` minus it is
+//!   the loop's share. A population no grid can be built from exits 2.
 
 use pgrid::prelude::*;
 use std::fmt::Write as _;
@@ -288,11 +283,9 @@ struct Args {
     /// Regression-gate mode: compare against the baseline and fail on
     /// a slip beyond [`GATE_RATIO`].
     check: bool,
-    /// Population for the multi-shard scaling suite (`--scaling N`);
-    /// replaces the default cell set when given.
+    /// Population for the scaling suite (`--scaling N`); replaces the
+    /// default cell set when given.
     scaling: Option<usize>,
-    /// Shard count for the scaling suite's parallel arm.
-    shards: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -300,7 +293,6 @@ fn parse_args() -> Result<Args, String> {
         cell: None,
         check: false,
         scaling: None,
-        shards: 4,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -319,21 +311,11 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.scaling = Some(n);
             }
-            "--shards" => {
-                let v = it.next().ok_or("--shards requires a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--shards wants a positive integer, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--shards wants at least 1".into());
-                }
-                args.shards = n;
-            }
             other => return Err(format!("unknown flag: {other}")),
         }
     }
     if args.scaling.is_some() && (args.check || args.cell.is_some()) {
-        return Err("--scaling is its own mode; combine it only with --shards".into());
+        return Err("--scaling is its own mode; it takes no other flag".into());
     }
     Ok(args)
 }
@@ -429,11 +411,7 @@ struct ScalingRow {
     /// construction, not the event loop. `None` on churn rows, which
     /// build no static grid.
     build_secs: Option<f64>,
-    /// Sequential wall / this wall — only on multi-shard arms.
-    speedup_vs_s1: Option<f64>,
-    /// `host_threads()` at measurement time, recorded so a reader can
-    /// tell a genuine lack of speedup from a single-core runner where
-    /// the sharded engine degrades to sequential execution.
+    /// `host_threads()` at measurement time.
     host_threads: usize,
 }
 
@@ -447,13 +425,9 @@ impl ScalingRow {
         let build = self
             .build_secs
             .map_or("null".to_string(), |s| format!("{s:.6}"));
-        let speedup = self
-            .speedup_vs_s1
-            .map_or("null".to_string(), |s| format!("{s:.4}"));
         format!(
             "    {{ \"name\": \"{}\", \"wall_secs\": {:.6}, \"build_secs\": {build}, \
-             \"events\": {}, \"events_per_sec\": {eps}, \"speedup_vs_s1\": {speedup}, \
-             \"host_threads\": {} }}",
+             \"events\": {}, \"events_per_sec\": {eps}, \"host_threads\": {} }}",
             self.name, self.wall_secs, self.events, self.host_threads
         )
     }
@@ -473,17 +447,12 @@ fn scaling_scenario(n: usize) -> LoadBalanceScenario {
     s
 }
 
-/// The `--scaling <n>` mode: one fig5-style cell sequentially and
-/// under `shards` zone shards (asserting bit-identical results — the
-/// equivalence contract, enforced on every published measurement),
-/// plus a fig7-style churn cell at the same population. Rows merge
-/// into the JSON's `"scaling"` array by name; `cells`/`baseline` are
-/// left untouched.
-fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
+/// The `--scaling <n>` mode: one fig5-style cell plus a fig7-style
+/// churn cell at the same population. Rows merge into the JSON's
+/// `"scaling"` array by name; `cells`/`baseline` are left untouched.
+fn run_scaling(n: usize, out: &Path) -> ExitCode {
     let threads = pgrid::simcore::shard::host_threads();
-    println!(
-        "=== Multi-shard scaling suite: n = {n}, shards = {shards}, host threads = {threads} ===\n"
-    );
+    println!("=== Scaling suite: n = {n}, host threads = {threads} ===\n");
     let sc = scaling_scenario(n);
     println!(
         "fig5-style workload: {} jobs, inter-arrival {:.4} s, scheduler can-het",
@@ -491,8 +460,8 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
     );
     let mut rows: Vec<ScalingRow> = Vec::new();
 
-    // The grid both fig5 arms will build inside their runs, built once
-    // on its own so construction is reported apart from the loop.
+    // The grid the fig5 run will build inside itself, built once on
+    // its own so construction is reported apart from the loop.
     let population = generate_nodes(&sc.node_gen, sc.nodes, sc.seed);
     let t = Instant::now();
     let built = StaticGrid::try_build(DimensionLayout::with_dims(sc.dims), population, sc.seed);
@@ -504,39 +473,19 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
     drop(built);
 
     let t = Instant::now();
-    let seq = run_load_balance(&sc, SchedulerChoice::CanHet);
-    let seq_secs = t.elapsed().as_secs_f64();
+    let run = run_load_balance(&sc, SchedulerChoice::CanHet);
     rows.push(ScalingRow {
         name: format!("scaling/fig5/n{n}/s1"),
-        wall_secs: seq_secs,
+        wall_secs: t.elapsed().as_secs_f64(),
         build_secs,
-        events: seq.events_fired,
-        speedup_vs_s1: None,
-        host_threads: threads,
-    });
-
-    let t = Instant::now();
-    let par = run_load_balance_sharded(&sc, SchedulerChoice::CanHet, shards);
-    let par_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        (par.events_fired, &par.wait_times),
-        (seq.events_fired, &seq.wait_times),
-        "sharded run diverged from sequential — equivalence contract broken"
-    );
-    rows.push(ScalingRow {
-        name: format!("scaling/fig5/n{n}/s{shards}"),
-        wall_secs: par_secs,
-        build_secs,
-        events: par.events_fired,
-        speedup_vs_s1: Some(seq_secs / par_secs),
+        events: run.events_fired,
         host_threads: threads,
     });
 
     // Fig7-style churn at the same population: the CAN heartbeat
-    // plane, which has no shard dimension — recorded so the scaling
-    // table carries both planes at each n. Skipped for the 1M smoke
-    // population (bootstrapping a 1M-node overlay is its own
-    // experiment, not a benchmark cell).
+    // plane, so the scaling table carries both planes at each n.
+    // Skipped for the 1M smoke population (bootstrapping a 1M-node
+    // overlay is its own experiment, not a benchmark cell).
     if n <= 100_000 {
         let mut cfg = ChurnConfig::new(11, HeartbeatScheme::Compact, n).high_churn();
         cfg.bootstrap_spacing = 0.25;
@@ -549,20 +498,16 @@ fn run_scaling(n: usize, shards: usize, out: &Path) -> ExitCode {
             wall_secs: t.elapsed().as_secs_f64(),
             build_secs: None,
             events: r.delivered_messages,
-            speedup_vs_s1: None,
             host_threads: threads,
         });
     }
 
     for row in &rows {
-        let speedup = row
-            .speedup_vs_s1
-            .map_or(String::new(), |s| format!("   speedup {s:.2}x"));
         let build = row
             .build_secs
             .map_or(String::new(), |s| format!("   build {s:.3} s"));
         println!(
-            "{:<28} {:>9.3} s   {:>12} events{build}{speedup}",
+            "{:<28} {:>9.3} s   {:>12} events{build}",
             row.name, row.wall_secs, row.events
         );
     }
@@ -650,13 +595,13 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: perf [--cell <substring>] [--check] [--scaling <n> [--shards <S>]]");
+            eprintln!("usage: perf [--cell <substring>] [--check] [--scaling <n>]");
             return ExitCode::from(2);
         }
     };
     let out = repo_root_json();
     if let Some(n) = args.scaling {
-        return run_scaling(n, args.shards, &out);
+        return run_scaling(n, &out);
     }
     println!("=== Hot-path perf harness (quick-scale fig5/fig6/fig7, single-threaded) ===\n");
     let cells = run_cells(&|name| args.cell.as_deref().is_none_or(|f| name.contains(f)));
@@ -991,7 +936,6 @@ mod tests {
             wall_secs: wall,
             build_secs: name.contains("fig5").then_some(0.125),
             events: 100,
-            speedup_vs_s1: (name.ends_with("s4")).then_some(2.0),
             host_threads: 1,
         };
         // First merge creates the file and the array.
@@ -1000,19 +944,19 @@ mod tests {
             &[
                 row("scaling/fig5/n10/s1", 1.0),
                 row("scaling/fig7/n10/compact", 3.0),
-                row("scaling/fig5/n10/s4", 0.5),
+                row("scaling/fig5/n20/s1", 0.5),
             ],
         );
         assert_eq!(read_scaling_lines(&path).len(), 3);
         // A re-measurement replaces its own row and keeps the others.
-        merge_scaling(&path, &[row("scaling/fig5/n10/s4", 0.25)]);
+        merge_scaling(&path, &[row("scaling/fig5/n20/s1", 0.25)]);
         let lines = read_scaling_lines(&path);
         assert_eq!(lines.len(), 3);
         assert!(lines.iter().any(|l| l.contains("0.250000")), "{lines:?}");
-        assert!(lines.iter().any(|l| l.contains("/s1")), "{lines:?}");
+        assert!(lines.iter().any(|l| l.contains("/n10/s1")), "{lines:?}");
         assert_eq!(
             scaling_row_name(&lines[2]),
-            Some("scaling/fig5/n10/s4"),
+            Some("scaling/fig5/n20/s1"),
             "fresh rows append after preserved ones"
         );
         // Grid rows carry their build time, churn rows a null.

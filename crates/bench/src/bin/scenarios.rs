@@ -52,7 +52,7 @@ fn main() -> ExitCode {
         specs.len(),
         args.scale
     );
-    let cells = experiments::scenario_suite_over_sharded(args.scale, seed, &specs, args.shards);
+    let cells = experiments::scenario_suite_over(args.scale, seed, &specs);
     println!("{}", render_scenarios(&cells));
     let csv = args.out.join("scenarios_resilience.csv");
     save_scenarios_csv(&csv, &cells).expect("write csv");

@@ -71,13 +71,11 @@ pub fn parse_cli() -> (Scale, PathBuf) {
 }
 
 /// Usage string for the `chaos` binary (seeded flag set).
-pub const CHAOS_USAGE: &str =
-    "usage: chaos [--quick] [--out DIR] [--seed N] [--budget SECS] [--shards N]\n\n  \
+pub const CHAOS_USAGE: &str = "usage: chaos [--quick] [--out DIR] [--seed N] [--budget SECS]\n\n  \
 --quick        reduced smoke-run configuration (default: paper scale)\n  \
 --out DIR      write CSV results under DIR (default: results/)\n  \
 --seed N       chaos-scenario seed (default: 41, the historical repro seed)\n  \
---budget SECS  wall-clock cap; the crash-recovery suite is skipped once exceeded\n  \
---shards N     zone shards for the sharded engine (default: 1; bit-identical)\n";
+--budget SECS  wall-clock cap; the crash-recovery suite is skipped once exceeded\n";
 
 /// Usage string for the `detector` binary (seeded flag set).
 pub const DETECTOR_USAGE: &str = "usage: detector [--quick] [--out DIR] [--seed N]\n\n  \
@@ -87,13 +85,12 @@ pub const DETECTOR_USAGE: &str = "usage: detector [--quick] [--out DIR] [--seed 
 
 /// Usage string for the `fuzz` binary.
 pub const FUZZ_USAGE: &str =
-    "usage: fuzz [--quick] [--out DIR] [--seed N] [--seeds N] [--budget SECS] [--shards N]\n\n  \
+    "usage: fuzz [--quick] [--out DIR] [--seed N] [--seeds N] [--budget SECS]\n\n  \
 --quick        smoke schedule grammar and a smaller default sweep\n  \
 --out DIR      write shrunk repro traces under DIR (default: results/)\n  \
 --seed N       first schedule seed of the sweep (default: 1)\n  \
 --seeds N      number of seeds to attempt (default: 16 quick / 64 paper)\n  \
---budget SECS  wall-clock budget for the sweep (default: 120 quick / 900 paper)\n  \
---shards N     zone shards for the sharded engine (default: 1; bit-identical)\n";
+--budget SECS  wall-clock budget for the sweep (default: 120 quick / 900 paper)\n";
 
 /// Arguments of the seeded bench binaries (`chaos`, `fuzz`).
 #[derive(Debug, Clone, PartialEq)]
@@ -108,30 +105,20 @@ pub struct SeededArgs {
     pub budget: Option<f64>,
     /// Sweep width (`--seeds`), if given — fuzz binary only.
     pub seeds: Option<usize>,
-    /// Zone shards for the sharded simulation engine (`--shards`).
-    /// Bit-identical to sequential for every count; 1 *is* sequential.
-    pub shards: usize,
 }
 
 /// Parses the seeded bench arguments (program name already stripped).
 ///
 /// Strict like [`parse_args`]: unknown flags, missing values, and
 /// unparseable numbers are errors. `--seeds` is only accepted when
-/// `allow_seeds` is set (the chaos binary has no sweep width), and
-/// `--shards` only when `allow_shards` is set (the detector suite has
-/// no sharded observation plane).
-pub fn parse_seeded_args(
-    raw: &[String],
-    allow_seeds: bool,
-    allow_shards: bool,
-) -> Result<SeededArgs, String> {
+/// `allow_seeds` is set (the chaos binary has no sweep width).
+pub fn parse_seeded_args(raw: &[String], allow_seeds: bool) -> Result<SeededArgs, String> {
     let mut args = SeededArgs {
         scale: Scale::Paper,
         out: PathBuf::from("results"),
         seed: None,
         budget: None,
         seeds: None,
-        shards: 1,
     };
     let mut i = 0;
     let value = |raw: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -176,17 +163,6 @@ pub fn parse_seeded_args(
                 args.seeds = Some(n);
                 i += 1;
             }
-            "--shards" if allow_shards => {
-                let v = value(raw, i, "--shards")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--shards wants a positive integer, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--shards wants at least 1".into());
-                }
-                args.shards = n;
-                i += 1;
-            }
             other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
@@ -196,9 +172,9 @@ pub fn parse_seeded_args(
 
 /// CLI wrapper over [`parse_seeded_args`]: parse errors print `usage`
 /// and exit with status 2; the results directory is created on success.
-pub fn parse_seeded_cli(allow_seeds: bool, allow_shards: bool, usage: &str) -> SeededArgs {
+pub fn parse_seeded_cli(allow_seeds: bool, usage: &str) -> SeededArgs {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match parse_seeded_args(&raw, allow_seeds, allow_shards) {
+    match parse_seeded_args(&raw, allow_seeds) {
         Ok(args) => {
             std::fs::create_dir_all(&args.out).expect("create results dir");
             args
@@ -213,13 +189,12 @@ pub fn parse_seeded_cli(allow_seeds: bool, allow_shards: bool, usage: &str) -> S
 
 /// Usage string for the `scenarios` binary.
 pub const SCENARIOS_USAGE: &str =
-    "usage: scenarios [--quick] [--out DIR] [--seed N] [--list] [--scenario NAME] [--shards N]\n\n  \
+    "usage: scenarios [--quick] [--out DIR] [--seed N] [--list] [--scenario NAME]\n\n  \
 --quick          reduced smoke-run configuration (default: paper scale)\n  \
 --out DIR        write CSV results under DIR (default: results/)\n  \
 --seed N         scenario compile seed (default: 83)\n  \
 --list           list the registered scenarios and exit\n  \
---scenario NAME  run only scenarios whose name contains NAME (error on zero matches)\n  \
---shards N       zone shards for the sharded engine (default: 1; bit-identical)\n";
+--scenario NAME  run only scenarios whose name contains NAME (error on zero matches)\n";
 
 /// Arguments of the `scenarios` binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,8 +209,6 @@ pub struct ScenarioArgs {
     pub list: bool,
     /// Substring filter over scenario names (`--scenario`), if given.
     pub filter: Option<String>,
-    /// Zone shards for the sharded simulation engine (`--shards`).
-    pub shards: usize,
 }
 
 /// Parses the `scenarios` binary's arguments (program name already
@@ -248,7 +221,6 @@ pub fn parse_scenario_args(raw: &[String]) -> Result<ScenarioArgs, String> {
         seed: None,
         list: false,
         filter: None,
-        shards: 1,
     };
     let mut i = 0;
     let value = |raw: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -274,17 +246,6 @@ pub fn parse_scenario_args(raw: &[String]) -> Result<ScenarioArgs, String> {
             }
             "--scenario" => {
                 args.filter = Some(value(raw, i, "--scenario")?);
-                i += 1;
-            }
-            "--shards" => {
-                let v = value(raw, i, "--shards")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--shards wants a positive integer, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--shards wants at least 1".into());
-                }
-                args.shards = n;
                 i += 1;
             }
             other => return Err(format!("unknown argument '{other}'")),
@@ -1213,9 +1174,7 @@ mod tests {
         let args = parse_seeded_args(
             &to_v(&[
                 "--quick", "--out", "/tmp/x", "--seed", "7", "--seeds", "12", "--budget", "30",
-                "--shards", "4",
             ]),
-            true,
             true,
         )
         .unwrap();
@@ -1224,25 +1183,20 @@ mod tests {
         assert_eq!(args.seed, Some(7));
         assert_eq!(args.seeds, Some(12));
         assert_eq!(args.budget, Some(30.0));
-        assert_eq!(args.shards, 4);
 
-        let args = parse_seeded_args(&[], false, false).unwrap();
+        let args = parse_seeded_args(&[], false).unwrap();
         assert_eq!(args.scale, Scale::Paper);
         assert_eq!(args.seed, None);
-        assert_eq!(args.shards, 1);
 
         // Unknown flags, missing values, and garbage numbers fail fast.
-        assert!(parse_seeded_args(&to_v(&["--sede", "7"]), true, true).is_err());
-        assert!(parse_seeded_args(&to_v(&["--seed"]), true, true).is_err());
-        assert!(parse_seeded_args(&to_v(&["--seed", "-1"]), true, true).is_err());
-        assert!(parse_seeded_args(&to_v(&["--seeds", "0"]), true, true).is_err());
-        assert!(parse_seeded_args(&to_v(&["--budget", "0"]), true, true).is_err());
-        assert!(parse_seeded_args(&to_v(&["--budget", "inf"]), true, true).is_err());
-        assert!(parse_seeded_args(&to_v(&["--shards", "0"]), true, true).is_err());
+        assert!(parse_seeded_args(&to_v(&["--sede", "7"]), true).is_err());
+        assert!(parse_seeded_args(&to_v(&["--seed"]), true).is_err());
+        assert!(parse_seeded_args(&to_v(&["--seed", "-1"]), true).is_err());
+        assert!(parse_seeded_args(&to_v(&["--seeds", "0"]), true).is_err());
+        assert!(parse_seeded_args(&to_v(&["--budget", "0"]), true).is_err());
+        assert!(parse_seeded_args(&to_v(&["--budget", "inf"]), true).is_err());
         // --seeds is fuzz-only: the chaos binary must reject it.
-        assert!(parse_seeded_args(&to_v(&["--seeds", "4"]), false, true).is_err());
-        // --shards is gated too: the detector binary must reject it.
-        assert!(parse_seeded_args(&to_v(&["--shards", "4"]), false, false).is_err());
+        assert!(parse_seeded_args(&to_v(&["--seeds", "4"]), false).is_err());
     }
 
     #[test]
@@ -1278,7 +1232,7 @@ mod tests {
 
     #[test]
     fn chaos_render_and_csv() {
-        let reports = experiments::chaos_suite(Scale::Quick);
+        let reports = experiments::chaos_suite(Scale::Quick, experiments::CHAOS_SEED);
         assert_eq!(reports.len(), 9, "3 scenarios x 3 schemes");
         let text = render_chaos(&reports);
         assert!(text.contains("flash-crowd"));
@@ -1316,8 +1270,6 @@ mod tests {
             "--scenario",
             "storm",
             "--list",
-            "--shards",
-            "2",
         ]))
         .unwrap();
         assert_eq!(args.scale, Scale::Quick);
@@ -1325,11 +1277,9 @@ mod tests {
         assert_eq!(args.seed, Some(9));
         assert_eq!(args.filter.as_deref(), Some("storm"));
         assert!(args.list);
-        assert_eq!(args.shards, 2);
         assert!(parse_scenario_args(&to_v(&["--scenairo", "x"])).is_err());
         assert!(parse_scenario_args(&to_v(&["--scenario"])).is_err());
         assert!(parse_scenario_args(&to_v(&["--seed", "nope"])).is_err());
-        assert!(parse_scenario_args(&to_v(&["--shards", "0"])).is_err());
 
         let listing = render_scenario_list();
         for spec in pgrid::scenarios::REGISTRY {
@@ -1355,7 +1305,7 @@ mod tests {
 
     #[test]
     fn takeover_render_and_csv() {
-        let cells = experiments::takeover_suite(Scale::Quick);
+        let cells = experiments::takeover_suite(Scale::Quick, experiments::TAKEOVER_SEED);
         assert_eq!(cells.len(), 3, "one cell per heartbeat scheme");
         let text = render_takeover(&cells);
         assert!(text.contains("vanilla"));
@@ -1373,7 +1323,7 @@ mod tests {
 
     #[test]
     fn detector_render_and_csv() {
-        let cells = experiments::detector_suite(Scale::Quick);
+        let cells = experiments::detector_suite(Scale::Quick, experiments::DETECTOR_SEED);
         let text = render_detector(&cells);
         assert!(text.contains("false pos"));
         assert!(text.contains("fixed"));

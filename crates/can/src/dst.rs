@@ -93,21 +93,6 @@ pub struct ScheduleReport {
 /// violates an executor precondition — use
 /// [`FaultSchedule::validate`] / [`FaultSchedule::parse`] first.
 pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
-    run_schedule_sharded(schedule, 1)
-}
-
-/// [`run_schedule`] with the oracle observation plane partitioned into
-/// `shards` CAN zone regions (see
-/// [`oracles::step_violations_sharded`]): every per-member scan is
-/// grouped by the region owning the node's zone and merged back in
-/// canonical order, so the report — digest included — is bit-identical
-/// to the sequential run for every shard count. The DST gates exercise
-/// this with N > 1 to pin that the sharded observation plane cannot
-/// change what the oracles see.
-pub fn run_schedule_sharded(schedule: &FaultSchedule, shards: usize) -> ScheduleReport {
-    let partition =
-        (shards > 1).then(|| pgrid_simcore::shard::RegionPartition::new(schedule.dims, shards));
-    let partition = partition.as_ref();
     // Lower macro records to primitives up front. The identity for
     // macro-free schedules, so every historical trace and golden
     // digest replays the exact same trajectory.
@@ -257,7 +242,7 @@ pub fn run_schedule_sharded(schedule: &FaultSchedule, shards: usize) -> Schedule
             broken_peak = broken_peak.max(broken);
             digest.write_usize(broken);
             digest.write_u64(epoch_checksum(&sim));
-            for msg in oracles::step_violations_sharded(&sim, partition) {
+            for msg in oracles::step_violations(&sim) {
                 record(&mut violations, msg);
             }
             for msg in ledger.check(&sim) {
@@ -282,7 +267,7 @@ pub fn run_schedule_sharded(schedule: &FaultSchedule, shards: usize) -> Schedule
         sim.advance_to(t);
         digest.write_usize(sim.broken_links());
         digest.write_u64(epoch_checksum(&sim));
-        for msg in oracles::step_violations_sharded(&sim, partition) {
+        for msg in oracles::step_violations(&sim) {
             record(&mut violations, msg);
         }
         for msg in ledger.check(&sim) {

@@ -44,7 +44,7 @@ pub use accounting::{Accounting, Counter};
 pub use adjacency::Adjacency;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, PartitionSpec};
 pub use churn::{run_churn, uniform_coords, BrokenSample, ChurnConfig, ChurnReport};
-pub use dst::{run_schedule, run_schedule_sharded, scheme_from_label, ScheduleReport};
+pub use dst::{run_schedule, scheme_from_label, ScheduleReport};
 pub use geom::{Point, Zone};
 pub use membership::{LocalNode, NeighborEntry, Payload, ReplicaPayload, ZoneReplica};
 pub use oracles::{EpochLedger, ReplicaLedger};

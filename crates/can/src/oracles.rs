@@ -23,7 +23,6 @@
 //! simulation time, so a shrunk trace's report reads as a story.
 
 use crate::protocol::{CanSim, HeartbeatScheme};
-use pgrid_simcore::shard::RegionPartition;
 use pgrid_types::NodeId;
 use std::collections::HashMap;
 
@@ -39,107 +38,14 @@ const VOLUME_TOL: f64 = 1e-9;
 /// Oracles that must hold at every heartbeat boundary, under any fault
 /// load. Returns human-readable violations (empty when healthy).
 pub fn step_violations(sim: &CanSim) -> Vec<String> {
-    step_violations_sharded(sim, None)
-}
-
-/// [`step_violations`] with the per-member scans partitioned by CAN
-/// zone region. Each scanning oracle runs shard-by-shard over the
-/// nodes whose zone lo-corner falls inside that shard's region
-/// ([`CanSim`] is single-threaded by design, so the shard passes are
-/// sequential — the sharding here is the observation-plane partition,
-/// mirroring the sched engine's lane layout). Findings carry each
-/// node's rank in the canonical scan order and are merged back in
-/// rank order before the per-oracle cap is applied, so for any shard
-/// count the output matches the unsharded scan — on a healthy overlay
-/// both are empty, which is what the multi-shard equivalence suite
-/// pins. Whole-overlay oracles (zone tiling) stay on the coordinator.
-pub fn step_violations_sharded(sim: &CanSim, partition: Option<&RegionPartition>) -> Vec<String> {
     let members = sim.members();
-    let member_groups = shard_groups(partition, &members, |m| zone_corner(sim.zone(m)));
-    let zombies = sim.zombie_ids();
-    let zombie_groups = shard_groups(partition, &zombies, |z| {
-        zone_corner(&sim.zombie(z).expect("listed zombie").zone)
-    });
     let mut v = Vec::new();
     zone_tiling(sim, &mut v);
-    merge_ranked(&member_groups, &mut v, CapRule::PerReport, |g, out| {
-        neighbor_symmetry(sim, g, out);
-    });
-    merge_ranked(&member_groups, &mut v, CapRule::PerNode, |g, out| {
-        takeover_reachability(sim, &members, g, out);
-    });
-    merge_ranked(&zombie_groups, &mut v, CapRule::PerReport, |g, out| {
-        ownership_exclusivity(sim, g, out);
-    });
-    merge_ranked(&member_groups, &mut v, CapRule::PerNode, |g, out| {
-        agg_slice_wellformed(sim, g, out);
-    });
+    neighbor_symmetry(sim, &members, &mut v);
+    takeover_reachability(sim, &members, &mut v);
+    ownership_exclusivity(sim, &members, &mut v);
+    agg_slice_wellformed(sim, &members, &mut v);
     v
-}
-
-/// Nodes tagged with their rank in the canonical scan order.
-type Ranked = Vec<(usize, NodeId)>;
-
-fn zone_corner(z: &crate::geom::Zone) -> Vec<f64> {
-    (0..z.dims()).map(|d| z.lo(d)).collect()
-}
-
-/// Splits `ids` (already in canonical order) into per-shard groups by
-/// the region owning each node's zone corner; `None` keeps one group,
-/// which reproduces the unsharded scan exactly.
-fn shard_groups(
-    partition: Option<&RegionPartition>,
-    ids: &[NodeId],
-    corner: impl Fn(NodeId) -> Vec<f64>,
-) -> Vec<Ranked> {
-    match partition {
-        None => vec![ids.iter().copied().enumerate().collect()],
-        Some(p) => {
-            let mut groups: Vec<Ranked> = vec![Vec::new(); p.shards()];
-            for (rank, &id) in ids.iter().enumerate() {
-                groups[p.shard_of(&corner(id))].push((rank, id));
-            }
-            groups
-        }
-    }
-}
-
-/// How an oracle's report cap truncates: immediately after the report
-/// that reaches the cap, or only once the node being scanned has
-/// finished emitting (a node may push several findings at once).
-#[derive(Clone, Copy, PartialEq)]
-enum CapRule {
-    PerReport,
-    PerNode,
-}
-
-/// Runs `scan` over every group, merges the findings back into
-/// canonical rank order (stable, so one node's findings keep their
-/// emission order), and applies the cap with the oracle's own
-/// granularity — the single-group path is positionally identical to a
-/// flat scan.
-fn merge_ranked(
-    groups: &[Ranked],
-    v: &mut Vec<String>,
-    cap: CapRule,
-    scan: impl Fn(&[(usize, NodeId)], &mut Vec<(usize, String)>),
-) {
-    let mut found: Vec<(usize, String)> = Vec::new();
-    for g in groups {
-        scan(g, &mut found);
-    }
-    found.sort_by_key(|&(rank, _)| rank);
-    let mut it = found.into_iter().peekable();
-    let mut count = 0usize;
-    while let Some((rank, msg)) = it.next() {
-        v.push(msg);
-        count += 1;
-        if count >= MAX_PER_CHECK
-            && (cap == CapRule::PerReport || it.peek().is_none_or(|&(r, _)| r != rank))
-        {
-            break;
-        }
-    }
 }
 
 /// Words per slot of the scheduler-aggregate wire format (see
@@ -154,25 +60,18 @@ const AGG_WORDS_PER_SLOT: usize = 5;
 /// node count — the congestion bit can flag at most every node the
 /// slot covers. An empty slice (the scheduler layer not attached) is
 /// fine, so fault-free CAN-only runs are untouched.
-fn agg_slice_wellformed(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<(usize, String)>) {
+fn agg_slice_wellformed(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
     let now = sim.now();
     let mut reported = 0usize;
-    let check = |rank: usize,
-                 owner: NodeId,
-                 holder: NodeId,
-                 bits: &[u64],
-                 out: &mut Vec<(usize, String)>| {
+    let check = |owner: NodeId, holder: NodeId, bits: &[u64], out: &mut Vec<String>| {
         if bits.is_empty() {
             return 0usize;
         }
         if !bits.len().is_multiple_of(AGG_WORDS_PER_SLOT) {
-            out.push((
-                rank,
-                format!(
-                    "t={now}: agg slice of {owner} at {holder} has {} words, not a \
-                     multiple of {AGG_WORDS_PER_SLOT}",
-                    bits.len()
-                ),
+            out.push(format!(
+                "t={now}: agg slice of {owner} at {holder} has {} words, not a \
+                 multiple of {AGG_WORDS_PER_SLOT}",
+                bits.len()
             ));
             return 1;
         }
@@ -180,27 +79,24 @@ fn agg_slice_wellformed(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<(
         for (s, c) in bits.chunks_exact(AGG_WORDS_PER_SLOT).enumerate() {
             let (nodes, free, pressured) = (c[0], c[3], c[4]);
             if free > nodes || pressured > nodes {
-                out.push((
-                    rank,
-                    format!(
-                        "t={now}: agg slice of {owner} at {holder} slot {s}: \
-                         free={free} pressured={pressured} exceed nodes={nodes}"
-                    ),
+                out.push(format!(
+                    "t={now}: agg slice of {owner} at {holder} slot {s}: \
+                     free={free} pressured={pressured} exceed nodes={nodes}"
                 ));
                 bad += 1;
             }
         }
         bad
     };
-    for &(rank, id) in group {
+    for &id in members {
         let Some(local) = sim.local(id) else { continue };
-        reported += check(rank, id, id, &local.agg_slice, out);
+        reported += check(id, id, &local.agg_slice, out);
         // Sorted owner order: replica stores are hash maps, and a
         // truncated violation list must still replay bit-identically.
         let mut owners: Vec<NodeId> = local.replicas.keys().copied().collect();
         owners.sort();
         for owner in owners {
-            reported += check(rank, owner, id, &local.replicas[&owner].agg, out);
+            reported += check(owner, id, &local.replicas[&owner].agg, out);
             if reported >= MAX_PER_CHECK {
                 return;
             }
@@ -219,19 +115,21 @@ fn agg_slice_wellformed(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<(
 /// epoch — so the zombie's claim can never win a fencing comparison,
 /// and on contact the zombie refutes its own death instead of
 /// reasserting the zone.
-fn ownership_exclusivity(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<(usize, String)>) {
+fn ownership_exclusivity(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
     let now = sim.now();
     let mut reported = 0usize;
-    for &(rank, z) in group {
+    for z in sim.zombie_ids() {
         let zn = sim.zombie(z).expect("listed zombie");
         if sim.is_member(z) {
-            out.push((
-                rank,
-                format!("t={now}: zombie {z} is simultaneously a live member"),
+            out.push(format!(
+                "t={now}: zombie {z} is simultaneously a live member"
             ));
             reported += 1;
+            if reported >= MAX_PER_CHECK {
+                return;
+            }
         }
-        for m in sim.members() {
+        for &m in members {
             let mz = sim.zone(m);
             let overlap =
                 (0..mz.dims()).all(|d| mz.lo(d) < zn.zone.hi(d) && zn.zone.lo(d) < mz.hi(d));
@@ -248,18 +146,15 @@ fn ownership_exclusivity(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<
                 .epoch
                 .max(sim.fence_floor(m));
             if me <= zn.epoch {
-                out.push((
-                    rank,
-                    format!(
-                        "t={now}: member {m} (epoch {me}) and zombie {z} (epoch {e}) hold \
-                         competing claims on overlapping space — stale claim not fenced",
-                        e = zn.epoch
-                    ),
+                out.push(format!(
+                    "t={now}: member {m} (epoch {me}) and zombie {z} (epoch {e}) hold \
+                     competing claims on overlapping space — stale claim not fenced",
+                    e = zn.epoch
                 ));
                 reported += 1;
-            }
-            if reported >= MAX_PER_CHECK {
-                return;
+                if reported >= MAX_PER_CHECK {
+                    return;
+                }
             }
         }
     }
@@ -411,15 +306,14 @@ fn zone_tiling(sim: &CanSim, out: &mut Vec<String>) {
 }
 
 /// The ground-truth neighbor relation (zone abutment) is symmetric.
-fn neighbor_symmetry(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<(usize, String)>) {
+fn neighbor_symmetry(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
     let now = sim.now();
     let mut reported = 0usize;
-    for &(rank, a) in group {
+    for &a in members {
         for b in sim.true_neighbors(a) {
             if sim.true_neighbors(b).binary_search(&a).is_err() {
-                out.push((
-                    rank,
-                    format!("t={now}: neighbor table asymmetric: {a} sees {b} but not vice versa"),
+                out.push(format!(
+                    "t={now}: neighbor table asymmetric: {a} sees {b} but not vice versa"
                 ));
                 reported += 1;
                 if reported >= MAX_PER_CHECK {
@@ -433,28 +327,21 @@ fn neighbor_symmetry(sim: &CanSim, group: &[(usize, NodeId)], out: &mut Vec<(usi
 /// Every member's take-over plan names live members only, and (when
 /// more than one node is alive) is non-empty — otherwise a crash of
 /// that node would orphan its zone.
-fn takeover_reachability(
-    sim: &CanSim,
-    members: &[NodeId],
-    group: &[(usize, NodeId)],
-    out: &mut Vec<(usize, String)>,
-) {
+fn takeover_reachability(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
     let now = sim.now();
     let mut reported = 0usize;
-    for &(rank, id) in group {
+    for &id in members {
         let targets = sim.takeover_targets(id);
         if members.len() > 1 && targets.is_empty() {
-            out.push((
-                rank,
-                format!("t={now}: node {id} has no take-over target; its zone would orphan"),
+            out.push(format!(
+                "t={now}: node {id} has no take-over target; its zone would orphan"
             ));
             reported += 1;
         }
         for t in targets {
             if !sim.is_member(t) {
-                out.push((
-                    rank,
-                    format!("t={now}: take-over plan of {id} names dead node {t}"),
+                out.push(format!(
+                    "t={now}: take-over plan of {id} names dead node {t}"
                 ));
                 reported += 1;
             }

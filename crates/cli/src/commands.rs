@@ -16,10 +16,8 @@ pgrid — P2P computing-element-heterogeneous grid simulator
 USAGE:
   pgrid simulate [--nodes N] [--jobs N] [--dims 5|8|11|14] [--interarrival S]
                  [--ratio R] [--scheduler het|hom|central|all] [--seed S]
-                 [--shared-gpus] [--sf SF] [--shards N]
+                 [--shared-gpus] [--sf SF]
       Run one load-balancing simulation and print wait-time statistics.
-      --shards runs the zone-sharded engine; results are bit-identical
-      for every shard count.
 
   pgrid churn    [--nodes N] [--dims D] [--scheme vanilla|compact|adaptive|all]
                  [--gap S] [--duration S] [--loss P] [--graceful F] [--seed S]
@@ -31,7 +29,7 @@ USAGE:
       Run scripted fault scenarios through the chaos harness and print the
       resilience table; exits non-zero on any invariant violation.
 
-  pgrid scenarios [--list] [--scenario NAME] [--seed S] [--quick] [--shards N]
+  pgrid scenarios [--list] [--scenario NAME] [--seed S] [--quick]
       Run the named adversarial scenario library (diurnal waves, flash
       crowds, rack storms, stragglers, gray failures, plus the chaos trio)
       through the DST oracle harness, scheme vs scheme; --scenario filters
@@ -43,7 +41,7 @@ USAGE:
       failure detectors; prints the false-positive / detection-latency
       table and errors if the adaptive rule is ever worse.
 
-  pgrid fuzz     [--seeds N] [--seed S] [--budget SECS] [--out DIR] [--shards N]
+  pgrid fuzz     [--seeds N] [--seed S] [--budget SECS] [--out DIR]
   pgrid fuzz     --replay FILE
       Fuzz random fault schedules through the cross-layer invariant oracles
       (CAN zone tiling / neighbor symmetry / take-over / quiescence, scheduler
@@ -98,6 +96,9 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
     let mut s = default_scenario();
     s.nodes = args.get_or("nodes", s.nodes)?;
     s.jobs = args.get_or("jobs", s.jobs)?;
+    if s.jobs == 0 {
+        return Err("--jobs must be at least 1".into());
+    }
     let dims: usize = args.get_or("dims", s.dims)?;
     if dims < 5 || !(dims - 5).is_multiple_of(3) || dims > 14 {
         return Err(format!("--dims must be 5, 8, 11 or 14 (got {dims})"));
@@ -112,7 +113,7 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
             s.job_gen.mean_interarrival,
         );
     }
-    s.job_gen.mean_interarrival = args.get_or("interarrival", s.job_gen.mean_interarrival)?;
+    s.job_gen.mean_interarrival = interarrival_from(args, s.job_gen.mean_interarrival)?;
     s.job_gen.constraint_ratio = args.get_or("ratio", s.job_gen.constraint_ratio)?;
     s.stopping_factor = args.get_or("sf", s.stopping_factor)?;
     s.seed = args.get_or("seed", s.seed)?;
@@ -120,6 +121,19 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
         s.node_gen.shared_gpus = true;
     }
     Ok(s)
+}
+
+/// `--interarrival`, the mean of the exponential arrival gaps: a
+/// non-positive or non-finite mean would schedule arrivals into the
+/// past or at no time at all.
+fn interarrival_from(args: &Args, default: f64) -> Result<f64, String> {
+    let ia: f64 = args.get_or("interarrival", default)?;
+    if !(ia.is_finite() && ia > 0.0) {
+        return Err(format!(
+            "--interarrival must be positive and finite, got {ia}"
+        ));
+    }
+    Ok(ia)
 }
 
 fn parse_schedulers(spec: &str) -> Result<Vec<SchedulerChoice>, String> {
@@ -163,7 +177,6 @@ fn render_sim_results(results: &[SimResult]) -> String {
 pub fn simulate(args: Args) -> Result<String, CliError> {
     let scenario = scenario_from(&args)?;
     let schedulers = parse_schedulers(args.get("scheduler").unwrap_or("all"))?;
-    let shards = parse_shards(&args)?;
     args.reject_unknown()?;
     let mut out = format!(
         "simulating {} jobs on {} nodes ({}-dim CAN, inter-arrival {}s, ratio {})\n\n",
@@ -175,19 +188,10 @@ pub fn simulate(args: Args) -> Result<String, CliError> {
     );
     let results = schedulers
         .into_iter()
-        .map(|c| try_run_load_balance_sharded(&scenario, c, shards))
+        .map(|c| try_run_load_balance(&scenario, c))
         .collect::<Result<Vec<SimResult>, _>>()?;
     out.push_str(&render_sim_results(&results));
     Ok(out)
-}
-
-/// Parses the shared `--shards` flag (default 1; zero is an error).
-fn parse_shards(args: &Args) -> Result<usize, String> {
-    let shards: usize = args.get_or("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    Ok(shards)
 }
 
 /// `pgrid churn`
@@ -344,7 +348,6 @@ pub fn scenarios(args: Args) -> Result<String, String> {
     } else {
         Scale::Paper
     };
-    let shards = parse_shards(&args)?;
     args.reject_unknown()?;
     let specs = pgrid::scenarios::matching(&filter);
     if specs.is_empty() {
@@ -355,7 +358,7 @@ pub fn scenarios(args: Args) -> Result<String, String> {
         ));
     }
 
-    let cells = pgrid::experiments::scenario_suite_over_sharded(scale, seed, &specs, shards);
+    let cells = pgrid::experiments::scenario_suite_over(scale, seed, &specs);
     let mut out = format!(
         "scenario library: {} scenario(s), seed {seed} ({scale:?})\n\n",
         specs.len()
@@ -447,7 +450,7 @@ pub fn detector(args: Args) -> Result<String, String> {
     };
     args.reject_unknown()?;
 
-    let cells = pgrid::experiments::detector_suite_seeded(scale, seed);
+    let cells = pgrid::experiments::detector_suite(scale, seed);
     let mut out = format!("detector sweep: seed {seed} ({scale:?})\n\n");
     let mut table = Table::new([
         "stress",
@@ -540,7 +543,6 @@ pub fn fuzz(args: Args) -> Result<String, String> {
     let seeds: usize = args.get_or("seeds", 16)?;
     let budget: f64 = args.get_or("budget", 60.0)?;
     let out_dir = args.get("out").unwrap_or("results").to_string();
-    let shards = parse_shards(&args)?;
     args.reject_unknown()?;
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
@@ -553,7 +555,6 @@ pub fn fuzz(args: Args) -> Result<String, String> {
 
     let mut cfg = FuzzConfig::new(start, seeds);
     cfg.wall_budget = budget;
-    cfg.shards = shards;
     let summary = fuzz_search(&cfg);
 
     let mut out = format!(
@@ -629,7 +630,7 @@ pub fn trace(rest: &[String]) -> Result<String, CliError> {
             let count: usize = args.get_or("count", 1000)?;
             let dims: usize = args.get_or("dims", 11)?;
             let ratio: f64 = args.get_or("ratio", 0.6)?;
-            let ia: f64 = args.get_or("interarrival", 3.0)?;
+            let ia = interarrival_from(&args, 3.0)?;
             let seed: u64 = args.get_or("seed", 2011)?;
             let out_path = args.get("out").map(str::to_string);
             args.reject_unknown()?;
@@ -756,29 +757,19 @@ mod tests {
     }
 
     #[test]
-    fn simulate_sharded_output_matches_sequential() {
-        let base = [
-            "--nodes",
-            "40",
-            "--jobs",
-            "120",
-            "--interarrival",
-            "60",
-            "--scheduler",
-            "het",
-        ];
-        let seq = simulate(a(&base)).unwrap();
-        let mut sharded_args: Vec<&str> = base.to_vec();
-        sharded_args.extend(["--shards", "4"]);
-        let sharded = simulate(a(&sharded_args)).unwrap();
-        assert_eq!(seq, sharded, "sharded engine must be bit-identical");
-        assert!(simulate(a(&["--shards", "0"])).is_err());
-    }
-
-    #[test]
     fn simulate_rejects_bad_dims() {
         let err = simulate(a(&["--dims", "7"])).unwrap_err();
         assert!(err.message.contains("--dims"));
+        // Values the run cannot survive: it would panic, not return.
+        let err = simulate(a(&["--jobs", "0"])).unwrap_err();
+        assert!(err.message.contains("--jobs"), "{}", err.message);
+        let raw = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for bad in ["-1", "nan"] {
+            let err = simulate(a(&["--interarrival", bad])).unwrap_err();
+            assert!(err.message.contains("--interarrival"), "{}", err.message);
+            let err = trace(&raw(&["gen-jobs", "--interarrival", bad])).unwrap_err();
+            assert!(err.message.contains("--interarrival"), "{}", err.message);
+        }
     }
 
     #[test]
@@ -796,6 +787,8 @@ mod tests {
     fn simulate_rejects_unknown_flag() {
         let err = simulate(a(&["--bogus", "1"])).unwrap_err();
         assert!(err.message.contains("bogus"));
+        let err = simulate(a(&["--shards", "2"])).unwrap_err();
+        assert!(err.message.contains("shards"));
     }
 
     #[test]
@@ -901,6 +894,32 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.message.contains("cannot read") || err.message.contains("nonexistent"));
+    }
+
+    #[test]
+    fn trace_replay_rejects_unrunnable_job_records() {
+        let dir = std::env::temp_dir().join("pgrid_cli_bad_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let nodes_p = dir.join("nodes.trace");
+        let jobs_p = dir.join("jobs.trace");
+        let raw = |v: Vec<&str>| v.into_iter().map(String::from).collect::<Vec<_>>();
+        let nodes_arg = nodes_p.to_str().unwrap();
+        trace(&raw(vec!["gen-nodes", "--count", "20", "--out", nodes_arg])).unwrap();
+        // Records the event loop cannot run: it would panic, not return.
+        for bad in [
+            "job t=1 id=0 runtime=60\njob t=2 id=0 runtime=60\n",
+            "job t=NaN id=0 runtime=60\n",
+            "job t=-4 id=0 runtime=60\n",
+            "job t=1 id=0 runtime=-50\n",
+        ] {
+            std::fs::write(&jobs_p, bad).unwrap();
+            let jobs_arg = jobs_p.to_str().unwrap();
+            let err = trace(&raw(vec![
+                "replay", "--nodes", nodes_arg, "--jobs", jobs_arg,
+            ]))
+            .unwrap_err();
+            assert!(err.message.contains("trace line"), "{bad}: {}", err.message);
+        }
     }
 
     #[test]

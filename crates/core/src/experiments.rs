@@ -14,15 +14,14 @@
 //! deterministic, so results do not depend on scheduling).
 
 use crate::can::{
-    run_chaos, run_churn, run_schedule_sharded, uniform_coords, CanSim, ChaosConfig, ChaosReport,
+    run_chaos, run_churn, run_schedule, uniform_coords, CanSim, ChaosConfig, ChaosReport,
     ChurnConfig, ChurnReport, DetectorConfig, DetectorMode, HeartbeatScheme, ProtocolConfig,
     ScheduleReport,
 };
 use crate::scenarios::ScenarioSpec;
 use crate::sched::{
-    run_load_balance, run_load_balance_chaos_sharded, run_load_balance_overload,
-    run_load_balance_sharded, CrashChaosConfig, OverloadConfig, RecoveryStats, SchedulerChoice,
-    SimResult,
+    run_load_balance, run_load_balance_chaos, run_load_balance_overload, CrashChaosConfig,
+    OverloadConfig, RecoveryStats, SchedulerChoice, SimResult,
 };
 use crate::simcore::fault::LinkDegrade;
 use crate::simcore::SimRng;
@@ -245,19 +244,9 @@ pub const CHAOS_SEED: u64 = 41;
 /// scripted fault scenarios (crash flash crowd, rolling partition,
 /// 20 % loss + high churn) for every heartbeat scheme.
 ///
-/// Deterministic: the same scale always produces the same reports.
-/// Runs at the historical [`CHAOS_SEED`]; use [`chaos_suite_seeded`]
-/// to sweep other seeds.
-pub fn chaos_suite(scale: Scale) -> Vec<ChaosReport> {
-    chaos_suite_seeded(scale, CHAOS_SEED)
-}
-
-/// [`chaos_suite`] at an explicit scenario seed (the `chaos` binary's
-/// `--seed` flag lands here).
-///
 /// Deterministic: the same `(scale, seed)` pair always produces the
-/// same reports.
-pub fn chaos_suite_seeded(scale: Scale, seed: u64) -> Vec<ChaosReport> {
+/// same reports; [`CHAOS_SEED`] is the historical seed.
+pub fn chaos_suite(scale: Scale, seed: u64) -> Vec<ChaosReport> {
     let (nodes, settle) = match scale {
         Scale::Paper => (60, 300.0),
         Scale::Quick => (40, 120.0),
@@ -373,13 +362,7 @@ pub struct TakeoverCell {
 /// re-learn window (heirs resume with pre-crash knowledge) and carries
 /// the adopted zone's matchmaking aggregate through the crash, at a
 /// bounded heartbeat-traffic premium.
-pub fn takeover_suite(scale: Scale) -> Vec<TakeoverCell> {
-    takeover_suite_seeded(scale, TAKEOVER_SEED)
-}
-
-/// [`takeover_suite`] at an explicit seed (the `chaos` binary's
-/// `--seed` flag lands here).
-pub fn takeover_suite_seeded(scale: Scale, seed: u64) -> Vec<TakeoverCell> {
+pub fn takeover_suite(scale: Scale, seed: u64) -> Vec<TakeoverCell> {
     let (nodes, settle, repeats) = match scale {
         Scale::Paper => (60, 300.0, 5u64),
         Scale::Quick => (40, 120.0, 3u64),
@@ -568,13 +551,7 @@ fn run_detector_arm(
 /// adaptive+indirect strictly reduces false-positive expulsions under
 /// asymmetric link stress while never missing a real (long-freeze)
 /// failure.
-pub fn detector_suite(scale: Scale) -> Vec<DetectorCell> {
-    detector_suite_seeded(scale, DETECTOR_SEED)
-}
-
-/// [`detector_suite`] at an explicit seed (the `detector` binary's
-/// `--seed` flag lands here).
-pub fn detector_suite_seeded(scale: Scale, seed: u64) -> Vec<DetectorCell> {
+pub fn detector_suite(scale: Scale, seed: u64) -> Vec<DetectorCell> {
     let (nodes, stress_rounds, stresses, freezes): (usize, usize, Vec<f64>, Vec<f64>) = match scale
     {
         // Freeze levels bracket the 150 s fail timeout: 90 s must be
@@ -625,13 +602,6 @@ pub struct CrashRecoveryCell {
 /// fail-stop crashes, with the job-conservation ledger armed (the run
 /// panics if any job is lost or double-completed).
 pub fn crash_recovery_suite(scale: Scale) -> Vec<CrashRecoveryCell> {
-    crash_recovery_suite_sharded(scale, 1)
-}
-
-/// [`crash_recovery_suite`] on the sharded engine (the `chaos`
-/// binary's `--shards` flag lands here). Bit-identical to the
-/// sequential suite for every shard count.
-pub fn crash_recovery_suite_sharded(scale: Scale, shards: usize) -> Vec<CrashRecoveryCell> {
     let scenario = scenario_for(scale);
     let mean_interval = match scale {
         Scale::Paper => 600.0,
@@ -640,8 +610,8 @@ pub fn crash_recovery_suite_sharded(scale: Scale, shards: usize) -> Vec<CrashRec
     let chaos = CrashChaosConfig::new(mean_interval);
     let configs: Vec<SchedulerChoice> = SchedulerChoice::ALL.to_vec();
     parallel_map(configs, move |choice| {
-        let calm = run_load_balance_sharded(&scenario, choice, shards);
-        let stormy = run_load_balance_chaos_sharded(&scenario, choice, &chaos, shards);
+        let calm = run_load_balance(&scenario, choice);
+        let stormy = run_load_balance_chaos(&scenario, choice, &chaos);
         let stats = stormy
             .recovery
             .clone()
@@ -998,38 +968,14 @@ fn wait_shaping_delta(spec: &ScenarioSpec, scale: Scale, seed: u64) -> Option<Wa
     })
 }
 
-/// Scenario resilience suite: every registered scenario (see
-/// [`crate::scenarios::REGISTRY`]) compiled per scheme and seed, run
-/// through the full DST oracle harness, pooled across repeat seeds.
-pub fn scenario_suite(scale: Scale) -> Vec<ScenarioCell> {
-    scenario_suite_seeded(scale, SCENARIO_SEED)
-}
-
-/// [`scenario_suite`] at an explicit seed (the `scenarios` binary's
-/// `--seed` flag lands here).
-pub fn scenario_suite_seeded(scale: Scale, seed: u64) -> Vec<ScenarioCell> {
-    scenario_suite_over(scale, seed, &crate::scenarios::matching(""))
-}
-
-/// [`scenario_suite`] over an explicit subset of the registry (the
-/// `--scenario` filter lands here).
+/// Scenario resilience suite: each of `specs` (a subset of
+/// [`crate::scenarios::REGISTRY`]; the `--scenario` filter lands here)
+/// compiled per scheme and seed, run through the full DST oracle
+/// harness, pooled across repeat seeds.
 pub fn scenario_suite_over(
     scale: Scale,
     seed: u64,
     specs: &[&'static ScenarioSpec],
-) -> Vec<ScenarioCell> {
-    scenario_suite_over_sharded(scale, seed, specs, 1)
-}
-
-/// [`scenario_suite_over`] on the sharded engine (the `scenarios`
-/// binary's `--shards` flag lands here): each schedule runs with its
-/// DST oracle plane partitioned into `shards` zone-region shards.
-/// Bit-identical to the sequential suite for every shard count.
-pub fn scenario_suite_over_sharded(
-    scale: Scale,
-    seed: u64,
-    specs: &[&'static ScenarioSpec],
-    shards: usize,
 ) -> Vec<ScenarioCell> {
     let (nodes, repeats) = match scale {
         Scale::Paper => (48, 3u64),
@@ -1045,7 +991,7 @@ pub fn scenario_suite_over_sharded(
             }
         }
     }
-    let reports = parallel_map(configs, move |s| run_schedule_sharded(&s, shards));
+    let reports = parallel_map(configs, |s| run_schedule(&s));
     let per_arm = repeats as usize;
     let per_cell = HeartbeatScheme::ALL.len() * per_arm;
     specs
@@ -1159,7 +1105,7 @@ mod tests {
 
     #[test]
     fn detector_sweep_separates_adaptive_from_fixed() {
-        let cells = detector_suite(Scale::Quick);
+        let cells = detector_suite(Scale::Quick, DETECTOR_SEED);
         assert_eq!(cells.len(), 4, "2 stress × 2 freeze levels");
         for cell in &cells {
             // The adaptive pipeline never expels *more* live nodes than
@@ -1218,7 +1164,7 @@ mod tests {
 
     #[test]
     fn quick_takeover_suite_shows_replication_payoff() {
-        let cells = takeover_suite(Scale::Quick);
+        let cells = takeover_suite(Scale::Quick, TAKEOVER_SEED);
         assert_eq!(cells.len(), 3, "one cell per heartbeat scheme");
         for cell in &cells {
             assert!(

@@ -23,8 +23,8 @@
 
 use crate::can;
 use crate::sched::{
-    bounded_queue_violation, retry_storm_violation, run_load_balance_chaos_sharded,
-    run_load_balance_overload_sharded, CrashChaosConfig, OverloadConfig, OverloadStats, SimResult,
+    bounded_queue_violation, retry_storm_violation, run_load_balance_chaos,
+    run_load_balance_overload, CrashChaosConfig, OverloadConfig, OverloadStats, SimResult,
 };
 use crate::simcore::dst::{generate, shrink, FaultSchedule, Fnv, ScheduleBudget};
 use crate::workload::default_scenario;
@@ -61,25 +61,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// digest of everything observed. Deterministic: same schedule, same
 /// report, bit for bit.
 pub fn run_case(schedule: &FaultSchedule) -> CaseReport {
-    run_case_sharded(schedule, 1)
-}
-
-/// [`run_case`] on the sharded engines: the CAN phase partitions its
-/// oracle observation plane into `shards` zone regions
-/// ([`can::dst::run_schedule_sharded`]) and the sched phase runs on
-/// the sharded event loop ([`run_load_balance_overload_sharded`] /
-/// [`run_load_balance_chaos_sharded`]). Reports are bit-identical to
-/// [`run_case`] for every shard count — the multi-shard DST gate in
-/// `tests/shard_equivalence.rs` pins exactly that.
-pub fn run_case_sharded(schedule: &FaultSchedule, shards: usize) -> CaseReport {
     let mut violations = Vec::new();
     let mut digest = Fnv::new();
     let mut broken_peak = 0usize;
     let mut overload_stats = None;
 
-    match catch_unwind(AssertUnwindSafe(|| {
-        can::dst::run_schedule_sharded(schedule, shards)
-    })) {
+    match catch_unwind(AssertUnwindSafe(|| can::dst::run_schedule(schedule))) {
         Ok(report) => {
             broken_peak = report.broken_peak;
             violations.extend(report.violations.iter().cloned());
@@ -93,7 +80,7 @@ pub fn run_case_sharded(schedule: &FaultSchedule, shards: usize) -> CaseReport {
     }
 
     if schedule.sched_crash_interval.is_some() || schedule.overload.is_some() {
-        match catch_unwind(AssertUnwindSafe(|| run_sched_phase(schedule, shards))) {
+        match catch_unwind(AssertUnwindSafe(|| run_sched_phase(schedule))) {
             Ok((result, jobs, chaos, overload)) => {
                 check_sched_oracles(
                     &result,
@@ -129,7 +116,6 @@ pub fn run_case_sharded(schedule: &FaultSchedule, shards: usize) -> CaseReport {
 /// one seed.
 fn run_sched_phase(
     schedule: &FaultSchedule,
-    shards: usize,
 ) -> (
     SimResult,
     usize,
@@ -152,10 +138,8 @@ fn run_sched_phase(
     // therefore digests); `run_load_balance_overload` is entered only
     // when the schedule actually arms overload control.
     let result = match (&chaos, &overload) {
-        (_, Some(o)) => {
-            run_load_balance_overload_sharded(&scenario, choice, chaos.as_ref(), o, shards)
-        }
-        (Some(c), None) => run_load_balance_chaos_sharded(&scenario, choice, c, shards),
+        (_, Some(o)) => run_load_balance_overload(&scenario, choice, chaos.as_ref(), o),
+        (Some(c), None) => run_load_balance_chaos(&scenario, choice, c),
         (None, None) => unreachable!("sched phase gated on sched/overload records"),
     };
     (result, scenario.jobs, chaos, overload)
@@ -294,10 +278,6 @@ pub struct FuzzConfig {
     pub wall_budget: f64,
     /// Replay-probe budget handed to the shrinker on failure.
     pub shrink_probes: usize,
-    /// Zone shards for the sharded engine. Every case digest is
-    /// bit-identical across shard counts, so this changes how a sweep
-    /// executes, never what it finds.
-    pub shards: usize,
 }
 
 impl FuzzConfig {
@@ -310,7 +290,6 @@ impl FuzzConfig {
             budget: ScheduleBudget::smoke(),
             wall_budget: 120.0,
             shrink_probes: 256,
-            shards: 1,
         }
     }
 }
@@ -378,7 +357,7 @@ pub fn fuzz_search(cfg: &FuzzConfig) -> FuzzSummary {
             break;
         }
         let schedule = generate(seed, &cfg.budget);
-        let report = run_case_sharded(&schedule, cfg.shards);
+        let report = run_case(&schedule);
         if report.violations.is_empty() {
             runs.push(SeedRun {
                 seed,
@@ -391,12 +370,10 @@ pub fn fuzz_search(cfg: &FuzzConfig) -> FuzzSummary {
             continue;
         }
         let outcome = shrink(&schedule, cfg.shrink_probes, |candidate| {
-            !run_case_sharded(candidate, cfg.shards)
-                .violations
-                .is_empty()
+            !run_case(candidate).violations.is_empty()
         });
         let mut shrunk = outcome.schedule;
-        let shrunk_report = run_case_sharded(&shrunk, cfg.shards);
+        let shrunk_report = run_case(&shrunk);
         shrunk.expect_digest = Some(shrunk_report.digest);
         return FuzzSummary {
             runs,

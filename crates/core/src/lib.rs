@@ -57,21 +57,18 @@ pub mod prelude {
         ChurnReport, DetectorConfig, DetectorMode, HeartbeatScheme, PartitionSpec, ProtocolConfig,
         WireModel,
     };
-    pub use crate::can::{run_schedule, run_schedule_sharded, scheme_from_label, ScheduleReport};
+    pub use crate::can::{run_schedule, scheme_from_label, ScheduleReport};
     pub use crate::experiments::{self, Scale};
     pub use crate::fuzz::{
-        fuzz_search, replay_trace, run_case, run_case_sharded, CaseReport, FuzzConfig, FuzzFailure,
-        FuzzSummary,
+        fuzz_search, replay_trace, run_case, CaseReport, FuzzConfig, FuzzFailure, FuzzSummary,
     };
     pub use crate::metrics::{Cdf, CsvWriter, Summary, Table, TimeSeries};
     pub use crate::scenarios::{self, ScenarioSpec};
     pub use crate::sched::{
-        run_load_balance, run_load_balance_ablated, run_load_balance_chaos,
-        run_load_balance_chaos_sharded, run_load_balance_overload_sharded,
-        run_load_balance_sharded, try_run_load_balance_sharded, AiEntry, AiGrouping, AiTable,
-        BuildError, CentralMatchmaker, CrashChaosConfig, GridShards, HetFeatures, Matchmaker,
-        PushParams, PushingMatchmaker, RecoveryStats, SchedulerChoice, SimResult, StaticGrid,
-        SuspicionConfig,
+        run_load_balance, run_load_balance_ablated, run_load_balance_chaos, try_run_load_balance,
+        AiEntry, AiGrouping, AiTable, BuildError, CentralMatchmaker, CrashChaosConfig, GridShards,
+        HetFeatures, Matchmaker, PushParams, PushingMatchmaker, RecoveryStats, SchedulerChoice,
+        SimResult, StaticGrid, SuspicionConfig,
     };
     pub use crate::simcore::{
         EventQueue, FaultSchedule, Fnv, ScheduleBudget, ScheduleMacro, SimRng, TraceParseError,

@@ -2,27 +2,18 @@
 //! Poisson job arrivals → matchmaking → FIFO queues → execution scaled
 //! by the dominant CE's clock → per-job wait times.
 //!
-//! # Sharded deterministic-parallel engine
+//! # Zone-region lanes
 //!
 //! The event loop runs on a [`ShardedQueue`]: one *coordinator* lane
 //! (lane 0) for global events — arrivals, aggregate refreshes,
-//! evictions, crashes, loss detections, which read or mutate
-//! grid-global state and shared RNG streams — and one lane per zone
-//! shard for node-local events (job finishes and node restores, whose
-//! `start_ready` chains never leave their node). Lanes share a single
-//! sequence counter, so the K-way merge pops events in *exactly* the
-//! order a single queue would: the shard count changes where events
-//! are stored and where barrier-phase work runs, never the trajectory.
-//! That is the bit-identical equivalence the cross-shard test suite
-//! pins (`tests/shard_equivalence.rs`).
-//!
-//! Synchronization is conservative with the aggregate-refresh period
-//! as the time window: between refresh barriers the merged loop applies
-//! events in canonical `(time, sequence)` order. At each barrier the
-//! aggregate snapshot is taken on the coordinator — it costs what the
-//! period's churn costs, not the grid — and the one fan-out phase left,
-//! the overload depth scan, is partitioned by zone region and executed
-//! on shard threads, its per-shard maxima reduced in shard order
+//! evictions, crashes, loss detections — and, under
+//! [`run_trace_sharded`], one lane per zone region for node-local
+//! events (job finishes and node restores, whose `start_ready` chains
+//! never leave their node). Lanes share a single sequence counter, so
+//! the K-way merge pops events in *exactly* the order a single queue
+//! would: the lane count changes where events are stored, never the
+//! trajectory (`tests/shard_equivalence.rs`). Every entry point but
+//! that one runs on one node lane, and nothing runs on a second thread
 //! (`DESIGN.md` §15).
 
 use crate::grid::{BuildError, StaticGrid};
@@ -31,7 +22,7 @@ use crate::matchmakers::{
 };
 use crate::sharding::GridShards;
 use pgrid_metrics::{Cdf, Summary};
-use pgrid_simcore::shard::{run_lanes, ShardedQueue};
+use pgrid_simcore::shard::ShardedQueue;
 use pgrid_simcore::SimRng;
 use pgrid_types::{DimensionLayout, JobId, JobSpec, NodeId};
 use pgrid_workload::nodegen::generate_nodes;
@@ -165,29 +156,17 @@ impl SimResult {
 /// Runs one complete load-balancing simulation for a scenario and
 /// scheduler, draining every job to completion.
 pub fn run_load_balance(scenario: &LoadBalanceScenario, choice: SchedulerChoice) -> SimResult {
-    run_load_balance_sharded(scenario, choice, 1)
+    run_scenario(scenario, choice, None, None).expect(UNBUILDABLE)
 }
 
-/// [`run_load_balance`] on the sharded engine with `shards` zone
-/// shards. Bit-identical to the sequential run for every shard count;
-/// `shards <= 1` *is* the sequential run.
-pub fn run_load_balance_sharded(
+/// [`run_load_balance`] for scenarios that come from outside the
+/// program (`pgrid simulate`): a population no grid can be built from
+/// is an error, not a panic.
+pub fn try_run_load_balance(
     scenario: &LoadBalanceScenario,
     choice: SchedulerChoice,
-    shards: usize,
-) -> SimResult {
-    try_run_load_balance_sharded(scenario, choice, shards).expect(UNBUILDABLE)
-}
-
-/// [`run_load_balance_sharded`] for scenarios that come from outside
-/// the program (`pgrid simulate`): a population no grid can be built
-/// from is an error, not a panic.
-pub fn try_run_load_balance_sharded(
-    scenario: &LoadBalanceScenario,
-    choice: SchedulerChoice,
-    shards: usize,
 ) -> Result<SimResult, BuildError> {
-    run_scenario(scenario, choice, None, None, shards)
+    run_scenario(scenario, choice, None, None)
 }
 
 /// The shared body of the scenario entry points.
@@ -196,7 +175,6 @@ fn run_scenario(
     choice: SchedulerChoice,
     chaos: Option<&CrashChaosConfig>,
     overload: Option<&OverloadConfig>,
-    shards: usize,
 ) -> Result<SimResult, BuildError> {
     let (mut grid, jobs) = instantiate(scenario)?;
     let params = push_params(scenario);
@@ -215,7 +193,7 @@ fn run_scenario(
         scenario.eviction.as_ref(),
         chaos,
         overload,
-        shards,
+        1,
     ))
 }
 
@@ -262,18 +240,7 @@ pub fn run_load_balance_chaos(
     choice: SchedulerChoice,
     chaos: &CrashChaosConfig,
 ) -> SimResult {
-    run_load_balance_chaos_sharded(scenario, choice, chaos, 1)
-}
-
-/// [`run_load_balance_chaos`] on the sharded engine; see
-/// [`run_load_balance_sharded`] for the equivalence contract.
-pub fn run_load_balance_chaos_sharded(
-    scenario: &LoadBalanceScenario,
-    choice: SchedulerChoice,
-    chaos: &CrashChaosConfig,
-    shards: usize,
-) -> SimResult {
-    run_scenario(scenario, choice, Some(chaos), None, shards).expect(UNBUILDABLE)
+    run_scenario(scenario, choice, Some(chaos), None).expect(UNBUILDABLE)
 }
 
 /// Overload entry point: the scenario's workload with the overload
@@ -288,19 +255,7 @@ pub fn run_load_balance_overload(
     chaos: Option<&CrashChaosConfig>,
     overload: &OverloadConfig,
 ) -> SimResult {
-    run_load_balance_overload_sharded(scenario, choice, chaos, overload, 1)
-}
-
-/// [`run_load_balance_overload`] on the sharded engine; see
-/// [`run_load_balance_sharded`] for the equivalence contract.
-pub fn run_load_balance_overload_sharded(
-    scenario: &LoadBalanceScenario,
-    choice: SchedulerChoice,
-    chaos: Option<&CrashChaosConfig>,
-    overload: &OverloadConfig,
-    shards: usize,
-) -> SimResult {
-    run_scenario(scenario, choice, chaos, Some(overload), shards).expect(UNBUILDABLE)
+    run_scenario(scenario, choice, chaos, Some(overload)).expect(UNBUILDABLE)
 }
 
 /// Ablation entry point: can-het with selected features disabled.
@@ -339,8 +294,9 @@ pub fn run_trace(
     run_trace_sharded(grid, matchmaker, jobs, ai_refresh_period, seed, choice, 1)
 }
 
-/// [`run_trace`] on the sharded engine; see
-/// [`run_load_balance_sharded`] for the equivalence contract.
+/// [`run_trace`] with the node-local events spread over `shards` zone
+/// regions' queue lanes. Bit-identical to [`run_trace`] for every
+/// count (module docs); `shards <= 1` *is* [`run_trace`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_trace_sharded(
     grid: &mut StaticGrid,
@@ -383,7 +339,7 @@ fn run_with(
     // Lane 0 is the coordinator (global events); lane 1 + s holds the
     // node-local events of zone shard s. The shared sequence counter
     // makes the K-way merge order identical to a single queue, so the
-    // shard count never changes the trajectory (module docs).
+    // lane count never changes the trajectory (module docs).
     let gs: Option<GridShards> = (shards > 1).then(|| GridShards::build(grid, shards));
     let mut queue: ShardedQueue<Ev> = ShardedQueue::new(1 + shards.max(1));
     let lane_of = |node: NodeId| -> usize { 1 + gs.as_ref().map_or(0, |g| g.lane_of(node)) };
@@ -493,30 +449,10 @@ fn run_with(
                     None => matchmaker.refresh(grid, now),
                 }
                 if armed.is_some() {
-                    // Barrier-phase depth scan: per-shard maxima on
-                    // shard threads, reduced in shard order (max is
-                    // order-insensitive, so this is trivially
-                    // canonical).
-                    let gref = &*grid;
-                    let depth = match &gs {
-                        Some(g) => {
-                            let members = &g.assignment.members;
-                            run_lanes(g.shards(), members.len(), |s| {
-                                members[s]
-                                    .iter()
-                                    .map(|&i| gref.runtime(NodeId(i as u32)).queued_count())
-                                    .max()
-                                    .unwrap_or(0)
-                            })
-                            .into_iter()
-                            .max()
-                            .unwrap_or(0)
-                        }
-                        None => (0..gref.len())
-                            .map(|i| gref.runtime(NodeId(i as u32)).queued_count())
-                            .max()
-                            .unwrap_or(0),
-                    };
+                    let depth = (0..grid.len())
+                        .map(|i| grid.runtime(NodeId(i as u32)).queued_count())
+                        .max()
+                        .unwrap_or(0);
                     ov_stats.max_boundary_depth = ov_stats.max_boundary_depth.max(depth as u64);
                 }
                 if remaining > 0 {
@@ -1072,28 +1008,6 @@ mod tests {
         // can-hom on the same workload.
         let hom = run_load_balance(&s, SchedulerChoice::CanHom);
         assert!(cv < hom.busy_time_cv() * 3.0 + 1.0);
-    }
-
-    /// The headline engine property at unit scale: every shard count
-    /// replays the sequential trajectory bit-for-bit (the full matrix
-    /// lives in `tests/shard_equivalence.rs`).
-    #[test]
-    fn sharded_runs_match_sequential_bit_for_bit() {
-        let s = tiny();
-        let seq = run_load_balance(&s, SchedulerChoice::CanHet);
-        for shards in [1usize, 2, 4, 8] {
-            let sh = run_load_balance_sharded(&s, SchedulerChoice::CanHet, shards);
-            assert_eq!(seq.wait_times, sh.wait_times, "shards={shards}");
-            assert_eq!(seq.makespan, sh.makespan, "shards={shards}");
-            assert_eq!(seq.events_fired, sh.events_fired, "shards={shards}");
-            assert_eq!(seq.placed_nodes, sh.placed_nodes, "shards={shards}");
-            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-            assert_eq!(
-                bits(&seq.node_busy_seconds),
-                bits(&sh.node_busy_seconds),
-                "shards={shards}"
-            );
-        }
     }
 
     #[test]

@@ -56,11 +56,12 @@ pub trait Matchmaker {
     fn place(&mut self, grid: &StaticGrid, job: &JobSpec, rng: &mut SimRng) -> Placement;
     /// Periodic refresh hook (aggregated load information).
     fn refresh(&mut self, _grid: &StaticGrid, _now: f64) {}
-    /// [`Matchmaker::refresh`] as the sharded engine calls it at a
-    /// barrier, with the zone-region shard context. Must be
-    /// bit-identical to the sequential refresh. The default delegates
-    /// to it and no matchmaker here overrides that: the aggregate
-    /// snapshot is too cheap to fan out.
+    /// [`Matchmaker::refresh`] as [`crate::run_trace_sharded`] calls it,
+    /// with the zone-region lane assignment. Must be bit-identical to
+    /// the sequential refresh. The default delegates to it and no
+    /// matchmaker here overrides that: the aggregate snapshot is too
+    /// cheap to fan out, so despite the name nothing is threaded. The
+    /// hook stays because the repo benchmark times it.
     fn refresh_threaded(&mut self, grid: &StaticGrid, now: f64, _shards: &crate::GridShards) {
         self.refresh(grid, now);
     }

@@ -1,14 +1,13 @@
-//! Zone-region shard context for a built grid.
+//! Zone-region lane assignment for a built grid.
 //!
-//! The sharded engine partitions work by CAN coordinate region: a
-//! [`RegionPartition`] tiles the unit torus with `S` hyper-rectangles,
-//! and every node is owned by the shard whose region contains its
-//! zone's lower corner (a point inside the zone, so ownership follows
-//! the zone tiling exactly). [`GridShards`] bundles the partition with
-//! the concrete node→shard assignment for one grid; it is rebuilt from
-//! scratch whenever membership changes, so repartitioning after churn
-//! can never orphan or double-assign a node — the assignment is a pure
-//! function of the current zone map.
+//! [`crate::run_trace_sharded`] lays its event queue out by CAN
+//! coordinate region: a [`RegionPartition`] tiles the unit torus with
+//! `S` hyper-rectangles, and every node is owned by the shard whose
+//! region contains its zone's lower corner (a point inside the zone, so
+//! ownership follows the zone tiling exactly). [`GridShards`] bundles
+//! the partition with the concrete node→shard assignment for one grid —
+//! a pure function of the zone map, so it can never orphan or
+//! double-assign a node.
 
 use crate::grid::StaticGrid;
 use pgrid_simcore::shard::{RegionPartition, ShardAssignment};

@@ -18,17 +18,13 @@
 //! * [`dst`] — deterministic-simulation-testing primitives: seeded
 //!   random fault schedules under a [`dst::ScheduleBudget`], a
 //!   replayable text trace format, and a delta-debugging shrinker;
-//! * [`shard`] — zone-region sharding for deterministic-parallel
-//!   execution: a hyper-rectangular [`shard::RegionPartition`] of the
-//!   unit torus, a lane-partitioned [`shard::ShardedQueue`] whose
-//!   shared sequence counter makes the K-way merge bit-identical to a
-//!   single queue, and a conservative time-window engine whose
-//!   barriers apply cross-shard messages in canonical
-//!   `(time, shard, sequence)` order.
+//! * [`shard`] — zone-region lanes: a hyper-rectangular
+//!   [`shard::RegionPartition`] of the unit torus and a
+//!   lane-partitioned [`shard::ShardedQueue`] whose shared sequence
+//!   counter makes the K-way merge bit-identical to a single queue.
 //!
-//! Simulations in this workspace are deterministic by construction:
-//! single-threaded runs and sharded runs replay the same trajectory
-//! bit-for-bit, which the cross-shard equivalence suite pins.
+//! Simulations in this workspace are deterministic by construction and
+//! each one runs on a single thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

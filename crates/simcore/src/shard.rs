@@ -1,4 +1,5 @@
-//! Zone-region sharding for deterministic-parallel simulation.
+//! Zone-region lanes: a partition of the CAN coordinate space and an
+//! event queue laid out along it.
 //!
 //! The CAN overlay tiles the unit torus `[0,1)^d` with hyper-rectangular
 //! zones, which makes the coordinate space a natural partition key: a
@@ -8,28 +9,17 @@
 //! shard by construction (the lookup walks the split tree, so even
 //! degenerate cuts cannot orphan or double-assign a point).
 //!
-//! On top of the partition sit the two execution primitives the sharded
-//! engine uses:
+//! [`ShardedQueue`] keeps one event lane per shard plus a coordinator
+//! lane, merged by a strict `(time, seq)` K-way merge with a *shared*
+//! sequence counter. Because the counter is shared, the merged order is
+//! identical to a single [`crate::EventQueue`] no matter how many lanes
+//! exist: the lane count changes where an event is stored, never when
+//! it fires.
 //!
-//! * [`ShardedQueue`] — one event lane per shard plus a coordinator
-//!   lane, merged by a strict `(time, seq)` K-way merge with a *shared*
-//!   sequence counter. Because the counter is shared, the merged order
-//!   is identical to a single [`crate::EventQueue`] no matter how many
-//!   lanes exist: shard-count 1 and shard-count N replay the same
-//!   trajectory bit-for-bit when scheduling happens on one thread.
-//! * [`run_windows`] — a conservative time-window engine: each lane
-//!   drains its own queue up to the next window edge (optionally on its
-//!   own thread), cross-lane messages are buffered in per-lane outboxes
-//!   and exchanged only at window barriers, where they are applied in
-//!   the canonical `(time, source lane, source sequence)` order. The
-//!   canonical apply makes results independent of thread scheduling and
-//!   of the order outboxes happen to be collected in.
-//!
-//! The conservative-synchronization contract: a cross-lane message
-//! emitted inside a window must fire no earlier than the window edge
-//! (the window width is a lookahead bound). [`Emitter::send`] enforces
-//! this with an assertion, because a violation would silently reorder
-//! the simulation.
+//! Everything here runs on the caller's thread. The window engine and
+//! thread fan-out that once sat on top of the lanes measured 0.93–1.08×
+//! and are gone (`DESIGN.md` §15); the lanes stay because the repo
+//! benchmark's `fig5_sharded` workload measures them.
 
 use crate::event::SimTime;
 use std::cmp::Ordering;
@@ -318,8 +308,7 @@ impl<E> Ord for LaneEntry<E> {
 /// sequence counter is shared across lanes, the merged pop order is
 /// *identical* to a single [`crate::EventQueue`] fed the same schedule
 /// calls — the lane structure changes where events are stored, never
-/// when they fire. That is the property the shard-count-1 golden-digest
-/// pins rely on.
+/// when they fire (`tests/shard_equivalence.rs` pins it end to end).
 ///
 /// ```
 /// use pgrid_simcore::shard::ShardedQueue;
@@ -459,310 +448,10 @@ impl<E> ShardedQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Conservative window engine
-// ---------------------------------------------------------------------------
-
-/// A cross-lane message buffered in an outbox until the next barrier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossMsg<E> {
-    /// Absolute firing time at the destination.
-    pub time: SimTime,
-    /// Destination lane.
-    pub dst: usize,
-    /// Source lane (first canonical tie-break).
-    pub src: usize,
-    /// Source-lane emission sequence (second canonical tie-break).
-    pub src_seq: u64,
-    /// The payload event.
-    pub event: E,
-}
-
-/// Sorts cross-lane messages into the canonical apply order:
-/// `(time, source lane, source sequence)`.
-///
-/// Applying messages in this order makes barrier delivery independent
-/// of the order lanes were drained in — the schedule-independence
-/// property the barrier-ordering proptest pins.
-pub fn canonical_sort<E>(msgs: &mut [CrossMsg<E>]) {
-    msgs.sort_by(|a, b| {
-        a.time
-            .total_cmp(&b.time)
-            .then_with(|| a.src.cmp(&b.src))
-            .then_with(|| a.src_seq.cmp(&b.src_seq))
-    });
-}
-
-/// Per-lane event queue used by [`run_windows`].
-///
-/// Unlike [`ShardedQueue`], each lane carries its *own* sequence
-/// counter, so lanes can be drained concurrently without sharing
-/// state; determinism across lanes is restored at barriers by the
-/// canonical apply order.
-pub struct LaneQueue<E> {
-    heap: BinaryHeap<LaneEntry<E>>,
-    next_seq: u64,
-    now: SimTime,
-    popped: u64,
-}
-
-impl<E> Default for LaneQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> LaneQueue<E> {
-    /// An empty lane queue at time 0.
-    pub fn new() -> Self {
-        LaneQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: 0.0,
-            popped: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `time` on this lane.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        assert!(time.is_finite(), "event time must be finite, got {time}");
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: t={time} < now={}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(LaneEntry { time, seq, event });
-    }
-
-    /// Events fired on this lane so far.
-    #[inline]
-    pub fn fired(&self) -> u64 {
-        self.popped
-    }
-
-    /// Firing time of this lane's next event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn pop_before(&mut self, edge: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek().map(|e| e.time < edge) != Some(true) {
-            return None;
-        }
-        let e = self.heap.pop().expect("peeked entry exists");
-        self.now = e.time;
-        self.popped += 1;
-        Some((e.time, e.event))
-    }
-}
-
-/// Handle through which a window handler schedules follow-up work.
-pub struct Emitter<'a, E> {
-    lane: usize,
-    edge: SimTime,
-    queue: &'a mut LaneQueue<E>,
-    outbox: &'a mut Vec<CrossMsg<E>>,
-    emit_seq: &'a mut u64,
-}
-
-impl<E> Emitter<'_, E> {
-    /// Schedules `event` on the handler's own lane at time `time`.
-    pub fn local(&mut self, time: SimTime, event: E) {
-        self.queue.schedule(time, event);
-    }
-
-    /// Sends `event` to lane `dst` at time `time`, buffered until the
-    /// window barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the current window edge: the
-    /// window width is the engine's lookahead bound, and a cross-lane
-    /// message inside the current window would be a causality
-    /// violation under conservative synchronization.
-    pub fn send(&mut self, dst: usize, time: SimTime, event: E) {
-        assert!(
-            time >= self.edge,
-            "cross-lane message at t={time} violates the window edge {}: \
-             window width must not exceed the minimum cross-shard latency",
-            self.edge
-        );
-        let src_seq = *self.emit_seq;
-        *self.emit_seq += 1;
-        self.outbox.push(CrossMsg {
-            time,
-            dst,
-            src: self.lane,
-            src_seq,
-            event,
-        });
-    }
-}
-
-/// Runs lanes under conservative time-window synchronization until all
-/// queues drain or `horizon` is reached; returns total events fired.
-///
-/// Each round: every lane independently drains its queue up to the next
-/// window edge (`k * window`), handing each event to `handler` together
-/// with the lane's mutable state and an [`Emitter`]. When `parallel` is
-/// true each lane drains on its own scoped thread; either way the
-/// per-lane work is identical because lanes share nothing inside a
-/// window. At the barrier the collected outboxes are applied in
-/// [`canonical_sort`] order, so the result is independent of thread
-/// scheduling and collection order.
-pub fn run_windows<E, L, F>(
-    states: &mut [L],
-    queues: &mut [LaneQueue<E>],
-    window: SimTime,
-    horizon: SimTime,
-    parallel: bool,
-    handler: F,
-) -> u64
-where
-    E: Send,
-    L: Send,
-    F: Fn(usize, &mut L, SimTime, E, &mut Emitter<'_, E>) + Sync,
-{
-    assert_eq!(states.len(), queues.len(), "one state per lane");
-    assert!(
-        window > 0.0 && window.is_finite(),
-        "window must be positive"
-    );
-    let parallel = parallel && host_threads() > 1;
-    let lanes = states.len();
-    let mut emit_seqs = vec![0u64; lanes];
-    let mut edge = window;
-    while edge <= horizon + window {
-        if queues.iter().all(|q| q.heap.is_empty()) {
-            break;
-        }
-        // Skip empty windows: jump straight to the window containing
-        // the earliest pending event.
-        if let Some(first) = queues
-            .iter()
-            .filter_map(|q| q.peek_time())
-            .min_by(|a, b| a.total_cmp(b))
-        {
-            if first >= edge {
-                let k = (first / window).floor() as u64 + 1;
-                edge = k as SimTime * window;
-            }
-        }
-        let drain_one = |lane: usize,
-                         state: &mut L,
-                         queue: &mut LaneQueue<E>,
-                         emit_seq: &mut u64|
-         -> Vec<CrossMsg<E>> {
-            let mut outbox = Vec::new();
-            while let Some((t, ev)) = queue.pop_before(edge) {
-                let mut em = Emitter {
-                    lane,
-                    edge,
-                    queue,
-                    outbox: &mut outbox,
-                    emit_seq,
-                };
-                handler(lane, state, t, ev, &mut em);
-            }
-            outbox
-        };
-        let mut outboxes: Vec<Vec<CrossMsg<E>>> = if parallel && lanes > 1 {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(lanes);
-                for (((lane, state), queue), emit_seq) in states
-                    .iter_mut()
-                    .enumerate()
-                    .zip(queues.iter_mut())
-                    .zip(emit_seqs.iter_mut())
-                {
-                    handles.push(scope.spawn(move || drain_one(lane, state, queue, emit_seq)));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("lane drain panicked"))
-                    .collect()
-            })
-        } else {
-            states
-                .iter_mut()
-                .enumerate()
-                .zip(queues.iter_mut())
-                .zip(emit_seqs.iter_mut())
-                .map(|(((lane, state), queue), emit_seq)| drain_one(lane, state, queue, emit_seq))
-                .collect()
-        };
-        // Barrier: apply cross-lane messages in canonical order.
-        let mut cross: Vec<CrossMsg<E>> = outboxes.drain(..).flatten().collect();
-        canonical_sort(&mut cross);
-        for msg in cross {
-            queues[msg.dst].schedule(msg.time, msg.event);
-        }
-        edge += window;
-    }
-    queues.iter().map(|q| q.fired()).sum()
-}
-
-// ---------------------------------------------------------------------------
-// Lane fan-out helper
-// ---------------------------------------------------------------------------
-
-/// Usable hardware parallelism. Worker-thread requests are clamped to
-/// this so a shard count above the core count degrades to sequential
-/// execution instead of paying spawn overhead for no gain — results
-/// are positionally identical either way.
+/// Usable hardware parallelism of the measurement host, recorded
+/// beside wall-clock rows by `perf --scaling` and the repo benchmark.
 pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Runs `f(lane)` for every lane in `0..lanes`, returning results in
-/// lane order.
-///
-/// With `threads <= 1` (or a single lane) this is a plain sequential
-/// loop; otherwise lanes are claimed from an atomic counter by up to
-/// `min(threads, lanes)` scoped threads. The output is positionally
-/// identical either way, so callers may treat thread count as a pure
-/// performance knob — which is exactly how the sharded barrier phases
-/// use it.
-pub fn run_lanes<R: Send>(threads: usize, lanes: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = threads.min(host_threads());
-    if threads <= 1 || lanes <= 1 {
-        return (0..lanes).map(f).collect();
-    }
-    // Same shape as core's parallel_map: claim indexes from an atomic
-    // counter, accumulate (index, result) pairs locally, merge after
-    // the joins so no results lock is ever contended.
-    let workers = threads.min(lanes);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut merged: Vec<Option<R>> = (0..lanes).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= lanes {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("lane worker panicked") {
-                merged[i] = Some(r);
-            }
-        }
-    });
-    merged
-        .into_iter()
-        .map(|r| r.expect("every lane produced a result"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -843,99 +532,5 @@ mod tests {
         q.schedule(0, 10.0, ());
         q.pop();
         q.schedule(1, 5.0, ());
-    }
-
-    #[test]
-    fn canonical_sort_is_permutation_invariant() {
-        let mk = |time, src, src_seq| CrossMsg {
-            time,
-            dst: 0,
-            src,
-            src_seq,
-            event: (),
-        };
-        let base = vec![
-            mk(2.0, 1, 0),
-            mk(1.0, 2, 3),
-            mk(1.0, 0, 1),
-            mk(1.0, 0, 0),
-            mk(2.0, 0, 5),
-        ];
-        let mut a = base.clone();
-        let mut b: Vec<_> = base.into_iter().rev().collect();
-        canonical_sort(&mut a);
-        canonical_sort(&mut b);
-        assert_eq!(a, b);
-    }
-
-    /// Toy world: each lane holds a counter; events ping-pong between
-    /// lanes across windows. Sequential and parallel drains must agree.
-    #[test]
-    fn window_engine_parallel_matches_sequential() {
-        #[derive(Clone)]
-        struct Lane {
-            digest: u64,
-        }
-        let lanes = 4usize;
-        let run = |parallel: bool| -> (u64, Vec<u64>) {
-            let mut states: Vec<Lane> = (0..lanes).map(|_| Lane { digest: 0xcbf29ce4 }).collect();
-            let mut queues: Vec<LaneQueue<u64>> = (0..lanes).map(|_| LaneQueue::new()).collect();
-            for (l, q) in queues.iter_mut().enumerate() {
-                q.schedule(0.1 + l as f64 * 0.05, l as u64);
-            }
-            let fired = run_windows(
-                &mut states,
-                &mut queues,
-                1.0,
-                40.0,
-                parallel,
-                |lane, state, t, ev, em| {
-                    state.digest = state
-                        .digest
-                        .wrapping_mul(0x100000001b3)
-                        .wrapping_add(ev ^ t.to_bits());
-                    if t < 30.0 {
-                        // Local follow-up inside the window plus a
-                        // cross-lane send landing beyond the edge.
-                        if ev % 3 == 0 {
-                            em.local(t + 0.25, ev.wrapping_mul(7) % 100);
-                        }
-                        let dst = (lane + 1 + (ev as usize % (lanes - 1))) % lanes;
-                        em.send(dst, t.floor() + 1.0 + (ev % 5) as f64 * 0.3, ev + 1);
-                    }
-                },
-            );
-            (fired, states.into_iter().map(|s| s.digest).collect())
-        };
-        let seq = run(false);
-        let par = run(true);
-        assert_eq!(seq, par, "parallel window drain must be bit-identical");
-        assert!(seq.0 > 100, "toy world should generate real traffic");
-    }
-
-    #[test]
-    #[should_panic(expected = "window edge")]
-    fn cross_lane_send_inside_window_panics() {
-        let mut states = vec![(), ()];
-        let mut queues: Vec<LaneQueue<u8>> = vec![LaneQueue::new(), LaneQueue::new()];
-        queues[0].schedule(0.5, 1);
-        run_windows(
-            &mut states,
-            &mut queues,
-            1.0,
-            10.0,
-            false,
-            |_, _, t, _, em| {
-                em.send(1, t + 0.1, 2); // lands inside the current window
-            },
-        );
-    }
-
-    #[test]
-    fn run_lanes_matches_sequential_order() {
-        let seq = run_lanes(1, 9, |i| i * i);
-        let par = run_lanes(4, 9, |i| i * i);
-        assert_eq!(seq, par);
-        assert_eq!(par[8], 64);
     }
 }

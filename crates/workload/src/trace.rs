@@ -187,9 +187,13 @@ pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
     Ok(nodes)
 }
 
-/// Parses a job trace.
+/// Parses a job trace. A record the simulator could not run — an id
+/// seen before, an arrival time that is negative or not finite, a
+/// runtime that is not positive and finite — is an error here, not a
+/// panic in the event loop.
 pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
     let mut jobs = Vec::new();
+    let mut seen_ids = std::collections::HashSet::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = raw.trim();
@@ -250,6 +254,18 @@ pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
         let t = t.ok_or_else(|| err(line_no, "job without t"))?;
         let id = id.ok_or_else(|| err(line_no, "job without id"))?;
         let runtime = runtime.ok_or_else(|| err(line_no, "job without runtime"))?;
+        if !(t.is_finite() && t >= 0.0) {
+            return Err(err(line_no, format!("t={t} is not a finite time >= 0")));
+        }
+        if !(runtime.is_finite() && runtime > 0.0) {
+            return Err(err(
+                line_no,
+                format!("runtime={runtime} is not a finite duration > 0"),
+            ));
+        }
+        if !seen_ids.insert(id) {
+            return Err(err(line_no, format!("id={id} repeats an earlier job's")));
+        }
         jobs.push((t, JobSpec::new(JobId(id), reqs, disk, runtime)));
     }
     Ok(jobs)
@@ -307,6 +323,24 @@ mod tests {
         let e = read_jobs(bad_jobs).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("runtime"));
+    }
+
+    #[test]
+    fn unrunnable_job_records_are_errors_on_their_line() {
+        let good = "job t=1 id=0 runtime=60\n";
+        for (bad, what) in [
+            ("job t=2 id=0 runtime=60\n", "id=0"),
+            ("job t=NaN id=1 runtime=60\n", "t=NaN"),
+            ("job t=inf id=1 runtime=60\n", "t=inf"),
+            ("job t=-4 id=1 runtime=60\n", "t=-4"),
+            ("job t=2 id=1 runtime=-50\n", "runtime=-50"),
+            ("job t=2 id=1 runtime=0\n", "runtime=0"),
+            ("job t=2 id=1 runtime=NaN\n", "runtime=NaN"),
+        ] {
+            let e = read_jobs(&format!("{good}{bad}")).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}");
+            assert!(e.message.contains(what), "{bad}: {}", e.message);
+        }
     }
 
     #[test]

@@ -271,40 +271,6 @@ fn corpus_includes_the_overload_collapse() {
 }
 
 #[test]
-fn corpus_replays_bit_identically_under_every_shard_count() {
-    // The pinned multi-shard corpus gate: the overload-collapse trace
-    // arms both execution stacks (the CAN churn oracle plane and the
-    // sched overload phase), so replaying it sharded pins the
-    // zone-sharded engine against the same recorded digest that gates
-    // the sequential engine — for every shard count.
-    let files = corpus_files();
-    let path = files
-        .iter()
-        .find(|p| {
-            p.file_name()
-                .unwrap()
-                .to_string_lossy()
-                .contains("overload-collapse")
-        })
-        .expect("corpus keeps the overload-collapse congestion trace");
-    let text = std::fs::read_to_string(path).unwrap();
-    let (schedule, seq) = replay_trace(&text).unwrap();
-    let expect = schedule
-        .expect_digest
-        .expect("overload-collapse records an expect digest");
-    assert_eq!(seq.digest, expect, "sequential replay drifted");
-    for shards in [2usize, 4, 8] {
-        let got = pgrid::fuzz::run_case_sharded(&schedule, shards);
-        assert_eq!(
-            got.digest, expect,
-            "shards={shards}: sharded corpus replay digest 0x{:016x} != recorded 0x{expect:016x}",
-            got.digest
-        );
-        assert_eq!(got, seq, "shards={shards}: sharded corpus report diverged");
-    }
-}
-
-#[test]
 fn corpus_includes_the_seed41_rederivation() {
     let files = corpus_files();
     let seed41 = files

@@ -9,7 +9,7 @@ use p2p_ce_grid::sched::{
     bounded_queue_violation, retry_storm_violation, run_load_balance_overload, AiGrouping, AiTable,
     OverloadConfig, StaticGrid, TokenBucket,
 };
-use p2p_ce_grid::simcore::shard::{canonical_sort, CrossMsg, RegionPartition, ShardAssignment};
+use p2p_ce_grid::simcore::shard::{RegionPartition, ShardAssignment};
 use proptest::prelude::*;
 
 fn unit_point(dims: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -224,40 +224,6 @@ proptest! {
                 seen.iter().all(|&c| c == 1),
                 "a node was orphaned or double-assigned: {:?}", seen
             );
-        }
-    }
-
-    /// Window-barrier delivery is schedule-independent: whatever order
-    /// cross-shard messages arrive in at a barrier (any permutation of
-    /// the lane drain order), the canonical `(time, src lane, src seq)`
-    /// sort applies them in the same order, bit for bit.
-    #[test]
-    fn barrier_canonical_order_is_permutation_invariant(
-        raw in prop::collection::vec((0u32..200, 0usize..6, 0usize..6, 0u32..1_000_000), 1..80),
-        shuffle_seed in 0u64..10_000,
-    ) {
-        // Emit messages exactly as lanes do: the sequence number is
-        // unique per source lane, so the canonical key is total.
-        let mut next_seq = [0u64; 6];
-        let mut msgs: Vec<CrossMsg<u32>> = raw
-            .iter()
-            .map(|&(t, src, dst, event)| {
-                let src_seq = next_seq[src];
-                next_seq[src] += 1;
-                CrossMsg { time: f64::from(t) * 0.5, dst, src, src_seq, event }
-            })
-            .collect();
-        let mut canonical = msgs.clone();
-        canonical_sort(&mut canonical);
-        let mut rng = SimRng::seed_from_u64(shuffle_seed);
-        for round in 0..3 {
-            for i in (1..msgs.len()).rev() {
-                let j = rng.below(i + 1);
-                msgs.swap(i, j);
-            }
-            let mut sorted = msgs.clone();
-            canonical_sort(&mut sorted);
-            prop_assert_eq!(&sorted, &canonical, "permutation {} reordered the apply", round);
         }
     }
 
