@@ -63,9 +63,10 @@ fn main() -> ExitCode {
     let mut violations: Vec<String> = reports
         .iter()
         .flat_map(|r| {
-            r.violations
+            r.report
+                .violations
                 .iter()
-                .map(move |v| format!("{}/{}: {v}", r.name, r.scheme.label()))
+                .map(move |v| format!("{}/{}: {v}", r.scenario, r.scheme.label()))
         })
         .collect();
     for c in &cells {

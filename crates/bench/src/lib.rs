@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 
 use pgrid::experiments::{
-    CostCell, DetectorCell, ScenarioCell, TakeoverArm, TakeoverCell, WaitTimeCell,
+    ChaosRow, CostCell, DetectorCell, ScenarioCell, TakeoverArm, TakeoverCell, WaitTimeCell,
 };
 use pgrid::metrics::{Cdf, CsvWriter, Table};
 use pgrid::prelude::*;
@@ -263,7 +263,11 @@ pub fn render_scenario_list() -> String {
             "  {:<18} {}{}\n",
             spec.name,
             spec.summary,
-            if spec.has_chaos() { "  [chaos]" } else { "" }
+            if pgrid::scenarios::CHAOS_TRIO.contains(&spec.name) {
+                "  [chaos]"
+            } else {
+                ""
+            }
         ));
     }
     out
@@ -658,7 +662,7 @@ pub fn save_fig8_csv(path: &Path, cells: &[CostCell]) -> std::io::Result<()> {
 /// Renders the chaos-resilience table: one row per scenario x scheme,
 /// with link damage, healing outcome, fault-layer drop counts, repair
 /// traffic and invariant verdicts.
-pub fn render_chaos(reports: &[ChaosReport]) -> String {
+pub fn render_chaos(rows: &[ChaosRow]) -> String {
     let mut table = Table::new([
         "scenario",
         "scheme",
@@ -673,10 +677,11 @@ pub fn render_chaos(reports: &[ChaosReport]) -> String {
         "msgs/node/min",
         "verdict",
     ]);
-    for r in reports {
+    for row in rows {
+        let r = &row.report;
         table.row([
-            r.name.to_string(),
-            r.scheme.label().to_string(),
+            row.scenario.to_string(),
+            row.scheme.label().to_string(),
             r.broken_peak.to_string(),
             r.broken_after.to_string(),
             r.gaps_after.to_string(),
@@ -701,7 +706,7 @@ pub fn render_chaos(reports: &[ChaosReport]) -> String {
 }
 
 /// Writes the chaos-resilience table to CSV.
-pub fn save_chaos_csv(path: &Path, reports: &[ChaosReport]) -> std::io::Result<()> {
+pub fn save_chaos_csv(path: &Path, rows: &[ChaosRow]) -> std::io::Result<()> {
     let mut csv = CsvWriter::new(&[
         "scenario",
         "scheme",
@@ -719,10 +724,11 @@ pub fn save_chaos_csv(path: &Path, reports: &[ChaosReport]) -> std::io::Result<(
         "msgs_per_node_min",
         "violations",
     ]);
-    for r in reports {
+    for row in rows {
+        let r = &row.report;
         csv.row(&[
-            r.name,
-            r.scheme.label(),
+            row.scenario,
+            row.scheme.label(),
             &r.broken_peak.to_string(),
             &r.broken_after.to_string(),
             &r.gaps_after.to_string(),
@@ -1139,6 +1145,30 @@ mod tests {
     use super::*;
     use pgrid::experiments;
 
+    /// Holds a saved table's exact bytes to a pinned FNV-1a digest. The
+    /// chaos, takeover and detector digests were recorded from the
+    /// scripted chaos runner (the `can::chaos` module) and the detector
+    /// sweep's private bootstrap, immediately before both were replaced
+    /// by `can::dst::run_schedule` / `can::dst::bootstrap`: the one
+    /// executor reproduces every published row byte for byte. Re-record
+    /// (`PGRID_PRINT_DIGESTS=1 cargo test -p pgrid-bench --lib
+    /// _render_and_csv -- --nocapture`) only for a change that is
+    /// *supposed* to alter a table, never for a refactor.
+    fn assert_csv_pinned(path: &Path, expect: u64) {
+        let mut h = pgrid::simcore::Fnv::new();
+        h.write(&std::fs::read(path).expect("read csv back"));
+        if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
+            println!("{}: 0x{:016x}", path.display(), h.finish());
+            return;
+        }
+        assert_eq!(
+            h.finish(),
+            expect,
+            "{}: a published table moved (pinned 0x{expect:016x})",
+            path.display()
+        );
+    }
+
     fn tiny_cells() -> Vec<WaitTimeCell> {
         let mut s = default_scenario().scaled_down(20);
         s.jobs = 200;
@@ -1244,17 +1274,26 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("chaos.csv");
         save_chaos_csv(&csv, &reports).unwrap();
+        assert_csv_pinned(&csv, 0x216d_bd2a_012a_32a8);
         let body = std::fs::read_to_string(&csv).unwrap();
         assert!(body.starts_with("scenario,scheme,broken_peak"));
         assert!(body.lines().next().unwrap().contains("relearn_mean_hb"));
         assert_eq!(body.lines().count(), 10);
+        let paper = experiments::chaos_suite(Scale::Paper, experiments::CHAOS_SEED);
+        save_chaos_csv(&csv, &paper).unwrap();
+        assert_csv_pinned(&csv, 0x3ae3_ac59_13c8_2c69);
         // Adaptive is self-healing: it must come back clean.
         for r in reports
             .iter()
             .filter(|r| r.scheme == HeartbeatScheme::Adaptive)
         {
-            assert!(r.violations.is_empty(), "{}: {:?}", r.name, r.violations);
-            assert_eq!(r.broken_after, 0, "{}", r.name);
+            assert!(
+                r.report.violations.is_empty(),
+                "{}: {:?}",
+                r.scenario,
+                r.report.violations
+            );
+            assert_eq!(r.report.broken_after, 0, "{}", r.scenario);
         }
     }
 
@@ -1316,9 +1355,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("takeover.csv");
         save_takeover_csv(&csv, &cells).unwrap();
+        assert_csv_pinned(&csv, 0x7d8e_3904_3a37_9459);
         let body = std::fs::read_to_string(&csv).unwrap();
         assert!(body.starts_with("scheme,arm,takeovers"));
         assert_eq!(body.lines().count(), 1 + 2 * cells.len());
+        let paper = experiments::takeover_suite(Scale::Paper, experiments::TAKEOVER_SEED);
+        save_takeover_csv(&csv, &paper).unwrap();
+        assert_csv_pinned(&csv, 0x4059_be44_91d7_58eb);
     }
 
     #[test]
@@ -1333,6 +1376,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("detector.csv");
         save_detector_csv(&csv, &cells).unwrap();
+        assert_csv_pinned(&csv, 0xd5e3_7580_c981_5833);
         let body = std::fs::read_to_string(&csv).unwrap();
         assert!(body.starts_with("link_stress,freeze_s,rule"));
         assert_eq!(body.lines().count(), 1 + 2 * cells.len());

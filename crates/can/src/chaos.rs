@@ -14,11 +14,10 @@
 //! produces the same [`ChaosReport`] bit for bit.
 
 use crate::churn::uniform_coords;
+use crate::dst::TakeoverWatch;
 use crate::protocol::{CanSim, HeartbeatScheme, ProtocolConfig, ReplicationConfig};
-use crate::routing::route_local;
 use pgrid_simcore::fault::{ClassFaults, FaultPlan, MsgClass, NodeFault, Partition};
 use pgrid_simcore::{SimRng, SimTime};
-use pgrid_types::NodeId;
 
 /// Fraction-of-members partition scheduled in fault-phase-relative
 /// time. The victim group is sampled at the fault-phase start so the
@@ -267,91 +266,6 @@ pub struct ChaosReport {
     pub violations: Vec<String>,
 }
 
-/// Accumulates the per-take-over robustness metrics by polling the
-/// simulator's take-over log at sample boundaries. Read-only: polling
-/// never perturbs the trajectory. Shared with the schedule executor
-/// (`crate::dst`), which polls it at heartbeat boundaries.
-#[derive(Debug, Default)]
-pub(crate) struct TakeoverWatch {
-    seen: usize,
-    pending: Vec<(NodeId, crate::geom::Zone, SimTime)>,
-    windows: Vec<f64>,
-    unresolved: usize,
-    probes_total: usize,
-    probes_misdirected: usize,
-}
-
-impl TakeoverWatch {
-    /// Ingests new take-over records (probing misdirection once per
-    /// record) and retires pending ones whose actor has regained full
-    /// knowledge of the adopted zone's current neighborhood.
-    pub(crate) fn poll(&mut self, sim: &CanSim, heartbeat_period: f64) {
-        let now = sim.now();
-        let log = sim.takeover_log();
-        for rec in &log[self.seen..] {
-            self.pending
-                .push((rec.actor, rec.departed_zone.clone(), rec.at));
-            // Misdirection probe: route to the adopted zone from a
-            // deterministic panel of low-id members.
-            let target = rec.departed_zone.center();
-            let truth = sim.owner_at(&target);
-            let mut sources = sim.members();
-            sources.sort();
-            for src in sources.into_iter().take(8) {
-                self.probes_total += 1;
-                let landed = route_local(sim, src, &target).map(|r| r.owner);
-                if landed != truth {
-                    self.probes_misdirected += 1;
-                }
-            }
-        }
-        self.seen = log.len();
-        self.pending.retain(|(actor, adopted, at)| {
-            if !sim.is_member(*actor) {
-                return false; // actor itself gone; window unmeasurable
-            }
-            let Some(node) = sim.local(*actor) else {
-                return false;
-            };
-            // "Correct placement in the adopted zone": the actor knows
-            // every current ground-truth neighbor whose zone abuts the
-            // region it adopted — missing entries elsewhere are general
-            // overlay healing, not re-learning of the dead owner's
-            // neighborhood.
-            let settled = sim
-                .true_neighbors(*actor)
-                .iter()
-                .filter(|n| sim.zone(**n).abuts(adopted))
-                .all(|n| node.table.contains_key(n));
-            if settled {
-                self.windows.push(((now - *at) / heartbeat_period).max(0.0));
-            }
-            !settled
-        });
-    }
-
-    pub(crate) fn finish(mut self, sim: &CanSim, heartbeat_period: f64) -> RelearnStats {
-        self.poll(sim, heartbeat_period);
-        self.unresolved += self.pending.len();
-        RelearnStats {
-            mean: (!self.windows.is_empty())
-                .then(|| self.windows.iter().sum::<f64>() / self.windows.len() as f64),
-            resolved: self.windows.len(),
-            unresolved: self.unresolved,
-            probes: self.probes_total,
-            misses: self.probes_misdirected,
-        }
-    }
-}
-
-pub(crate) struct RelearnStats {
-    pub(crate) mean: Option<f64>,
-    pub(crate) resolved: usize,
-    pub(crate) unresolved: usize,
-    pub(crate) probes: usize,
-    pub(crate) misses: usize,
-}
-
 /// Runs one scripted chaos scenario.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut proto = ProtocolConfig::new(cfg.dims, cfg.scheme);
@@ -592,6 +506,7 @@ fn apply_fault(
                 sim.freeze(victim, duration);
             }
         }
+        NodeFault::CrashWithHeir { count } => correlated_crash(sim, count, victim_rng, min_nodes),
     }
 }
 

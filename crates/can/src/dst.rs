@@ -18,9 +18,11 @@
 use crate::churn::uniform_coords;
 use crate::oracles;
 use crate::protocol::{CanSim, DetectorConfig, HeartbeatScheme, ProtocolConfig, ReplicationConfig};
+use crate::routing::route_local;
 use pgrid_simcore::dst::{FaultSchedule, Fnv};
 use pgrid_simcore::fault::{LinkDegrade, NodeFault, Partition};
-use pgrid_simcore::SimRng;
+use pgrid_simcore::{SimRng, SimTime};
+use pgrid_types::NodeId;
 
 /// Cap on recorded step-oracle violations; past this the run keeps
 /// going but stops accumulating strings (shrinking only needs one).
@@ -44,6 +46,11 @@ pub struct ScheduleReport {
     pub broken_peak: usize,
     /// Directed broken links at the end of recovery.
     pub broken_after: usize,
+    /// Nodes with an uncovered boundary region at the end of recovery.
+    pub gaps_after: usize,
+    /// Seconds after the fault phase ended until a heartbeat boundary
+    /// first saw zero broken links (`None` if none did).
+    pub recovery_time: Option<f64>,
     /// Alive members at the end.
     pub final_nodes: usize,
     /// Messages dropped by the fault model, all classes.
@@ -52,6 +59,15 @@ pub struct ScheduleReport {
     pub partition_drops: u64,
     /// Messages discarded because the receiver was frozen.
     pub frozen_drops: u64,
+    /// Targeted take-over repair messages sent.
+    pub repair_messages: u64,
+    /// Routed gap probes sent (adaptive only).
+    pub gap_probes: u64,
+    /// Adaptive full-update request rounds.
+    pub full_update_rounds: u64,
+    /// Heartbeat-scheme traffic from the start of the fault phase,
+    /// messages per node per minute (the Figure 8 metric, under faults).
+    pub msgs_per_node_min: f64,
     /// Suspicions raised by the failure detector (0 when disarmed).
     pub suspicions: u64,
     /// Live nodes actively expelled by the detector.
@@ -63,6 +79,9 @@ pub struct ScheduleReport {
     /// Warm replicas promoted by take-over actors (0 when replication
     /// is disarmed).
     pub replica_promotions: u64,
+    /// Promotions whose replica carried a non-empty scheduler-aggregate
+    /// slice — the adopted zone's matchmaking state survived the crash.
+    pub agg_promotions: usize,
     /// Replica promotions refused by the epoch fence.
     pub stale_replica_rejects: u64,
     /// Crash take-overs applied during the run.
@@ -87,22 +106,28 @@ pub struct ScheduleReport {
 }
 
 /// Runs one fault schedule end to end, checking the cross-layer
-/// oracles at every heartbeat boundary.
+/// oracles at every heartbeat boundary: [`bootstrap`], then
+/// [`run_faults`] over the standing overlay.
 ///
 /// Panics if `schedule.scheme` is not a known label or the schedule
 /// violates an executor precondition — use
 /// [`FaultSchedule::validate`] / [`FaultSchedule::parse`] first.
 pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
-    // Lower macro records to primitives up front. The identity for
-    // macro-free schedules, so every historical trace and golden
-    // digest replays the exact same trajectory.
-    let expanded;
-    let schedule = if schedule.macros.is_empty() {
-        schedule
-    } else {
-        expanded = schedule.expand();
-        &expanded
-    };
+    let (sim, rng) = bootstrap(schedule);
+    run_faults(schedule, sim, rng)
+}
+
+/// The executor's first phase: the protocol the schedule asks for,
+/// sequential joins a second apart, the fault-free settle window, then
+/// a fresh accounting window. Returns the standing overlay and the
+/// `0xC4A5` coordinate stream where the joins left it — the churn of
+/// [`run_faults`] continues that stream.
+///
+/// Public because a caller may stand in for a layer above between the
+/// phases: the take-over sweep publishes scheduler-aggregate slices
+/// here, which must not happen inside the executor (the slice is part
+/// of the replica content hash every replicated digest folds).
+pub fn bootstrap(schedule: &FaultSchedule) -> (CanSim, SimRng) {
     let scheme = scheme_from_label(&schedule.scheme)
         .unwrap_or_else(|| panic!("unknown heartbeat scheme `{}`", schedule.scheme));
     let mut proto = ProtocolConfig::new(schedule.dims, scheme);
@@ -122,6 +147,35 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
     }
     let mut sim = CanSim::new(proto).expect("valid protocol config");
     let mut rng = SimRng::sub_stream(schedule.seed, 0xC4A5);
+    let mut coords = uniform_coords(schedule.dims);
+    let mut joined = 0;
+    while joined < schedule.nodes {
+        if sim.join(coords(&mut rng)).is_ok() {
+            joined += 1;
+        }
+        sim.advance_to(sim.now() + 1.0);
+    }
+    sim.advance_to(sim.now() + schedule.settle_time);
+    sim.reset_accounting();
+    (sim, rng)
+}
+
+/// The fault and recovery phases over a [`bootstrap`]ped overlay: arms
+/// the network, interleaves scripted events, churn and per-heartbeat
+/// oracle checks until the fault phase ends, then watches the recovery
+/// allowance and audits quiescence.
+pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) -> ScheduleReport {
+    // Lower macro records to primitives up front. The identity for
+    // macro-free schedules, so every historical trace and golden
+    // digest replays the exact same trajectory.
+    let expanded;
+    let schedule = if schedule.macros.is_empty() {
+        schedule
+    } else {
+        expanded = schedule.expand();
+        &expanded
+    };
+    let scheme = sim.config().scheme;
     let mut victim_rng = SimRng::sub_stream(schedule.seed, 0x71C7);
     let mut coords = uniform_coords(schedule.dims);
 
@@ -132,17 +186,6 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
             violations.push(msg);
         }
     };
-
-    // Bootstrap + settle, fault-free.
-    let mut joined = 0;
-    while joined < schedule.nodes {
-        if sim.join(coords(&mut rng)).is_ok() {
-            joined += 1;
-        }
-        sim.advance_to(sim.now() + 1.0);
-    }
-    sim.advance_to(sim.now() + schedule.settle_time);
-    sim.reset_accounting();
 
     // Arm the network.
     let fault_start = sim.now();
@@ -203,7 +246,7 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
     // Read-only take-over telemetry (re-learn windows, misdirection).
     // Polling never perturbs the trajectory, and its stats stay out of
     // the digest like the replication counters below.
-    let mut watch = crate::chaos::TakeoverWatch::default();
+    let mut watch = TakeoverWatch::default();
     let mut broken_peak = 0usize;
     let mut prev_now = sim.now();
     loop {
@@ -261,11 +304,16 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
 
     // Recovery phase: network healthy again, oracles still on watch.
     let recovery_end = fault_end + schedule.recovery_periods * schedule.heartbeat_period;
+    let mut recovery_time = None;
     let mut t = fault_end;
     while t < recovery_end {
         t = (t + schedule.heartbeat_period).min(recovery_end);
         sim.advance_to(t);
-        digest.write_usize(sim.broken_links());
+        let broken = sim.broken_links();
+        if recovery_time.is_none() && broken == 0 {
+            recovery_time = Some(t - fault_end);
+        }
+        digest.write_usize(broken);
         digest.write_u64(epoch_checksum(&sim));
         for msg in oracles::step_violations(&sim) {
             record(&mut violations, msg);
@@ -294,13 +342,25 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
     }
     let relearn = watch.finish(&sim, schedule.heartbeat_period);
 
+    // Everything below is read after the digest is folded: report
+    // columns, never part of the pinned trajectory.
     ScheduleReport {
         broken_peak,
         broken_after: sim.broken_links(),
+        gaps_after: sim
+            .members()
+            .iter()
+            .filter(|id| sim.local(**id).is_some_and(|n| n.has_boundary_gap()))
+            .count(),
+        recovery_time,
         final_nodes: sim.len(),
         dropped_messages: sim.dropped_messages(),
         partition_drops: sim.network().partition_drops(),
         frozen_drops: sim.frozen_drops(),
+        repair_messages: sim.repair_messages(),
+        gap_probes: sim.gap_probes(),
+        full_update_rounds: sim.full_update_rounds(),
+        msgs_per_node_min: sim.accounting().heartbeat_msgs_per_node_min(),
         suspicions: sim.suspicions(),
         live_expulsions: sim.live_expulsions(),
         revivals: sim.revivals(),
@@ -312,6 +372,11 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
         // a *faulty* run still surfaces through the per-boundary broken
         // counts, epoch checksums, and final observable state).
         replica_promotions: sim.replica_promotions(),
+        agg_promotions: sim
+            .takeover_log()
+            .iter()
+            .filter(|r| r.replica_agg.as_ref().is_some_and(|a| !a.is_empty()))
+            .count(),
         stale_replica_rejects: sim.stale_replica_rejects(),
         takeovers: sim.takeover_log().len(),
         relearn_mean_heartbeats: relearn.mean,
@@ -327,6 +392,88 @@ pub fn run_schedule(schedule: &FaultSchedule) -> ScheduleReport {
         digest: digest.finish(),
         violations,
     }
+}
+
+/// Accumulates the per-take-over robustness metrics by polling the
+/// simulator's take-over log at heartbeat boundaries. Read-only:
+/// polling never perturbs the trajectory.
+#[derive(Debug, Default)]
+pub(crate) struct TakeoverWatch {
+    seen: usize,
+    pending: Vec<(NodeId, crate::geom::Zone, SimTime)>,
+    windows: Vec<f64>,
+    probes_total: usize,
+    probes_misdirected: usize,
+}
+
+impl TakeoverWatch {
+    /// Ingests new take-over records (probing misdirection once per
+    /// record) and retires pending ones whose actor has regained full
+    /// knowledge of the adopted zone's current neighborhood.
+    pub(crate) fn poll(&mut self, sim: &CanSim, heartbeat_period: f64) {
+        let now = sim.now();
+        let log = sim.takeover_log();
+        for rec in &log[self.seen..] {
+            self.pending
+                .push((rec.actor, rec.departed_zone.clone(), rec.at));
+            // Misdirection probe: route to the adopted zone from a
+            // deterministic panel of low-id members.
+            let target = rec.departed_zone.center();
+            let truth = sim.owner_at(&target);
+            let mut sources = sim.members();
+            sources.sort();
+            for src in sources.into_iter().take(8) {
+                self.probes_total += 1;
+                let landed = route_local(sim, src, &target).map(|r| r.owner);
+                if landed != truth {
+                    self.probes_misdirected += 1;
+                }
+            }
+        }
+        self.seen = log.len();
+        self.pending.retain(|(actor, adopted, at)| {
+            if !sim.is_member(*actor) {
+                return false; // actor itself gone; window unmeasurable
+            }
+            let Some(node) = sim.local(*actor) else {
+                return false;
+            };
+            // "Correct placement in the adopted zone": the actor knows
+            // every current ground-truth neighbor whose zone abuts the
+            // region it adopted — missing entries elsewhere are general
+            // overlay healing, not re-learning of the dead owner's
+            // neighborhood.
+            let settled = sim
+                .true_neighbors(*actor)
+                .iter()
+                .filter(|n| sim.zone(**n).abuts(adopted))
+                .all(|n| node.table.contains_key(n));
+            if settled {
+                self.windows.push(((now - *at) / heartbeat_period).max(0.0));
+            }
+            !settled
+        });
+    }
+
+    pub(crate) fn finish(mut self, sim: &CanSim, heartbeat_period: f64) -> RelearnStats {
+        self.poll(sim, heartbeat_period);
+        RelearnStats {
+            mean: (!self.windows.is_empty())
+                .then(|| self.windows.iter().sum::<f64>() / self.windows.len() as f64),
+            resolved: self.windows.len(),
+            unresolved: self.pending.len(),
+            probes: self.probes_total,
+            misses: self.probes_misdirected,
+        }
+    }
+}
+
+pub(crate) struct RelearnStats {
+    pub(crate) mean: Option<f64>,
+    pub(crate) resolved: usize,
+    pub(crate) unresolved: usize,
+    pub(crate) probes: usize,
+    pub(crate) misses: usize,
 }
 
 /// Wrapping sum of every live claim epoch — members and unrevived
@@ -373,6 +520,22 @@ fn apply_fault(
             for _ in 0..count.min(pool.len().saturating_sub(min_nodes)) {
                 let victim = pool.swap_remove(victim_rng.below(pool.len()));
                 sim.freeze(victim, duration);
+            }
+        }
+        NodeFault::CrashWithHeir { count } => {
+            for _ in 0..count {
+                if sim.len() <= min_nodes + 1 {
+                    break;
+                }
+                let members = sim.members();
+                let owner = members[victim_rng.below(members.len())];
+                let heirs = sim.takeover_targets(owner);
+                sim.leave(owner, false);
+                if let Some(&heir) = heirs.first() {
+                    if sim.is_member(heir) && sim.len() > min_nodes {
+                        sim.leave(heir, false);
+                    }
+                }
             }
         }
     }

@@ -260,27 +260,18 @@ pub fn chaos(args: Args) -> Result<String, String> {
     let seed: u64 = args.get_or("seed", 41)?;
     args.reject_unknown()?;
 
-    let mut reports = Vec::new();
-    for scheme in schemes {
-        let mut configs = pgrid::scenarios::chaos_scenarios(scheme, seed);
-        if scenario != "all" {
-            configs.retain(|c| c.name == scenario);
-            if configs.is_empty() {
-                let names: Vec<&str> = pgrid::scenarios::chaos_scenarios(scheme, seed)
-                    .iter()
-                    .map(|c| c.name)
-                    .collect();
-                return Err(format!(
-                    "unknown scenario '{scenario}' ({} | all)",
-                    names.join(" | ")
-                ));
-            }
-        }
-        for mut cfg in configs {
-            cfg.initial_nodes = nodes;
-            reports.push(run_chaos(&cfg));
+    let mut specs = pgrid::scenarios::chaos_trio();
+    if scenario != "all" {
+        specs.retain(|s| s.name == scenario);
+        if specs.is_empty() {
+            return Err(format!(
+                "unknown scenario '{scenario}' ({} | all)",
+                pgrid::scenarios::CHAOS_TRIO.join(" | ")
+            ));
         }
     }
+    // The paper-scale settle window; `--nodes` resizes the overlay only.
+    let rows = pgrid::experiments::chaos_rows(&specs, &schemes, seed, nodes, 300.0);
 
     let mut out = format!("chaos: {nodes} nodes, seed {seed}\n\n");
     let mut table = Table::new([
@@ -294,10 +285,11 @@ pub fn chaos(args: Args) -> Result<String, String> {
         "verdict",
     ]);
     let mut violations = Vec::new();
-    for r in &reports {
+    for row in &rows {
+        let r = &row.report;
         table.row([
-            r.name.to_string(),
-            r.scheme.label().to_string(),
+            row.scenario.to_string(),
+            row.scheme.label().to_string(),
             r.broken_peak.to_string(),
             r.broken_after.to_string(),
             r.gaps_after.to_string(),
@@ -312,7 +304,7 @@ pub fn chaos(args: Args) -> Result<String, String> {
             },
         ]);
         for v in &r.violations {
-            violations.push(format!("{}/{}: {v}", r.name, r.scheme.label()));
+            violations.push(format!("{}/{}: {v}", row.scenario, row.scheme.label()));
         }
     }
     out.push_str(&table.render());
@@ -336,7 +328,11 @@ pub fn scenarios(args: Args) -> Result<String, String> {
                 "  {:<18} {}{}",
                 spec.name,
                 spec.summary,
-                if spec.has_chaos() { "  [chaos]" } else { "" }
+                if pgrid::scenarios::CHAOS_TRIO.contains(&spec.name) {
+                    "  [chaos]"
+                } else {
+                    ""
+                }
             );
         }
         return Ok(out);

@@ -14,15 +14,15 @@
 //! deterministic, so results do not depend on scheduling).
 
 use crate::can::{
-    run_chaos, run_churn, run_schedule, uniform_coords, CanSim, ChaosConfig, ChaosReport,
-    ChurnConfig, ChurnReport, DetectorConfig, DetectorMode, HeartbeatScheme, ProtocolConfig,
-    ScheduleReport,
+    dst, run_churn, run_schedule, uniform_coords, CanSim, ChurnConfig, ChurnReport, DetectorConfig,
+    DetectorMode, HeartbeatScheme, ProtocolConfig, ScheduleReport,
 };
 use crate::scenarios::ScenarioSpec;
 use crate::sched::{
     run_load_balance, run_load_balance_chaos, run_load_balance_overload, CrashChaosConfig,
     OverloadConfig, RecoveryStats, SchedulerChoice, SimResult,
 };
+use crate::simcore::dst::FaultSchedule;
 use crate::simcore::fault::LinkDegrade;
 use crate::simcore::SimRng;
 use crate::workload::{default_scenario, LoadBalanceScenario};
@@ -240,26 +240,64 @@ pub fn fig8(scale: Scale) -> Vec<CostCell> {
 /// message fixes).
 pub const CHAOS_SEED: u64 = 41;
 
+/// One row of the chaos-resilience table: a registry scenario under
+/// one heartbeat scheme.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosRow {
+    /// Registry name of the scenario.
+    pub scenario: &'static str,
+    /// Heartbeat scheme measured.
+    pub scheme: HeartbeatScheme,
+    /// What the schedule executor saw.
+    pub report: ScheduleReport,
+}
+
+/// Runs each of `specs` under each of `schemes` (scheme-major order)
+/// on a `nodes`-member overlay settled for `settle_time` seconds, with
+/// the failure detector off — the chaos tables measure the heartbeat
+/// schemes' own passive expiry, as they always have.
+pub fn chaos_rows(
+    specs: &[&'static ScenarioSpec],
+    schemes: &[HeartbeatScheme],
+    seed: u64,
+    nodes: usize,
+    settle_time: f64,
+) -> Vec<ChaosRow> {
+    let mut configs = Vec::new();
+    for &scheme in schemes {
+        for &spec in specs {
+            let mut s = spec.compile_for(&scheme.label().to_ascii_lowercase(), seed);
+            s.nodes = nodes;
+            s.settle_time = settle_time;
+            s.detector = None;
+            configs.push((spec.name, scheme, s));
+        }
+    }
+    parallel_map(configs, |(scenario, scheme, s)| ChaosRow {
+        scenario,
+        scheme,
+        report: run_schedule(&s),
+    })
+}
+
 /// Chaos resilience suite over the CAN maintenance layer: the three
 /// scripted fault scenarios (crash flash crowd, rolling partition,
 /// 20 % loss + high churn) for every heartbeat scheme.
 ///
 /// Deterministic: the same `(scale, seed)` pair always produces the
-/// same reports; [`CHAOS_SEED`] is the historical seed.
-pub fn chaos_suite(scale: Scale, seed: u64) -> Vec<ChaosReport> {
+/// same rows; [`CHAOS_SEED`] is the historical seed.
+pub fn chaos_suite(scale: Scale, seed: u64) -> Vec<ChaosRow> {
     let (nodes, settle) = match scale {
         Scale::Paper => (60, 300.0),
         Scale::Quick => (40, 120.0),
     };
-    let mut configs = Vec::new();
-    for scheme in HeartbeatScheme::ALL {
-        for mut cfg in crate::scenarios::chaos_scenarios(scheme, seed) {
-            cfg.initial_nodes = nodes;
-            cfg.settle_time = settle;
-            configs.push(cfg);
-        }
-    }
-    parallel_map(configs, |cfg| run_chaos(&cfg))
+    chaos_rows(
+        &crate::scenarios::chaos_trio(),
+        &HeartbeatScheme::ALL,
+        seed,
+        nodes,
+        settle,
+    )
 }
 
 // --------------------------------------------------------------- Takeover
@@ -268,7 +306,7 @@ pub fn chaos_suite(scale: Scale, seed: u64) -> Vec<ChaosReport> {
 pub const TAKEOVER_SEED: u64 = 53;
 
 /// One arm (vanilla or warm-standby replicated) of a [`TakeoverCell`]:
-/// the robustness metrics of [`ChaosConfig::takeover_storm`] runs,
+/// the robustness metrics of [`crate::scenarios::takeover_storm`] runs,
 /// pooled across the cell's repeat seeds. Replica traffic shifts the
 /// lossy network's per-message fate draws, so the two arms follow
 /// different trajectories after the first fault — pooling several
@@ -306,7 +344,7 @@ pub struct TakeoverArm {
 }
 
 impl TakeoverArm {
-    fn pooled(replicated: bool, reports: &[ChaosReport]) -> Self {
+    fn pooled(replicated: bool, reports: &[ScheduleReport]) -> Self {
         let resolved: usize = reports.iter().map(|r| r.relearn_resolved).sum();
         let probes: usize = reports.iter().map(|r| r.misdirect_probes).sum();
         let misses: usize = reports.iter().map(|r| r.misdirect_misses).sum();
@@ -371,28 +409,46 @@ pub fn takeover_suite(scale: Scale, seed: u64) -> Vec<TakeoverCell> {
     for scheme in HeartbeatScheme::ALL {
         for replicated in [false, true] {
             for rep in 0..repeats {
-                let mut cfg = ChaosConfig::takeover_storm(scheme, seed + rep);
-                if replicated {
-                    cfg = cfg.replicated();
-                }
-                cfg.initial_nodes = nodes;
-                cfg.settle_time = settle;
-                configs.push(cfg);
+                let mut s = crate::scenarios::takeover_storm(
+                    &scheme.label().to_ascii_lowercase(),
+                    seed + rep,
+                );
+                s.nodes = nodes;
+                s.settle_time = settle;
+                s.replication = replicated.then(|| "standby".to_string());
+                configs.push(s);
             }
         }
     }
-    let reports = parallel_map(configs, |cfg| run_chaos(&cfg));
-    reports
-        .chunks(2 * repeats as usize)
-        .map(|pair| {
+    let reports = parallel_map(configs, |s| run_storm(&s));
+    HeartbeatScheme::ALL
+        .iter()
+        .zip(reports.chunks(2 * repeats as usize))
+        .map(|(&scheme, pair)| {
             let (vanilla, replicated) = pair.split_at(repeats as usize);
             TakeoverCell {
-                scheme: vanilla[0].scheme,
+                scheme,
                 vanilla: TakeoverArm::pooled(false, vanilla),
                 replicated: TakeoverArm::pooled(true, replicated),
             }
         })
         .collect()
+}
+
+/// One take-over storm through the schedule executor. In the
+/// replicated arm every owner publishes a stand-in scheduler-aggregate
+/// slice (see `CanSim::set_agg_slice`) on the standing overlay, so
+/// promotions can be audited for carrying matchmaking state: one
+/// five-word slot kept well-formed (free <= nodes, pressured <= nodes)
+/// so the agg-slice oracle stays quiet.
+fn run_storm(schedule: &FaultSchedule) -> ScheduleReport {
+    let (mut sim, rng) = dst::bootstrap(schedule);
+    if schedule.replication.is_some() {
+        for id in sim.members() {
+            sim.set_agg_slice(id, vec![4 + u64::from(id.0 % 3), 4, 2, 1, 0]);
+        }
+    }
+    dst::run_faults(schedule, sim, rng)
 }
 
 // --------------------------------------------------------------- Detector
@@ -1160,6 +1216,117 @@ mod tests {
                 .any(|c| c.adaptive.false_expulsions < c.fixed.false_expulsions),
             "adaptive never strictly beat fixed: {stressed:?}"
         );
+    }
+
+    /// `run_chaos` ≡ `run_schedule`, field by field (violations too),
+    /// on every run behind the published chaos and takeover tables:
+    /// the trio × 3 schemes at both scales, and the storm × 3 schemes ×
+    /// 2 arms × every repeat seed at both scales.
+    #[test]
+    fn schedule_executor_reproduces_the_chaos_runner() {
+        use crate::can::{run_chaos, ChaosConfig, ChaosReport};
+        fn same(what: &str, c: &ChaosReport, s: &ScheduleReport) {
+            assert_eq!(c.violations, s.violations, "{what}: violations");
+            assert_eq!(c.broken_peak, s.broken_peak, "{what}: broken_peak");
+            assert_eq!(c.broken_after, s.broken_after, "{what}: broken_after");
+            assert_eq!(c.gaps_after, s.gaps_after, "{what}: gaps_after");
+            assert_eq!(c.recovery_time, s.recovery_time, "{what}: recovery_time");
+            assert_eq!(c.final_nodes, s.final_nodes, "{what}: final_nodes");
+            assert_eq!(c.dropped_messages, s.dropped_messages, "{what}: dropped");
+            assert_eq!(c.partition_drops, s.partition_drops, "{what}: partition");
+            assert_eq!(c.frozen_drops, s.frozen_drops, "{what}: frozen_drops");
+            assert_eq!(c.repair_messages, s.repair_messages, "{what}: repairs");
+            assert_eq!(c.gap_probes, s.gap_probes, "{what}: gap_probes");
+            assert_eq!(
+                c.full_update_rounds, s.full_update_rounds,
+                "{what}: full_update_rounds"
+            );
+            assert_eq!(
+                c.msgs_per_node_min.to_bits(),
+                s.msgs_per_node_min.to_bits(),
+                "{what}: msgs_per_node_min"
+            );
+            assert_eq!(c.takeovers, s.takeovers, "{what}: takeovers");
+            assert_eq!(
+                c.replica_promotions, s.replica_promotions,
+                "{what}: replica_promotions"
+            );
+            assert_eq!(c.agg_promotions, s.agg_promotions, "{what}: agg_promotions");
+            assert_eq!(
+                c.stale_replica_rejects, s.stale_replica_rejects,
+                "{what}: stale_replica_rejects"
+            );
+            assert_eq!(
+                c.relearn_mean_heartbeats, s.relearn_mean_heartbeats,
+                "{what}: relearn_mean"
+            );
+            assert_eq!(c.relearn_resolved, s.relearn_resolved, "{what}: resolved");
+            assert_eq!(
+                c.relearn_unresolved, s.relearn_unresolved,
+                "{what}: unresolved"
+            );
+            assert_eq!(
+                c.misdirect_rate.to_bits(),
+                s.misdirect_rate.to_bits(),
+                "{what}: misdirect_rate"
+            );
+            assert_eq!(c.misdirect_probes, s.misdirect_probes, "{what}: probes");
+            assert_eq!(c.misdirect_misses, s.misdirect_misses, "{what}: misses");
+        }
+
+        let trio: [fn(HeartbeatScheme, u64) -> ChaosConfig; 3] = [
+            ChaosConfig::flash_crowd,
+            ChaosConfig::rolling_partition,
+            ChaosConfig::lossy_churn,
+        ];
+        let mut runs = 0;
+        for (scale, nodes, settle, repeats) in [
+            (Scale::Quick, 40, 120.0, 3u64),
+            (Scale::Paper, 60, 300.0, 5u64),
+        ] {
+            let rows = chaos_suite(scale, CHAOS_SEED);
+            let mut rows = rows.iter();
+            for scheme in HeartbeatScheme::ALL {
+                for ctor in trio {
+                    let mut cfg = ctor(scheme, CHAOS_SEED);
+                    cfg.initial_nodes = nodes;
+                    cfg.settle_time = settle;
+                    let row = rows.next().expect("one row per config");
+                    assert_eq!((row.scenario, row.scheme), (cfg.name, cfg.scheme));
+                    same(
+                        &format!("{}/{scheme:?}/{scale:?}", cfg.name),
+                        &run_chaos(&cfg),
+                        &row.report,
+                    );
+                    runs += 1;
+                }
+            }
+            for scheme in HeartbeatScheme::ALL {
+                for replicated in [false, true] {
+                    for rep in 0..repeats {
+                        let seed = TAKEOVER_SEED + rep;
+                        let mut cfg = ChaosConfig::takeover_storm(scheme, seed);
+                        cfg.replication = replicated;
+                        cfg.initial_nodes = nodes;
+                        cfg.settle_time = settle;
+                        let mut s = crate::scenarios::takeover_storm(
+                            &scheme.label().to_ascii_lowercase(),
+                            seed,
+                        );
+                        s.nodes = nodes;
+                        s.settle_time = settle;
+                        s.replication = replicated.then(|| "standby".to_string());
+                        same(
+                            &format!("storm/{scheme:?}/{replicated}/{seed}/{scale:?}"),
+                            &run_chaos(&cfg),
+                            &run_storm(&s),
+                        );
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(runs, 18 + 48);
     }
 
     #[test]

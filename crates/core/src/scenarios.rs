@@ -280,6 +280,49 @@ fn lossy_churn(seed: u64) -> FaultSchedule {
     s
 }
 
+/// The **take-over storm** behind the warm-standby sweep
+/// (`experiments::takeover_suite`): two crash waves bracketing a
+/// correlated owner+heir wave, under 30 % heartbeat loss so cached
+/// payloads go stale, with join/leave churn every third of a period
+/// keeping the victims' neighborhoods moving — the case acked replica
+/// deltas are built to survive. Detector off, replication off; the
+/// sweep's replicated arm sets `replication` itself.
+///
+/// A builder, not a [`REGISTRY`] entry: the registry is the detector-on
+/// adversary library every consumer enumerates whole (the scenario
+/// table, the `dst_armed` benchmark workload), and the storm is one
+/// experiment's fixed workload with its own seeds and arms.
+pub fn takeover_storm(scheme: &str, seed: u64) -> FaultSchedule {
+    let mut s = base(seed);
+    s.scheme = scheme.to_string();
+    s.nodes = 60;
+    s.settle_time = 300.0;
+    s.detector = None;
+    s.class_faults = vec![(
+        MsgClass::Heartbeat,
+        ClassFaults {
+            drop: 0.3,
+            ..ClassFaults::IDEAL
+        },
+    )];
+    s.churn_gap = Some(s.heartbeat_period / 3.0);
+    s.events = vec![
+        FaultEvent {
+            at: 60.0,
+            fault: NodeFault::Crash { count: 5 },
+        },
+        FaultEvent {
+            at: 330.0,
+            fault: NodeFault::CrashWithHeir { count: 3 },
+        },
+        FaultEvent {
+            at: 600.0,
+            fault: NodeFault::Crash { count: 3 },
+        },
+    ];
+    s
+}
+
 /// The scenario registry, in table order. The first three entries are
 /// the scripted chaos trio (shared with the chaos bench via their
 /// constructors); the rest are the macro-built adversary families.
@@ -353,6 +396,18 @@ pub fn matching(filter: &str) -> Vec<&'static ScenarioSpec> {
 /// The entry named exactly `name`.
 pub fn find(name: &str) -> Option<&'static ScenarioSpec> {
     REGISTRY.iter().find(|s| s.name == name)
+}
+
+/// Registry names of the scripted chaos trio, in chaos-table order.
+pub const CHAOS_TRIO: [&str; 3] = ["flash-crowd", "rolling-partition", "lossy-churn"];
+
+/// The [`CHAOS_TRIO`] entries — what the chaos bench, `pgrid chaos`
+/// and `experiments::chaos_suite` run.
+pub fn chaos_trio() -> Vec<&'static ScenarioSpec> {
+    CHAOS_TRIO
+        .iter()
+        .map(|name| find(name).expect("the chaos trio is registered"))
+        .collect()
 }
 
 /// The scripted chaos scenarios, built from the registry — the single

@@ -680,7 +680,9 @@ impl FaultSchedule {
                 ));
             }
             match e.fault {
-                NodeFault::Crash { count } | NodeFault::Rejoin { count } => {
+                NodeFault::Crash { count }
+                | NodeFault::Rejoin { count }
+                | NodeFault::CrashWithHeir { count } => {
                     if count == 0 {
                         return Err("event count must be >= 1".into());
                     }
@@ -1266,6 +1268,9 @@ impl FaultSchedule {
                         e.at
                     );
                 }
+                NodeFault::CrashWithHeir { count } => {
+                    let _ = writeln!(out, "event at={} kind=crash-heir count={count}", e.at);
+                }
             }
         }
         if let Some(iv) = self.sched_crash_interval {
@@ -1444,6 +1449,9 @@ impl FaultSchedule {
                             count: get_usize("count")?,
                             duration: get_f64("duration")?,
                         },
+                        "crash-heir" => NodeFault::CrashWithHeir {
+                            count: get_usize("count")?,
+                        },
                         other => return Err(err(line_no, format!("unknown event kind `{other}`"))),
                     };
                     sched.events.push(FaultEvent { at, fault });
@@ -1555,7 +1563,8 @@ where
         let count = match current.events[i].fault {
             NodeFault::Crash { count }
             | NodeFault::Rejoin { count }
-            | NodeFault::Freeze { count, .. } => count,
+            | NodeFault::Freeze { count, .. }
+            | NodeFault::CrashWithHeir { count } => count,
         };
         if count <= 1 {
             continue;
@@ -1568,7 +1577,8 @@ where
             match &mut candidate.events[i].fault {
                 NodeFault::Crash { count }
                 | NodeFault::Rejoin { count }
-                | NodeFault::Freeze { count, .. } => *count = candidate_count,
+                | NodeFault::Freeze { count, .. }
+                | NodeFault::CrashWithHeir { count } => *count = candidate_count,
             }
             probes += 1;
             if still_fails(&candidate) {
@@ -1730,9 +1740,15 @@ mod tests {
             let parsed = FaultSchedule::parse(&text).expect("round trip parses");
             assert_eq!(parsed, s, "seed {seed} round trip:\n{text}");
         }
-        let hand = base_schedule();
+        let mut hand = base_schedule();
+        hand.events.push(FaultEvent {
+            at: 450.0,
+            fault: NodeFault::CrashWithHeir { count: 3 },
+        });
+        let text = hand.to_text();
+        assert!(text.contains("event at=450 kind=crash-heir count=3\n"));
         assert_eq!(
-            FaultSchedule::parse(&hand.to_text()).unwrap(),
+            FaultSchedule::parse(&text).unwrap(),
             hand,
             "hand-built schedule round trips"
         );
@@ -1775,6 +1791,11 @@ mod tests {
         s.replication = Some("hot".into());
         let e = FaultSchedule::parse(&s.to_text()).unwrap_err();
         assert!(e.message.contains("replication mode"), "{e}");
+
+        let mut s = base_schedule();
+        s.events[0].fault = NodeFault::CrashWithHeir { count: 0 };
+        let e = FaultSchedule::parse(&s.to_text()).unwrap_err();
+        assert!(e.message.contains("event count"), "{e}");
     }
 
     #[test]
@@ -1813,6 +1834,22 @@ mod tests {
             ),
             "burst shrinks to the minimal failing count: {:?}",
             outcome.schedule.events
+        );
+
+        // The owner+heir wave shrinks the same way.
+        let mut origin = base_schedule();
+        origin.events[0].fault = NodeFault::CrashWithHeir { count: 8 };
+        let outcome = shrink(&origin, 256, |s| {
+            s.events
+                .iter()
+                .any(|e| matches!(e.fault, NodeFault::CrashWithHeir { count } if count >= 2))
+        });
+        assert_eq!(
+            outcome.schedule.events,
+            [FaultEvent {
+                at: 60.0,
+                fault: NodeFault::CrashWithHeir { count: 2 },
+            }]
         );
     }
 
@@ -1981,6 +2018,7 @@ mod tests {
                     NodeFault::Crash { .. } => 0u8,
                     NodeFault::Rejoin { .. } => 1,
                     NodeFault::Freeze { .. } => 2,
+                    NodeFault::CrashWithHeir { .. } => 3,
                 })
                 .collect();
             v.sort_unstable();

@@ -594,6 +594,15 @@ pub enum NodeFault {
         /// Freeze length, in seconds.
         duration: f64,
     },
+    /// `count` members crash, each together with its first designated
+    /// take-over heir — the correlated rack failure where a zone must
+    /// fall to a second-choice heir that was never its primary replica
+    /// target.
+    CrashWithHeir {
+        /// How many owner+heir pairs, owners sampled from current
+        /// members.
+        count: usize,
+    },
 }
 
 /// One scheduled node-level fault.
