@@ -13,10 +13,7 @@
 //! Deterministic: the same seed always reproduces the same table.
 
 use pgrid::experiments;
-use pgrid_bench::{
-    parse_scenario_args, render_scenario_list, render_scenarios, save_scenarios_csv,
-    SCENARIOS_USAGE,
-};
+use pgrid_bench::{parse_scenario_args, render_scenarios, save_scenarios_csv, SCENARIOS_USAGE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -30,7 +27,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        print!("{}", render_scenario_list());
+        print!("{}", pgrid::scenarios::listing());
         return ExitCode::SUCCESS;
     }
     let filter = args.filter.as_deref().unwrap_or("");

@@ -255,24 +255,6 @@ pub fn parse_scenario_args(raw: &[String]) -> Result<ScenarioArgs, String> {
     Ok(args)
 }
 
-/// One line per registry entry, for `scenarios --list`.
-pub fn render_scenario_list() -> String {
-    let mut out = String::from("registered scenarios:\n");
-    for spec in pgrid::scenarios::REGISTRY {
-        out.push_str(&format!(
-            "  {:<18} {}{}\n",
-            spec.name,
-            spec.summary,
-            if pgrid::scenarios::CHAOS_TRIO.contains(&spec.name) {
-                "  [chaos]"
-            } else {
-                ""
-            }
-        ));
-    }
-    out
-}
-
 /// Renders the scenario resilience table: one row per scenario ×
 /// scheme arm (repeat seeds pooled), plus a wait-delta line for every
 /// scenario that shapes arrivals.
@@ -1320,7 +1302,7 @@ mod tests {
         assert!(parse_scenario_args(&to_v(&["--scenario"])).is_err());
         assert!(parse_scenario_args(&to_v(&["--seed", "nope"])).is_err());
 
-        let listing = render_scenario_list();
+        let listing = pgrid::scenarios::listing();
         for spec in pgrid::scenarios::REGISTRY {
             assert!(listing.contains(spec.name), "listing misses {}", spec.name);
         }

@@ -1,19 +1,18 @@
-//! Executor for generated fault schedules ([`FaultSchedule`]) with
-//! per-heartbeat oracle checks — the CAN half of the DST harness.
+//! The one executor for fault schedules ([`FaultSchedule`]) — fuzzer
+//! output, the scenario library, the chaos and take-over tables, corpus
+//! traces — with per-heartbeat oracle checks: the CAN half of the DST
+//! harness.
 //!
-//! [`run_schedule`] mirrors the three-phase chaos flow
-//! (bootstrap/settle → fault phase → recovery), but instead of a
-//! single end-of-run audit it evaluates the [`crate::oracles`] at
-//! **every heartbeat boundary** from the start of the fault phase to
-//! the end of recovery, and it folds the entire observable trajectory
-//! (boundary broken-link counts, final zones, fault counters,
-//! violations) into an FNV digest so replays can be compared bit for
-//! bit.
+//! [`run_schedule`] runs three phases (bootstrap/settle → fault phase
+//! → recovery). It evaluates the [`crate::oracles`] at **every
+//! heartbeat boundary** from the start of the fault phase to the end
+//! of recovery, audits quiescence at the end, and folds the entire
+//! observable trajectory (boundary broken-link counts, final zones,
+//! fault counters, violations) into an FNV digest so replays can be
+//! compared bit for bit.
 //!
-//! The executor reuses the chaos harness's RNG sub-streams (`0xFA17`
-//! message fates, `0xC4A5` coordinates/churn, `0x71C7` victims), so a
-//! schedule transliterated from a scripted scenario reproduces the
-//! same victim choices.
+//! Three RNG sub-streams of the schedule seed drive a run: `0xFA17`
+//! message fates, `0xC4A5` coordinates and churn, `0x71C7` victims.
 
 use crate::churn::uniform_coords;
 use crate::oracles;
@@ -87,8 +86,8 @@ pub struct ScheduleReport {
     /// Crash take-overs applied during the run.
     pub takeovers: usize,
     /// Mean re-learn window over resolved take-overs, in heartbeat
-    /// periods (`None` when no take-over resolved). Polled at heartbeat
-    /// boundaries by the same watch the chaos harness uses.
+    /// periods (`None` when no take-over resolved), polled at heartbeat
+    /// boundaries.
     pub relearn_mean_heartbeats: Option<f64>,
     /// Take-overs whose re-learn window resolved.
     pub relearn_resolved: usize,
@@ -398,7 +397,7 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
 /// simulator's take-over log at heartbeat boundaries. Read-only:
 /// polling never perturbs the trajectory.
 #[derive(Debug, Default)]
-pub(crate) struct TakeoverWatch {
+struct TakeoverWatch {
     seen: usize,
     pending: Vec<(NodeId, crate::geom::Zone, SimTime)>,
     windows: Vec<f64>,
@@ -410,7 +409,7 @@ impl TakeoverWatch {
     /// Ingests new take-over records (probing misdirection once per
     /// record) and retires pending ones whose actor has regained full
     /// knowledge of the adopted zone's current neighborhood.
-    pub(crate) fn poll(&mut self, sim: &CanSim, heartbeat_period: f64) {
+    fn poll(&mut self, sim: &CanSim, heartbeat_period: f64) {
         let now = sim.now();
         let log = sim.takeover_log();
         for rec in &log[self.seen..] {
@@ -455,7 +454,7 @@ impl TakeoverWatch {
         });
     }
 
-    pub(crate) fn finish(mut self, sim: &CanSim, heartbeat_period: f64) -> RelearnStats {
+    fn finish(mut self, sim: &CanSim, heartbeat_period: f64) -> RelearnStats {
         self.poll(sim, heartbeat_period);
         RelearnStats {
             mean: (!self.windows.is_empty())
@@ -468,12 +467,12 @@ impl TakeoverWatch {
     }
 }
 
-pub(crate) struct RelearnStats {
-    pub(crate) mean: Option<f64>,
-    pub(crate) resolved: usize,
-    pub(crate) unresolved: usize,
-    pub(crate) probes: usize,
-    pub(crate) misses: usize,
+struct RelearnStats {
+    mean: Option<f64>,
+    resolved: usize,
+    unresolved: usize,
+    probes: usize,
+    misses: usize,
 }
 
 /// Wrapping sum of every live claim epoch — members and unrevived
@@ -724,14 +723,5 @@ mod tests {
             direct, pre_expanded,
             "running a macro schedule must equal running its expansion"
         );
-    }
-
-    #[test]
-    fn unknown_scheme_panics_cleanly() {
-        let mut s = generate(1, &ScheduleBudget::smoke());
-        s.scheme = "laser".into();
-        let err = std::panic::catch_unwind(|| run_schedule(&s)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("laser"), "{msg}");
     }
 }

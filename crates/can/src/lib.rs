@@ -18,18 +18,16 @@
 //!   per-node-per-minute cost metrics of Figure 8;
 //! * [`routing`] — greedy CAN routing;
 //! * [`churn`] — the two-stage churn experiments behind Figures 7–8;
-//! * [`chaos`] — scripted fault scenarios (crash flash crowds, rolling
-//!   partitions, lossy churn) with invariant auditing;
 //! * [`oracles`] + [`dst`] — cross-layer invariant oracles checked at
-//!   every heartbeat boundary, and the executor that replays generated
-//!   [`pgrid_simcore::dst::FaultSchedule`]s against them.
+//!   every heartbeat boundary, and the one executor that runs
+//!   [`pgrid_simcore::dst::FaultSchedule`]s — generated, scripted or
+//!   replayed from a trace — against them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accounting;
 pub mod adjacency;
-pub mod chaos;
 pub mod churn;
 pub mod dst;
 pub mod geom;
@@ -42,7 +40,6 @@ pub mod wire;
 
 pub use accounting::{Accounting, Counter};
 pub use adjacency::Adjacency;
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport, PartitionSpec};
 pub use churn::{run_churn, uniform_coords, BrokenSample, ChurnConfig, ChurnReport};
 pub use dst::{run_schedule, scheme_from_label, ScheduleReport};
 pub use geom::{Point, Zone};

@@ -1,10 +1,10 @@
 //! Cross-layer invariant oracles over a live [`CanSim`].
 //!
-//! The chaos scenarios audit the overlay once, at the end of a run.
-//! The DST harness instead checks these oracles at **every heartbeat
-//! boundary**, because many protocol bugs (the seed-41 stale-zone bug
-//! among them) produce transient ground-truth corruption that a
-//! final-state audit can miss.
+//! The schedule executor (`crate::dst`) checks these oracles at
+//! **every heartbeat boundary**, not once at the end of a run, because
+//! many protocol bugs (the seed-41 stale-zone bug among them) produce
+//! transient ground-truth corruption that a final-state audit can
+//! miss.
 //!
 //! Two oracle families:
 //!

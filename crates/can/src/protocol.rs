@@ -64,8 +64,8 @@ impl HeartbeatScheme {
     }
 
     /// Whether the scheme is expected to restore *full* neighbor-table
-    /// coverage after faults end, and is held to that bar by the chaos
-    /// harness. Only the adaptive scheme qualifies: its level-triggered
+    /// coverage after faults end, and is held to that bar by the
+    /// quiescence oracle. Only the adaptive scheme qualifies: its level-triggered
     /// gap detection and routed gap probes can rebuild links both sides
     /// have expired. Vanilla gossip repairs only what some surviving
     /// record can still reach, and compact keepalives cannot re-add
@@ -962,8 +962,8 @@ impl CanSim {
     }
 
     /// Mutable access to the network fault model, for reconfiguring
-    /// faults mid-run (chaos scenarios bracket their fault phase this
-    /// way).
+    /// faults mid-run (the schedule executor brackets its fault phase
+    /// this way).
     pub fn network_mut(&mut self) -> &mut NetworkModel {
         &mut self.net
     }

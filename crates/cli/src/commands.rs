@@ -321,21 +321,7 @@ pub fn chaos(args: Args) -> Result<String, String> {
 pub fn scenarios(args: Args) -> Result<String, String> {
     if args.switch("list") {
         args.reject_unknown()?;
-        let mut out = String::from("registered scenarios:\n");
-        for spec in pgrid::scenarios::REGISTRY {
-            let _ = writeln!(
-                out,
-                "  {:<18} {}{}",
-                spec.name,
-                spec.summary,
-                if pgrid::scenarios::CHAOS_TRIO.contains(&spec.name) {
-                    "  [chaos]"
-                } else {
-                    ""
-                }
-            );
-        }
-        return Ok(out);
+        return Ok(pgrid::scenarios::listing());
     }
     let filter = args.get("scenario").unwrap_or("").to_string();
     let seed: u64 = args.get_or("seed", pgrid::experiments::SCENARIO_SEED)?;
@@ -505,7 +491,7 @@ pub fn fuzz(args: Args) -> Result<String, String> {
         args.reject_unknown()?;
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (schedule, report) = replay_trace(&text)?;
+        let (schedule, report) = replay_trace(&text).map_err(|e| format!("{path}: {e}"))?;
         let mut out = format!(
             "replayed {path}: seed {}, scheme {}, {} nodes, {} fault events\n  \
              digest 0x{:016x}  broken peak {}\n",
@@ -874,6 +860,17 @@ mod tests {
         std::fs::write(&path, schedule.to_text()).unwrap();
         let err = fuzz(a(&["--replay", path.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
+
+        // An unknown heartbeat scheme is a parse error that names the
+        // trace and the label — not an executor panic and a mismatch.
+        schedule.scheme = "laser".into();
+        std::fs::write(&path, schedule.to_text()).unwrap();
+        let err = fuzz(a(&["--replay", path.to_str().unwrap()])).unwrap_err();
+        assert!(
+            err.contains("case.trace") && err.contains("`laser`"),
+            "{err}"
+        );
+        assert!(!err.contains("digest mismatch"), "{err}");
     }
 
     #[test]
@@ -907,6 +904,8 @@ mod tests {
             "job t=NaN id=0 runtime=60\n",
             "job t=-4 id=0 runtime=60\n",
             "job t=1 id=0 runtime=-50\n",
+            // One CE named twice: `JobSpec::new` asserts on it.
+            "job t=1 id=0 runtime=60 cpu=cores:1 cpu=cores:2\n",
         ] {
             std::fs::write(&jobs_p, bad).unwrap();
             let jobs_arg = jobs_p.to_str().unwrap();
@@ -915,6 +914,26 @@ mod tests {
             ]))
             .unwrap_err();
             assert!(err.message.contains("trace line"), "{bad}: {}", err.message);
+        }
+        // The same in a node record: a second `gpu0=` trips
+        // `NodeSpec::new`, a second `cpu=` used to win silently.
+        std::fs::write(&jobs_p, "job t=1 id=0 runtime=60\n").unwrap();
+        for bad in [
+            "node disk=10 cpu=clock:1,mem:2,cores:4 gpu0=clock:1,mem:4,cores:448 \
+             gpu0=clock:1,mem:4,cores:240\n",
+            "node disk=10 cpu=clock:1,mem:2,cores:4 cpu=clock:2,mem:2,cores:8\n",
+        ] {
+            std::fs::write(&nodes_p, bad).unwrap();
+            let jobs_arg = jobs_p.to_str().unwrap();
+            let err = trace(&raw(vec![
+                "replay", "--nodes", nodes_arg, "--jobs", jobs_arg,
+            ]))
+            .unwrap_err();
+            assert!(
+                err.message.contains("trace line 1") && err.message.contains("repeats"),
+                "{bad}: {}",
+                err.message
+            );
         }
     }
 

@@ -6,8 +6,8 @@
 //!   style) with configurable population, workload and scheduler;
 //! * `pgrid churn` — one CAN churn simulation (Figure 7/8 style) with
 //!   configurable scheme, churn rate and message loss;
-//! * `pgrid chaos` — scripted fault scenarios through the chaos
-//!   harness, failing on any invariant violation;
+//! * `pgrid chaos` — the scripted fault scenarios through the DST
+//!   schedule executor, failing on any invariant violation;
 //! * `pgrid scenarios` — the named adversarial scenario library
 //!   (diurnal waves, flash crowds, rack storms, stragglers, gray
 //!   failures) through the DST oracle harness, scheme vs scheme;

@@ -14,8 +14,8 @@
 //! deterministic, so results do not depend on scheduling).
 
 use crate::can::{
-    dst, run_churn, run_schedule, uniform_coords, CanSim, ChurnConfig, ChurnReport, DetectorConfig,
-    DetectorMode, HeartbeatScheme, ProtocolConfig, ScheduleReport,
+    dst, run_churn, run_schedule, uniform_coords, ChurnConfig, ChurnReport, DetectorMode,
+    HeartbeatScheme, ScheduleReport,
 };
 use crate::scenarios::ScenarioSpec;
 use crate::sched::{
@@ -409,14 +409,13 @@ pub fn takeover_suite(scale: Scale, seed: u64) -> Vec<TakeoverCell> {
     for scheme in HeartbeatScheme::ALL {
         for replicated in [false, true] {
             for rep in 0..repeats {
-                let mut s = crate::scenarios::takeover_storm(
-                    &scheme.label().to_ascii_lowercase(),
+                configs.push(storm_schedule(
+                    scheme,
                     seed + rep,
-                );
-                s.nodes = nodes;
-                s.settle_time = settle;
-                s.replication = replicated.then(|| "standby".to_string());
-                configs.push(s);
+                    nodes,
+                    settle,
+                    replicated,
+                ));
             }
         }
     }
@@ -433,6 +432,22 @@ pub fn takeover_suite(scale: Scale, seed: u64) -> Vec<TakeoverCell> {
             }
         })
         .collect()
+}
+
+/// One arm's [`crate::scenarios::takeover_storm`] schedule, resized.
+fn storm_schedule(
+    scheme: HeartbeatScheme,
+    seed: u64,
+    nodes: usize,
+    settle_time: f64,
+    replicated: bool,
+) -> FaultSchedule {
+    let mut s = crate::scenarios::takeover_storm(seed);
+    s.scheme = scheme.label().to_ascii_lowercase();
+    s.nodes = nodes;
+    s.settle_time = settle_time;
+    s.replication = replicated.then(|| "standby".to_string());
+    s
 }
 
 /// One take-over storm through the schedule executor. In the
@@ -510,27 +525,15 @@ fn run_detector_arm(
     stress_rounds: usize,
     seed: u64,
 ) -> DetectorArm {
-    let dims = 3;
-    let mut cfg = ProtocolConfig::new(dims, HeartbeatScheme::Adaptive);
-    cfg.loss_seed = crate::simcore::rng::sub_seed(seed, 0xFA17);
-    cfg.detector = Some(match mode {
-        DetectorMode::Fixed => DetectorConfig::fixed(),
-        DetectorMode::Adaptive => DetectorConfig::adaptive(),
-    });
-    let period = cfg.heartbeat_period;
-    let mut sim = CanSim::new(cfg).expect("valid protocol config");
-    let mut rng = SimRng::sub_stream(seed, 0xC4A5);
+    // The fault tables' skeleton (3-d adaptive, 60 s heartbeats, 150 s
+    // timeout), settled for five periods, detector armed.
+    let mut schedule = crate::scenarios::base(seed);
+    schedule.nodes = nodes;
+    schedule.settle_time = 5.0 * schedule.heartbeat_period;
+    schedule.detector = Some(mode.label().to_string());
+    let period = schedule.heartbeat_period;
+    let (mut sim, _) = dst::bootstrap(&schedule);
     let mut victim_rng = SimRng::sub_stream(seed, 0x71C7);
-    let mut coords = uniform_coords(dims);
-    let mut joined = 0;
-    while joined < nodes {
-        if sim.join(coords(&mut rng)).is_ok() {
-            joined += 1;
-        }
-        sim.advance_to(sim.now() + 1.0);
-    }
-    sim.advance_to(sim.now() + 5.0 * period);
-    sim.reset_accounting();
 
     let t0 = sim.now();
     let stress_end = t0 + stress_rounds as f64 * period;
@@ -1218,115 +1221,114 @@ mod tests {
         );
     }
 
-    /// `run_chaos` ≡ `run_schedule`, field by field (violations too),
-    /// on every run behind the published chaos and takeover tables:
-    /// the trio × 3 schemes at both scales, and the storm × 3 schemes ×
-    /// 2 arms × every repeat seed at both scales.
-    #[test]
-    fn schedule_executor_reproduces_the_chaos_runner() {
-        use crate::can::{run_chaos, ChaosConfig, ChaosReport};
-        fn same(what: &str, c: &ChaosReport, s: &ScheduleReport) {
-            assert_eq!(c.violations, s.violations, "{what}: violations");
-            assert_eq!(c.broken_peak, s.broken_peak, "{what}: broken_peak");
-            assert_eq!(c.broken_after, s.broken_after, "{what}: broken_after");
-            assert_eq!(c.gaps_after, s.gaps_after, "{what}: gaps_after");
-            assert_eq!(c.recovery_time, s.recovery_time, "{what}: recovery_time");
-            assert_eq!(c.final_nodes, s.final_nodes, "{what}: final_nodes");
-            assert_eq!(c.dropped_messages, s.dropped_messages, "{what}: dropped");
-            assert_eq!(c.partition_drops, s.partition_drops, "{what}: partition");
-            assert_eq!(c.frozen_drops, s.frozen_drops, "{what}: frozen_drops");
-            assert_eq!(c.repair_messages, s.repair_messages, "{what}: repairs");
-            assert_eq!(c.gap_probes, s.gap_probes, "{what}: gap_probes");
-            assert_eq!(
-                c.full_update_rounds, s.full_update_rounds,
-                "{what}: full_update_rounds"
-            );
-            assert_eq!(
-                c.msgs_per_node_min.to_bits(),
-                s.msgs_per_node_min.to_bits(),
-                "{what}: msgs_per_node_min"
-            );
-            assert_eq!(c.takeovers, s.takeovers, "{what}: takeovers");
-            assert_eq!(
-                c.replica_promotions, s.replica_promotions,
-                "{what}: replica_promotions"
-            );
-            assert_eq!(c.agg_promotions, s.agg_promotions, "{what}: agg_promotions");
-            assert_eq!(
-                c.stale_replica_rejects, s.stale_replica_rejects,
-                "{what}: stale_replica_rejects"
-            );
-            assert_eq!(
-                c.relearn_mean_heartbeats, s.relearn_mean_heartbeats,
-                "{what}: relearn_mean"
-            );
-            assert_eq!(c.relearn_resolved, s.relearn_resolved, "{what}: resolved");
-            assert_eq!(
-                c.relearn_unresolved, s.relearn_unresolved,
-                "{what}: unresolved"
-            );
-            assert_eq!(
-                c.misdirect_rate.to_bits(),
-                s.misdirect_rate.to_bits(),
-                "{what}: misdirect_rate"
-            );
-            assert_eq!(c.misdirect_probes, s.misdirect_probes, "{what}: probes");
-            assert_eq!(c.misdirect_misses, s.misdirect_misses, "{what}: misses");
-        }
+    /// One quick-scale chaos-table run (40 nodes, 120 s settle).
+    fn quick_chaos(scenario: &str, scheme: HeartbeatScheme, seed: u64) -> ScheduleReport {
+        let spec = crate::scenarios::find(scenario).expect("registered scenario");
+        let mut rows = chaos_rows(&[spec], &[scheme], seed, 40, 120.0);
+        rows.remove(0).report
+    }
 
-        let trio: [fn(HeartbeatScheme, u64) -> ChaosConfig; 3] = [
-            ChaosConfig::flash_crowd,
-            ChaosConfig::rolling_partition,
-            ChaosConfig::lossy_churn,
-        ];
-        let mut runs = 0;
-        for (scale, nodes, settle, repeats) in [
-            (Scale::Quick, 40, 120.0, 3u64),
-            (Scale::Paper, 60, 300.0, 5u64),
-        ] {
-            let rows = chaos_suite(scale, CHAOS_SEED);
-            let mut rows = rows.iter();
-            for scheme in HeartbeatScheme::ALL {
-                for ctor in trio {
-                    let mut cfg = ctor(scheme, CHAOS_SEED);
-                    cfg.initial_nodes = nodes;
-                    cfg.settle_time = settle;
-                    let row = rows.next().expect("one row per config");
-                    assert_eq!((row.scenario, row.scheme), (cfg.name, cfg.scheme));
-                    same(
-                        &format!("{}/{scheme:?}/{scale:?}", cfg.name),
-                        &run_chaos(&cfg),
-                        &row.report,
-                    );
-                    runs += 1;
-                }
-            }
-            for scheme in HeartbeatScheme::ALL {
-                for replicated in [false, true] {
-                    for rep in 0..repeats {
-                        let seed = TAKEOVER_SEED + rep;
-                        let mut cfg = ChaosConfig::takeover_storm(scheme, seed);
-                        cfg.replication = replicated;
-                        cfg.initial_nodes = nodes;
-                        cfg.settle_time = settle;
-                        let mut s = crate::scenarios::takeover_storm(
-                            &scheme.label().to_ascii_lowercase(),
-                            seed,
-                        );
-                        s.nodes = nodes;
-                        s.settle_time = settle;
-                        s.replication = replicated.then(|| "standby".to_string());
-                        same(
-                            &format!("storm/{scheme:?}/{replicated}/{seed}/{scale:?}"),
-                            &run_chaos(&cfg),
-                            &run_storm(&s),
-                        );
-                        runs += 1;
-                    }
-                }
-            }
+    /// One quick-scale take-over storm arm.
+    fn quick_storm(scheme: HeartbeatScheme, seed: u64, replicated: bool) -> ScheduleReport {
+        run_storm(&storm_schedule(scheme, seed, 40, 120.0, replicated))
+    }
+
+    #[test]
+    fn adaptive_survives_every_scenario() {
+        let trio = crate::scenarios::chaos_trio();
+        for row in chaos_rows(&trio, &[HeartbeatScheme::Adaptive], 5, 40, 120.0) {
+            assert!(
+                row.report.violations.is_empty(),
+                "{}: {:?}",
+                row.scenario,
+                row.report.violations
+            );
+            assert_eq!(row.report.broken_after, 0, "{}", row.scenario);
         }
-        assert_eq!(runs, 18 + 48);
+    }
+
+    #[test]
+    fn faults_actually_fire() {
+        let report = quick_chaos("flash-crowd", HeartbeatScheme::Compact, 7);
+        assert!(report.broken_peak > 0, "a crash flash crowd breaks links");
+        let report = quick_chaos("rolling-partition", HeartbeatScheme::Vanilla, 7);
+        assert!(report.partition_drops > 0, "partitions drop traffic");
+        let report = quick_chaos("lossy-churn", HeartbeatScheme::Adaptive, 7);
+        assert!(report.dropped_messages > 0, "loss drops traffic");
+        assert!(report.frozen_drops > 0, "freezes silently eat messages");
+    }
+
+    #[test]
+    fn non_healing_schemes_report_without_violating() {
+        // Compact decay is expected (paper Figure 7), not a violation.
+        let report = quick_chaos("rolling-partition", HeartbeatScheme::Compact, 13);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(
+            report.broken_after > 0,
+            "compact cannot rebuild expired links"
+        );
+    }
+
+    #[test]
+    fn takeover_storm_replication_shrinks_the_relearn_window() {
+        let vanilla = quick_storm(HeartbeatScheme::Adaptive, 17, false);
+        let replicated = quick_storm(HeartbeatScheme::Adaptive, 17, true);
+        assert!(vanilla.takeovers > 0, "the storm must force take-overs");
+        assert_eq!(vanilla.replica_promotions, 0, "disarmed run cannot promote");
+        assert!(
+            replicated.replica_promotions > 0,
+            "armed heirs promote warm replicas: {replicated:?}"
+        );
+        assert!(
+            replicated.agg_promotions > 0,
+            "some promotion must carry the adopted zone's aggregate slice"
+        );
+        let v = vanilla.relearn_mean_heartbeats.expect("vanilla resolves");
+        let r = replicated
+            .relearn_mean_heartbeats
+            .expect("replicated resolves");
+        assert!(
+            r < v,
+            "warm replicas must shrink the re-learn window: replicated {r} vs vanilla {v}"
+        );
+        assert!(
+            replicated.violations.is_empty(),
+            "{:?}",
+            replicated.violations
+        );
+    }
+
+    #[test]
+    fn correlated_crashes_hit_second_choice_heirs() {
+        // Owner+heir die together: promotions still happen (from the
+        // second-choice heir's replica) and the deterministic replay
+        // holds.
+        let a = quick_storm(HeartbeatScheme::Compact, 23, true);
+        let b = quick_storm(HeartbeatScheme::Compact, 23, true);
+        assert_eq!(a, b, "takeover storm must replay bit-identically");
+        assert!(a.takeovers > 0);
+    }
+
+    #[test]
+    fn ghost_keepalive_pingback_heals_stale_cover_tears() {
+        // Regression: at paper scale, seeds 53 and 55 each left one
+        // permanent broken link in the adaptive replicated arm — a
+        // dropped split announce let a keepalive-refreshed record's
+        // stale zone bits *cover* the joiner's region, so no boundary
+        // gap ever opened and adaptive probing stayed blind while the
+        // hidden joiner's keepalives were discarded as ghost traffic.
+        // The unknown-sender ping-back (Keepalive → ProbePing → Zone)
+        // is what heals these; without it this test fails.
+        for seed in [53, 55] {
+            let s = storm_schedule(HeartbeatScheme::Adaptive, seed, 60, 300.0, true);
+            let report = run_storm(&s);
+            assert!(
+                report.violations.is_empty(),
+                "seed {seed}: {:?}",
+                report.violations
+            );
+            assert!(report.takeovers > 0, "seed {seed}: storm must take over");
+        }
     }
 
     #[test]
@@ -1400,7 +1402,7 @@ mod tests {
 
     #[test]
     fn promotion_carries_real_aitable_bits_across_layers() {
-        use crate::can::ReplicationConfig;
+        use crate::can::{CanSim, ProtocolConfig, ReplicationConfig};
         use crate::sched::{AiGrouping, AiTable, StaticGrid};
         use crate::types::{DimensionLayout, NodeId};
         use crate::workload::nodegen::{generate_nodes, NodeGenConfig};

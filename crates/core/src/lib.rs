@@ -53,9 +53,8 @@ pub mod scenarios;
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
     pub use crate::can::{
-        run_chaos, run_churn, uniform_coords, CanSim, ChaosConfig, ChaosReport, ChurnConfig,
-        ChurnReport, DetectorConfig, DetectorMode, HeartbeatScheme, PartitionSpec, ProtocolConfig,
-        WireModel,
+        run_churn, uniform_coords, CanSim, ChurnConfig, ChurnReport, DetectorConfig, DetectorMode,
+        HeartbeatScheme, ProtocolConfig, WireModel,
     };
     pub use crate::can::{run_schedule, scheme_from_label, ScheduleReport};
     pub use crate::experiments::{self, Scale};

@@ -11,13 +11,12 @@
 //! (`pgrid_can::dst::run_schedule`) checks against every oracle at
 //! every heartbeat boundary.
 //!
-//! The registry is also the single enumeration point for the scripted
-//! chaos scenarios: the entries that predate the DSL carry their
-//! [`ChaosConfig`] constructor, and [`chaos_scenarios`] replaces the
-//! old hand-maintained `ChaosConfig::scenarios` list, so the chaos bin
-//! and the scenario library share one set of definitions.
+//! The registry is also where the scripted chaos trio lives
+//! ([`CHAOS_TRIO`]): the chaos tables pick those three entries by name
+//! and run the very schedules the scenario library runs, detector off.
+//! The take-over sweep's storm is a schedule builder beside the
+//! registry ([`takeover_storm`]).
 
-use crate::can::{ChaosConfig, HeartbeatScheme};
 use crate::simcore::dst::{FaultSchedule, OverloadRecord, ScheduleMacro};
 use crate::simcore::fault::{ClassFaults, FaultEvent, MsgClass, NodeFault};
 use crate::workload::ArrivalShape;
@@ -37,9 +36,6 @@ pub struct ScenarioSpec {
     pub summary: &'static str,
     /// Builds the (macro-bearing) schedule for a seed.
     build: fn(u64) -> FaultSchedule,
-    /// The scripted chaos constructor, for entries that predate the
-    /// schedule DSL and still drive the chaos bench.
-    chaos: Option<fn(HeartbeatScheme, u64) -> ChaosConfig>,
 }
 
 impl ScenarioSpec {
@@ -70,17 +66,12 @@ impl ScenarioSpec {
         let windows = self.compile(seed).arrival_windows();
         (!windows.is_empty()).then(|| ArrivalShape::new(windows))
     }
-
-    /// Whether this entry also exists as a scripted chaos scenario.
-    pub fn has_chaos(&self) -> bool {
-        self.chaos.is_some()
-    }
 }
 
-/// Shared skeleton: the chaos harness's canonical phase geometry (60 s
+/// Shared skeleton: the fault tables' canonical phase geometry (60 s
 /// heartbeats, 150 s timeout, 900 s fault phase, 20-period recovery)
 /// over a 48-node, 3-dimensional CAN.
-fn base(seed: u64) -> FaultSchedule {
+pub(crate) fn base(seed: u64) -> FaultSchedule {
     FaultSchedule {
         seed,
         scheme: "adaptive".into(),
@@ -216,11 +207,10 @@ fn overload_collapse(seed: u64) -> FaultSchedule {
     s
 }
 
-// --- transliterations of the scripted chaos trio ------------------------
+// --- the scripted chaos trio ([`CHAOS_TRIO`]) ---------------------------
 //
-// These predate the DSL; their `build` mirrors the `ChaosConfig`
-// constructor parameter for parameter so the schedule library and the
-// chaos bench stress the same adversary.
+// Hand-written points of the schedule space that predate the macro
+// DSL: primitive records only.
 
 fn flash_crowd(seed: u64) -> FaultSchedule {
     let mut s = base(seed);
@@ -286,15 +276,14 @@ fn lossy_churn(seed: u64) -> FaultSchedule {
 /// payloads go stale, with join/leave churn every third of a period
 /// keeping the victims' neighborhoods moving — the case acked replica
 /// deltas are built to survive. Detector off, replication off; the
-/// sweep's replicated arm sets `replication` itself.
+/// sweep sets each arm's `scheme` and `replication` itself.
 ///
 /// A builder, not a [`REGISTRY`] entry: the registry is the detector-on
 /// adversary library every consumer enumerates whole (the scenario
 /// table, the `dst_armed` benchmark workload), and the storm is one
 /// experiment's fixed workload with its own seeds and arms.
-pub fn takeover_storm(scheme: &str, seed: u64) -> FaultSchedule {
+pub fn takeover_storm(seed: u64) -> FaultSchedule {
     let mut s = base(seed);
-    s.scheme = scheme.to_string();
     s.nodes = 60;
     s.settle_time = 300.0;
     s.detector = None;
@@ -324,62 +313,53 @@ pub fn takeover_storm(scheme: &str, seed: u64) -> FaultSchedule {
 }
 
 /// The scenario registry, in table order. The first three entries are
-/// the scripted chaos trio (shared with the chaos bench via their
-/// constructors); the rest are the macro-built adversary families.
+/// the scripted chaos trio ([`CHAOS_TRIO`]); the rest are the
+/// macro-built adversary families.
 pub static REGISTRY: &[ScenarioSpec] = &[
     ScenarioSpec {
         name: "flash-crowd",
         summary: "~18% of members crash at once, partial rejoin wave later",
         build: flash_crowd,
-        chaos: Some(ChaosConfig::flash_crowd),
     },
     ScenarioSpec {
         name: "rolling-partition",
         summary: "two successive windows each isolate a fifth of the members",
         build: rolling_partition,
-        chaos: Some(ChaosConfig::rolling_partition),
     },
     ScenarioSpec {
         name: "lossy-churn",
         summary: "20% uniform loss, heavy join/leave churn, a 250s freeze",
         build: lossy_churn,
-        chaos: Some(ChaosConfig::lossy_churn),
     },
     ScenarioSpec {
         name: "diurnal-wave",
         summary: "3 availability cycles: 5 nodes leave per trough, return per peak",
         build: diurnal_wave,
-        chaos: None,
     },
     ScenarioSpec {
         name: "flash-crowd-spike",
         summary: "14-node join burst with 2.5x submission rate for 300s",
         build: flash_crowd_spike,
-        chaos: None,
     },
     ScenarioSpec {
         name: "rack-storm",
         summary: "3 correlated 4-node crash bursts, warm-standby armed",
         build: rack_storm,
-        chaos: None,
     },
     ScenarioSpec {
         name: "straggler-drag",
         summary: "4 slow links + 2 sub-timeout freezes the detector must tolerate",
         build: straggler_drag,
-        chaos: None,
     },
     ScenarioSpec {
         name: "gray-failure",
         summary: "5 links simultaneously lossy and laggy — limping, not dead",
         build: gray_failure,
-        chaos: None,
     },
     ScenarioSpec {
         name: "overload-collapse",
         summary: "3x sustained arrivals over a rack storm, bounded queues armed",
         build: overload_collapse,
-        chaos: None,
     },
 ];
 
@@ -398,6 +378,21 @@ pub fn find(name: &str) -> Option<&'static ScenarioSpec> {
     REGISTRY.iter().find(|s| s.name == name)
 }
 
+/// One line per registry entry, for the `--list` flags; the
+/// [`CHAOS_TRIO`] entries are marked.
+pub fn listing() -> String {
+    let mut out = String::from("registered scenarios:\n");
+    for spec in REGISTRY {
+        let mark = if CHAOS_TRIO.contains(&spec.name) {
+            "  [chaos]"
+        } else {
+            ""
+        };
+        out.push_str(&format!("  {:<18} {}{mark}\n", spec.name, spec.summary));
+    }
+    out
+}
+
 /// Registry names of the scripted chaos trio, in chaos-table order.
 pub const CHAOS_TRIO: [&str; 3] = ["flash-crowd", "rolling-partition", "lossy-churn"];
 
@@ -407,16 +402,6 @@ pub fn chaos_trio() -> Vec<&'static ScenarioSpec> {
     CHAOS_TRIO
         .iter()
         .map(|name| find(name).expect("the chaos trio is registered"))
-        .collect()
-}
-
-/// The scripted chaos scenarios, built from the registry — the single
-/// source the chaos bench, the CLI, and `experiments::chaos_suite`
-/// share (previously a hand-maintained list on `ChaosConfig`).
-pub fn chaos_scenarios(scheme: HeartbeatScheme, seed: u64) -> Vec<ChaosConfig> {
-    REGISTRY
-        .iter()
-        .filter_map(|s| s.chaos.map(|ctor| ctor(scheme, seed)))
         .collect()
 }
 
@@ -464,8 +449,7 @@ mod tests {
 
     #[test]
     fn chaos_trio_matches_the_legacy_list() {
-        let cfgs = chaos_scenarios(HeartbeatScheme::Adaptive, 41);
-        let names: Vec<&str> = cfgs.iter().map(|c| c.name).collect();
+        let names: Vec<&str> = chaos_trio().iter().map(|s| s.name).collect();
         assert_eq!(names, ["flash-crowd", "rolling-partition", "lossy-churn"]);
     }
 

@@ -2,11 +2,12 @@
 //! *schedules*, a self-contained replayable trace format, and a
 //! delta-debugging shrinker.
 //!
-//! The scripted chaos scenarios (`pgrid-can`'s `chaos` module) sample
+//! The scripted chaos trio (`pgrid`'s `scenarios::CHAOS_TRIO`) samples
 //! three hand-written points of the fault-schedule space. This module
-//! supplies the machinery to *search* that space FoundationDB-style:
+//! supplies the data those points are written in and the machinery to
+//! *search* the space FoundationDB-style:
 //!
-//! * [`FaultSchedule`] — one fully-specified chaos run: population,
+//! * [`FaultSchedule`] — one fully-specified fault run: population,
 //!   scheme, phase lengths, node-fault events, partition windows,
 //!   per-class network faults, optional churn, and an optional
 //!   scheduler phase. It carries everything needed to replay the run
@@ -36,6 +37,10 @@ use std::fmt;
 /// RNG sub-stream tag for schedule generation (disjoint from the
 /// executor streams 0xFA17 / 0xC4A5 / 0x71C7).
 const GEN_STREAM: u64 = 0xD57;
+
+/// The heartbeat-scheme labels a schedule may carry (`pgrid-can`'s
+/// `HeartbeatScheme`, lower case).
+const SCHEMES: [&str; 3] = ["vanilla", "compact", "adaptive"];
 
 /// RNG sub-stream tag for macro expansion ([`FaultSchedule::expand`]),
 /// disjoint from the generator and executor streams so expanding a
@@ -586,6 +591,12 @@ impl FaultSchedule {
                 Err(format!("{name} must be finite and positive, got {v}"))
             }
         }
+        if !SCHEMES.contains(&self.scheme.as_str()) {
+            return Err(format!(
+                "scheme must be `vanilla`, `compact` or `adaptive`, got `{}`",
+                self.scheme
+            ));
+        }
         if self.dims == 0 || self.dims > 6 {
             return Err(format!("dims must be in 1..=6, got {}", self.dims));
         }
@@ -960,7 +971,7 @@ pub fn generate(seed: u64, budget: &ScheduleBudget) -> FaultSchedule {
     let mut rng = SimRng::sub_stream(seed, GEN_STREAM);
     let dims = budget.min_dims + rng.below(budget.max_dims - budget.min_dims + 1);
     let nodes = budget.min_nodes + rng.below(budget.max_nodes - budget.min_nodes + 1);
-    let scheme = ["vanilla", "compact", "adaptive"][rng.below(3)].to_string();
+    let scheme = SCHEMES[rng.below(3)].to_string();
     let heartbeat_period = 60.0;
     let fail_timeout = 150.0;
     let fault_duration = rng.uniform(budget.min_fault_duration, budget.max_fault_duration);
@@ -1791,6 +1802,14 @@ mod tests {
         s.replication = Some("hot".into());
         let e = FaultSchedule::parse(&s.to_text()).unwrap_err();
         assert!(e.message.contains("replication mode"), "{e}");
+
+        let mut s = base_schedule();
+        s.scheme = "laser".into();
+        let e = FaultSchedule::parse(&s.to_text()).unwrap_err();
+        assert!(
+            e.message.contains("scheme") && e.message.contains("laser"),
+            "{e}"
+        );
 
         let mut s = base_schedule();
         s.events[0].fault = NodeFault::CrashWithHeir { count: 0 };

@@ -1,11 +1,12 @@
 //! Deterministic fault injection: message-level network faults and
-//! node-level fault schedules.
+//! node-level fault events.
 //!
 //! Higher layers (the CAN protocol simulator, the scheduler) route
 //! every message-delivery decision through a [`NetworkModel`] and every
-//! scripted outage through a [`FaultPlan`]. Both are seeded, so a
-//! `(seed, plan)` pair replays bit-for-bit — chaos runs are ordinary
-//! deterministic simulations that happen to be hostile.
+//! scripted outage through the [`FaultEvent`]s of a
+//! [`crate::dst::FaultSchedule`]. Both are seeded, so a schedule
+//! replays bit-for-bit — fault runs are ordinary deterministic
+//! simulations that happen to be hostile.
 //!
 //! Determinism contract: an *ideal* model (no loss, no duplication, no
 //! latency, no partitions) consumes **zero** random draws and always
@@ -571,7 +572,7 @@ impl NetworkModel {
     }
 }
 
-/// A node-level fault event in a [`FaultPlan`].
+/// What a [`FaultEvent`] does to the membership.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeFault {
     /// `count` members crash simultaneously (no goodbye, no hand-off).
@@ -608,52 +609,11 @@ pub enum NodeFault {
 /// One scheduled node-level fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
-    /// When the fault fires, in seconds relative to the plan origin
-    /// (the harness anchors plans to its fault-phase start).
+    /// When the fault fires, in seconds after the executor's fault
+    /// phase starts.
     pub at: SimTime,
     /// What happens.
     pub fault: NodeFault,
-}
-
-/// A scripted, seeded schedule of node-level faults.
-///
-/// The plan carries *what happens when*; victim selection is left to
-/// the executing harness, which samples from the then-current member
-/// set using [`FaultPlan::seed`] so replays pick the same victims.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    /// Events sorted by [`FaultEvent::at`] (enforced on construction).
-    pub events: Vec<FaultEvent>,
-    /// Seed for victim sampling during execution.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// An empty plan with a victim-sampling seed.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            events: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Appends an event; events may be added in any order.
-    pub fn push(&mut self, at: SimTime, fault: NodeFault) {
-        assert!(at.is_finite() && at >= 0.0, "fault time must be >= 0");
-        self.events.push(FaultEvent { at, fault });
-        self.events.sort_by(|a, b| a.at.total_cmp(&b.at));
-    }
-
-    /// Builder form of [`FaultPlan::push`].
-    pub fn with(mut self, at: SimTime, fault: NodeFault) -> Self {
-        self.push(at, fault);
-        self
-    }
-
-    /// Time of the last scheduled event (0 for an empty plan).
-    pub fn horizon(&self) -> SimTime {
-        self.events.last().map_or(0.0, |e| e.at)
-    }
 }
 
 #[cfg(test)]
@@ -947,23 +907,6 @@ mod tests {
     #[should_panic(expected = "degrade drop")]
     fn full_degrade_loss_is_rejected() {
         let _ = LinkDegrade::new(vec![(0, 1)], 1.0, 0.0, 0.0, 10.0);
-    }
-
-    #[test]
-    fn fault_plan_sorts_events_and_reports_horizon() {
-        let plan = FaultPlan::new(11)
-            .with(300.0, NodeFault::Rejoin { count: 5 })
-            .with(
-                60.0,
-                NodeFault::Freeze {
-                    count: 2,
-                    duration: 30.0,
-                },
-            )
-            .with(0.0, NodeFault::Crash { count: 5 });
-        let times: Vec<f64> = plan.events.iter().map(|e| e.at).collect();
-        assert_eq!(times, vec![0.0, 60.0, 300.0]);
-        assert_eq!(plan.horizon(), 300.0);
     }
 
     #[test]

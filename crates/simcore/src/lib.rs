@@ -13,8 +13,9 @@
 //!   "most nodes are weak" capability distribution);
 //! * [`fault`] — deterministic fault injection: a seeded
 //!   [`fault::NetworkModel`] (per-class loss, duplication, latency
-//!   jitter, scheduled partitions) and scripted node-level
-//!   [`fault::FaultPlan`]s (crash, rejoin, freeze), all replayable;
+//!   jitter, scheduled partitions) and the node-level
+//!   [`fault::NodeFault`] events (crash, rejoin, freeze, owner+heir
+//!   crash) a [`dst::FaultSchedule`] scripts, all replayable;
 //! * [`dst`] — deterministic-simulation-testing primitives: seeded
 //!   random fault schedules under a [`dst::ScheduleBudget`], a
 //!   replayable text trace format, and a delta-debugging shrinker;
@@ -40,8 +41,6 @@ pub use dst::{
     ScheduleMacro, ShrinkOutcome, TraceParseError,
 };
 pub use event::{EventQueue, SimTime};
-pub use fault::{
-    ClassFaults, FaultPlan, LinkDegrade, MsgClass, NetworkModel, NodeFault, Partition,
-};
+pub use fault::{ClassFaults, LinkDegrade, MsgClass, NetworkModel, NodeFault, Partition};
 pub use rng::SimRng;
 pub use shard::{RegionPartition, ShardAssignment, ShardedQueue};

@@ -116,6 +116,15 @@ fn parse_ce_type(label: &str, line: usize) -> Result<CeType, TraceError> {
     }
 }
 
+/// A record may name each CE once: `NodeSpec::new` / `JobSpec::new`
+/// assert it, and a second `cpu=` would otherwise silently win.
+fn repeated_ce(label: &str, line: usize) -> TraceError {
+    err(
+        line,
+        format!("CE label '{label}' repeats within the record"),
+    )
+}
+
 fn subfields(text: &str, line: usize) -> Result<Vec<(String, f64)>, TraceError> {
     if text.is_empty() {
         return Ok(Vec::new());
@@ -133,7 +142,8 @@ fn subfields(text: &str, line: usize) -> Result<Vec<(String, f64)>, TraceError> 
         .collect()
 }
 
-/// Parses a node-population trace.
+/// Parses a node-population trace. A record naming one CE twice is an
+/// error, not a panic in `NodeSpec::new`.
 pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
     let mut nodes = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -161,6 +171,9 @@ pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
                 continue;
             }
             let ty = parse_ce_type(k, line_no)?;
+            if cpu.iter().chain(&gpus).any(|ce| ce.ce_type == ty) {
+                return Err(repeated_ce(k, line_no));
+            }
             let subs = subfields(v, line_no)?;
             let get = |name: &str| subs.iter().find(|(n, _)| n == name).map(|(_, x)| *x);
             let clock = get("clock").ok_or_else(|| err(line_no, "CE missing clock"))?;
@@ -189,8 +202,8 @@ pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
 
 /// Parses a job trace. A record the simulator could not run — an id
 /// seen before, an arrival time that is negative or not finite, a
-/// runtime that is not positive and finite — is an error here, not a
-/// panic in the event loop.
+/// runtime that is not positive and finite, one CE named twice — is an
+/// error here, not a panic in `JobSpec::new` or the event loop.
 pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
     let mut jobs = Vec::new();
     let mut seen_ids = std::collections::HashSet::new();
@@ -240,6 +253,9 @@ pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
                 }
                 _ => {
                     let ty = parse_ce_type(k, line_no)?;
+                    if reqs.iter().any(|r| r.ce_type == ty) {
+                        return Err(repeated_ce(k, line_no));
+                    }
                     let subs = subfields(v, line_no)?;
                     let get = |name: &str| subs.iter().find(|(n, _)| n == name).map(|(_, x)| *x);
                     reqs.push(CeRequirement {

@@ -183,6 +183,22 @@ fn corpus_includes_the_rack_storm() {
 }
 
 #[test]
+fn corpus_includes_the_takeover_storm() {
+    let (schedule, report) = scenario_trace("takeover-storm");
+    // The committed trace is the sweep's own builder (`crash-heir` wave
+    // included), replicated arm, at the sweep's seed — so the builder
+    // cannot drift unpinned.
+    let mut built = pgrid::scenarios::takeover_storm(pgrid::experiments::TAKEOVER_SEED);
+    built.replication = Some("standby".into());
+    built.expect_digest = schedule.expect_digest;
+    assert_eq!(schedule, built);
+    assert!(
+        report.replica_promotions > 0,
+        "second-choice heirs must still promote replicas: {report:?}"
+    );
+}
+
+#[test]
 fn corpus_includes_the_straggler_drag() {
     let (schedule, report) = scenario_trace("straggler-drag");
     assert_eq!(schedule.degrades.len(), 1, "one straggler link window");

@@ -264,22 +264,34 @@ proptest! {
     /// After a randomized crash episode the self-healing (adaptive)
     /// scheme restores every node's boundary coverage and all
     /// ground-truth links within a bounded number of heartbeat
-    /// periods — the chaos harness's own invariant checker must report
-    /// a clean run for any fault seed.
+    /// periods — the schedule executor's oracles must report a clean
+    /// run for any fault seed.
     #[test]
     fn adaptive_recovers_full_coverage_after_random_crashes(
         seed in 0u64..500,
         crashes in 3u32..12,
         rejoins in 0u32..6,
     ) {
-        use p2p_ce_grid::simcore::fault::{FaultPlan, NodeFault};
-        let mut cfg = ChaosConfig::new("prop-crashes", HeartbeatScheme::Adaptive, seed);
-        cfg.initial_nodes = 36;
-        cfg.settle_time = 120.0;
-        cfg.plan = FaultPlan::new(seed)
-            .with(60.0, NodeFault::Crash { count: crashes as usize })
-            .with(400.0, NodeFault::Rejoin { count: rejoins as usize });
-        let report = run_chaos(&cfg);
+        use p2p_ce_grid::simcore::fault::{FaultEvent, NodeFault};
+        // The registry's flash crowd with drawn wave sizes, detector off.
+        let mut s = scenarios::find("flash-crowd")
+            .expect("registered scenario")
+            .compile_for("adaptive", seed);
+        s.nodes = 36;
+        s.detector = None;
+        s.events = vec![FaultEvent {
+            at: 60.0,
+            fault: NodeFault::Crash { count: crashes as usize },
+        }];
+        // `validate` rejects an empty wave; a zero draw is no event.
+        if rejoins > 0 {
+            s.events.push(FaultEvent {
+                at: 400.0,
+                fault: NodeFault::Rejoin { count: rejoins as usize },
+            });
+        }
+        s.validate().expect("drawn schedule is valid");
+        let report = run_schedule(&s);
         prop_assert!(
             report.violations.is_empty(),
             "seed {}: {:?}", seed, report.violations
