@@ -18,7 +18,7 @@ use std::rc::Rc;
 const GAP_ALPHA: f64 = 0.25;
 
 /// What a node believes about one neighbor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeighborEntry {
     /// The neighbor's zone as last advertised to this node.
     pub zone: Zone,
@@ -720,6 +720,7 @@ fn zone_meets_region(z: &Zone, lo: &[f64], hi: &[f64], d0: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn z(lo: &[f64], hi: &[f64]) -> Zone {
         Zone::from_bounds(lo.to_vec(), hi.to_vec())
@@ -1022,5 +1023,157 @@ mod tests {
         n.forget_all();
         assert!(n.has_boundary_gap_cached(), "forget_all invalidates");
         assert_eq!(n.boundary_gap_sample_cached(), n.boundary_gap_sample());
+    }
+
+    // ---- random operation sequences ----
+
+    /// A rectangle on the 4 x 4 lattice of the unit square, decoded
+    /// from eight bits: lattice zones abut, overlap and miss each other
+    /// often enough that every branch of the table logic is drawn.
+    fn lattice_zone(code: usize) -> Zone {
+        let span = |a: usize, b: usize| (a.min(b) as f64 / 4.0, (a.max(b) + 1) as f64 / 4.0);
+        let (x0, x1) = span(code & 3, (code >> 2) & 3);
+        let (y0, y1) = span((code >> 4) & 3, (code >> 6) & 3);
+        z(&[x0, y0], &[x1, y1])
+    }
+
+    /// What [`LocalNode::merge_records`] reads besides the records: the
+    /// own zone and the table's key set.
+    fn structure(n: &LocalNode) -> (Zone, Vec<NodeId>) {
+        (n.zone.clone(), n.known_neighbors())
+    }
+
+    /// The whole table, in id order.
+    fn rows(n: &LocalNode) -> Vec<(NodeId, NeighborEntry)> {
+        let mut v: Vec<(NodeId, NeighborEntry)> =
+            n.table.iter().map(|(id, e)| (*id, e.clone())).collect();
+        v.sort_by_key(|(id, _)| *id);
+        v
+    }
+
+    /// A snapshot's content with the neighbor list in id order.
+    fn content(p: &Payload) -> (NodeId, Zone, u64, Vec<(NodeId, Zone)>) {
+        let mut nbrs = p.neighbors.clone();
+        nbrs.sort_by_key(|(id, _)| *id);
+        (p.from, p.zone.clone(), p.epoch, nbrs)
+    }
+
+    type RecordDraw = (u32, usize);
+    type PayloadDraw = (u32, usize, u64, Vec<RecordDraw>);
+
+    proptest! {
+        /// Two facts the heartbeat path may lean on, over random
+        /// operation sequences.
+        ///
+        /// *Re-merging changes nothing.* `merge_records` reads the own
+        /// id, the own zone and the table's key set, and inserts every
+        /// unknown abutting record; so when the same payload is merged
+        /// again while zone and key set are what its previous merge
+        /// left, the merge inserts nothing and reports 0 repairs —
+        /// whatever liveness traffic ran in between.
+        ///
+        /// *A snapshot is a function of content.* Two snapshots with no
+        /// mutation in between are field-for-field equal.
+        ///
+        /// The node under test takes payloads through
+        /// `merge_payload_records`; a reference node takes the same
+        /// operations with the merge spelled out as `merge_records`
+        /// then `hear_fenced` on the sender, and the two must agree on
+        /// every table row and every repair count at every step.
+        #[test]
+        fn remerge_is_a_noop_and_snapshots_follow_content(
+            own in 0usize..256,
+            pool in prop::collection::vec(
+                (1u32..6, 0usize..256, 0u64..4,
+                 prop::collection::vec((0u32..6, 0usize..256), 0..6)),
+                3,
+            ),
+            ops in prop::collection::vec((0usize..9, 0u32..6, 0usize..256, 0u64..1000), 20..120),
+        ) {
+            let new_node = || LocalNode::new(NodeId(0), vec![0.0, 0.0], lattice_zone(own));
+            let (mut node, mut reference) = (new_node(), new_node());
+            let payloads: Vec<Payload> = pool
+                .into_iter()
+                .map(|(from, zone, epoch, records): PayloadDraw| Payload {
+                    from: NodeId(from),
+                    zone: lattice_zone(zone),
+                    epoch,
+                    neighbors: records
+                        .into_iter()
+                        .map(|(id, zc)| (NodeId(id), lattice_zone(zc)))
+                        .collect(),
+                    sent_at: 0.0,
+                })
+                .collect();
+            // Per payload: the reference's structure right after its
+            // last `merge_records`.
+            let mut merged: Vec<Option<(Zone, Vec<NodeId>)>> = vec![None; payloads.len()];
+            let mut now = 0.0;
+            for (step, (kind, who, zc, aux)) in ops.into_iter().enumerate() {
+                now += (aux % 40) as f64;
+                let (who, zone, epoch) = (NodeId(who), lattice_zone(zc), aux % 4);
+                let records = [(who, zone.clone()), (NodeId((who.0 + 1) % 6), lattice_zone(zc / 3))];
+                match kind {
+                    0 => {
+                        node.hear_fenced(who, &zone, epoch, now);
+                        reference.hear_fenced(who, &zone, epoch, now);
+                    }
+                    1 => {
+                        prop_assert_eq!(
+                            node.hear_keepalive(who, now),
+                            reference.hear_keepalive(who, now)
+                        );
+                    }
+                    2 | 3 => {
+                        let i = aux as usize % payloads.len();
+                        let p = &payloads[i];
+                        let before = structure(&reference);
+                        let repaired = reference.merge_records(&p.neighbors, now);
+                        if merged[i].as_ref() == Some(&before) {
+                            prop_assert_eq!(repaired, 0, "step {}: re-merge repaired", step);
+                            prop_assert_eq!(structure(&reference), before);
+                        }
+                        merged[i] = Some(structure(&reference));
+                        reference.hear_fenced(p.from, &p.zone, p.epoch, now);
+                        prop_assert_eq!(
+                            node.merge_payload_records(p, now),
+                            repaired,
+                            "step {}: repair count",
+                            step
+                        );
+                    }
+                    4 => {
+                        node.adopt_records(&records, now);
+                        reference.adopt_records(&records, now);
+                    }
+                    5 => {
+                        let mut gone = node.expire(now, 150.0);
+                        let mut expected = reference.expire(now, 150.0);
+                        gone.sort_by_key(|(id, _)| *id);
+                        expected.sort_by_key(|(id, _)| *id);
+                        prop_assert_eq!(gone, expected, "step {}: expired", step);
+                    }
+                    6 => {
+                        node.set_zone(zone.clone());
+                        reference.set_zone(zone);
+                    }
+                    7 => {
+                        node.forget(who);
+                        reference.forget(who);
+                    }
+                    _ => {
+                        // The protocol never vouches for a node to itself.
+                        let who = NodeId(who.0.max(1));
+                        node.reseed_second_hand(who, zone.clone(), now, epoch);
+                        reference.reseed_second_hand(who, zone, now, epoch);
+                    }
+                }
+                prop_assert_eq!(rows(&node), rows(&reference), "step {}: tables", step);
+                let (first, second) = (node.snapshot(now), node.snapshot(now));
+                prop_assert_eq!(&first.neighbors, &second.neighbors);
+                prop_assert_eq!(content(&first), content(&second));
+                prop_assert_eq!(content(&first), content(&reference.snapshot(now)));
+            }
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! Golden digests for the heartbeat hot path: fig7-shape churn runs
 //! (fault-free, high churn) for all three heartbeat schemes, with the
-//! failure detector off, fixed, and adaptive — nine trajectories in
-//! all. Each digest folds the full broken-link series, the fig8
-//! message-cost rates, the delivered-message count, and the final
-//! observable simulator state (`CanSim::fold_observable_state`), so a
-//! hot-path "optimization" that reorders a single message, skips one
-//! delivery, or shifts one RNG draw fails loudly.
+//! failure detector off, fixed, and adaptive — nine trajectories at
+//! n = 48, plus the three schemes at n = 256 with the detector off
+//! (`MID_SCALE` below). Each digest folds the full broken-link series,
+//! the fig8 message-cost rates, the delivered-message count, and the
+//! final observable simulator state
+//! (`CanSim::fold_observable_state`), so a hot-path "optimization"
+//! that reorders a single message, skips one delivery, or shifts one
+//! RNG draw fails loudly.
 //!
 //! These constants were originally recorded with the pre-optimization
 //! delivery machinery (per-message fault fate, per-receiver payload
@@ -117,6 +119,29 @@ const ADAPTIVE_DETECTOR: [(&str, u64); 3] = [
     ("compact+adaptive", 0x93a7770ba9d1b100),
     ("adaptive+adaptive", 0x189865e134978a83),
 ];
+
+/// The same cell at n = 256 over 1800 s. At n = 48 a table holds a
+/// handful of entries; here tables hold a few dozen, full payloads
+/// carry as many second-hand records, and the adaptive run has 31
+/// gap-probe walks exhaust a 256-node overlay while a crash take-over
+/// waits out the failure timeout. Recorded before the delivery path
+/// learned to share zones, reuse payloads and skip repeated merges,
+/// and never edited since.
+const MID_SCALE: [(&str, u64); 3] = [
+    ("vanilla/n256", 0xc530c5425891b182),
+    ("compact/n256", 0xd194e1cf05d0aa93),
+    ("adaptive/n256", 0xf57e23c250dc4da6),
+];
+
+#[test]
+fn heartbeat_digests_mid_scale() {
+    for (scheme, (label, expected)) in HeartbeatScheme::ALL.into_iter().zip(MID_SCALE) {
+        let mut cfg = ChurnConfig::new(11, scheme, 256).high_churn();
+        cfg.stage2_duration = 1800.0;
+        let r = run_churn(&cfg, uniform_coords(cfg.dims));
+        check(label, expected, &r);
+    }
+}
 
 #[test]
 fn heartbeat_digests_no_detector() {
