@@ -446,7 +446,7 @@ impl TakeoverWatch {
                 .true_neighbors(*actor)
                 .iter()
                 .filter(|n| sim.zone(**n).abuts(adopted))
-                .all(|n| node.table.contains_key(n));
+                .all(|n| node.table().contains_key(n));
             if settled {
                 self.windows.push(((now - *at) / heartbeat_period).max(0.0));
             }
@@ -482,10 +482,10 @@ struct RelearnStats {
 fn epoch_checksum(sim: &CanSim) -> u64 {
     let mut sum = 0u64;
     for m in sim.members() {
-        sum = sum.wrapping_add(sim.local(m).expect("member has local state").epoch);
+        sum = sum.wrapping_add(sim.local(m).expect("member has local state").epoch());
     }
     for z in sim.zombie_ids() {
-        sum = sum.wrapping_add(sim.zombie(z).expect("listed zombie").epoch);
+        sum = sum.wrapping_add(sim.zombie(z).expect("listed zombie").epoch());
     }
     sum
 }

@@ -7,6 +7,7 @@
 //! (paper §II-A).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A point in the d-dimensional CAN space. Coordinates live in `[0,1)`.
 pub type Point = Vec<f64>;
@@ -21,10 +22,23 @@ pub type Point = Vec<f64>;
 /// assert!(left.contains(&[0.25, 0.9]));
 /// assert_eq!(left.merge(&right), Some(unit));
 /// ```
-#[derive(Clone, PartialEq)]
+///
+/// Cloning shares the bounds (one immutable allocation, reference
+/// counted), so tables, payloads and messages hand zones around at the
+/// cost of a counter; [`Zone::split`] and [`Zone::merge`] build new
+/// ones.
+#[derive(Clone)]
 pub struct Zone {
-    lo: Box<[f64]>,
-    hi: Box<[f64]>,
+    /// `lo` then `hi`, `dims` values each.
+    bounds: Arc<[f64]>,
+}
+
+/// Equal bounds; two handles on one allocation are equal without a
+/// comparison, which is what a steady-state heartbeat re-announces.
+impl PartialEq for Zone {
+    fn eq(&self, other: &Zone) -> bool {
+        Arc::ptr_eq(&self.bounds, &other.bounds) || self.bounds == other.bounds
+    }
 }
 
 impl fmt::Debug for Zone {
@@ -34,7 +48,7 @@ impl fmt::Debug for Zone {
             if i > 0 {
                 write!(f, " x ")?;
             }
-            write!(f, "{:.3}..{:.3}", self.lo[i], self.hi[i])?;
+            write!(f, "{:.3}..{:.3}", self.lo(i), self.hi(i))?;
         }
         write!(f, "]")
     }
@@ -44,9 +58,10 @@ impl Zone {
     /// The whole unit space `[0,1)^d`.
     pub fn unit(dims: usize) -> Self {
         assert!(dims > 0);
+        let mut bounds = vec![0.0; 2 * dims];
+        bounds[dims..].fill(1.0);
         Zone {
-            lo: vec![0.0; dims].into_boxed_slice(),
-            hi: vec![1.0; dims].into_boxed_slice(),
+            bounds: bounds.into(),
         }
     }
 
@@ -66,34 +81,49 @@ impl Zone {
                 hi[i]
             );
         }
+        let mut bounds = lo;
+        bounds.extend_from_slice(&hi);
         Zone {
-            lo: lo.into_boxed_slice(),
-            hi: hi.into_boxed_slice(),
+            bounds: bounds.into(),
         }
+    }
+
+    /// A copy of this zone with one bound replaced (`slot` indexes the
+    /// `lo`-then-`hi` layout).
+    fn with_bound(&self, slot: usize, value: f64) -> Zone {
+        let mut bounds: Arc<[f64]> = Arc::from(&self.bounds[..]);
+        Arc::get_mut(&mut bounds).expect("freshly built, unshared")[slot] = value;
+        Zone { bounds }
+    }
+
+    /// The lower and the upper bounds, one slice each.
+    #[inline]
+    fn lo_hi(&self) -> (&[f64], &[f64]) {
+        self.bounds.split_at(self.dims())
     }
 
     /// Dimensionality.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.lo.len()
+        self.bounds.len() / 2
     }
 
     /// Lower bound along `dim`.
     #[inline]
     pub fn lo(&self, dim: usize) -> f64 {
-        self.lo[dim]
+        self.lo_hi().0[dim]
     }
 
     /// Upper bound along `dim`.
     #[inline]
     pub fn hi(&self, dim: usize) -> f64 {
-        self.hi[dim]
+        self.lo_hi().1[dim]
     }
 
     /// Side length along `dim`.
     #[inline]
     pub fn side(&self, dim: usize) -> f64 {
-        self.hi[dim] - self.lo[dim]
+        self.hi(dim) - self.lo(dim)
     }
 
     /// Hyper-volume of the zone.
@@ -104,7 +134,8 @@ impl Zone {
     /// Whether `p` lies inside the half-open box.
     pub fn contains(&self, p: &[f64]) -> bool {
         debug_assert_eq!(p.len(), self.dims());
-        (0..self.dims()).all(|d| self.lo[d] <= p[d] && p[d] < self.hi[d])
+        let (lo, hi) = self.lo_hi();
+        (0..lo.len()).all(|d| lo[d] <= p[d] && p[d] < hi[d])
     }
 
     /// Splits the zone at `at` along `dim` into (lower, upper) halves.
@@ -114,16 +145,15 @@ impl Zone {
     /// Panics unless `lo < at < hi` along that dimension.
     pub fn split(&self, dim: usize, at: f64) -> (Zone, Zone) {
         assert!(
-            self.lo[dim] < at && at < self.hi[dim],
+            self.lo(dim) < at && at < self.hi(dim),
             "split point {at} outside ({}, {}) in dim {dim}",
-            self.lo[dim],
-            self.hi[dim]
+            self.lo(dim),
+            self.hi(dim)
         );
-        let mut lower = self.clone();
-        let mut upper = self.clone();
-        lower.hi[dim] = at;
-        upper.lo[dim] = at;
-        (lower, upper)
+        (
+            self.with_bound(self.dims() + dim, at),
+            self.with_bound(dim, at),
+        )
     }
 
     /// Merges two zones that partition a box along one dimension back
@@ -132,25 +162,30 @@ impl Zone {
         if self.dims() != other.dims() {
             return None;
         }
+        let (lo, hi) = self.lo_hi();
+        let (olo, ohi) = other.lo_hi();
         let mut join_dim = None;
-        for d in 0..self.dims() {
-            if self.lo[d] == other.lo[d] && self.hi[d] == other.hi[d] {
+        for d in 0..lo.len() {
+            if lo[d] == olo[d] && hi[d] == ohi[d] {
                 continue;
             }
             if join_dim.is_some() {
                 return None; // differ in more than one dim
             }
-            if self.hi[d] == other.lo[d] || other.hi[d] == self.lo[d] {
+            if hi[d] == olo[d] || ohi[d] == lo[d] {
                 join_dim = Some(d);
             } else {
                 return None;
             }
         }
         let d = join_dim?;
-        let mut merged = self.clone();
-        merged.lo[d] = self.lo[d].min(other.lo[d]);
-        merged.hi[d] = self.hi[d].max(other.hi[d]);
-        Some(merged)
+        // The pair touches along `d`, so one of the two bounds is
+        // already the merged one and only the other moves.
+        Some(if hi[d] == olo[d] {
+            self.with_bound(lo.len() + d, ohi[d])
+        } else {
+            self.with_bound(d, olo[d])
+        })
     }
 
     /// Whether the zones share a (d-1)-dimensional face: they touch
@@ -165,9 +200,11 @@ impl Zone {
     /// direction (`+1` if `other` is on the high side of `self`).
     pub fn abut_dim(&self, other: &Zone) -> Option<(usize, i8)> {
         debug_assert_eq!(self.dims(), other.dims());
+        let (lo, hi) = self.lo_hi();
+        let (olo, ohi) = other.lo_hi();
         let mut touch: Option<(usize, i8)> = None;
-        for d in 0..self.dims() {
-            let overlap = self.hi[d].min(other.hi[d]) - self.lo[d].max(other.lo[d]);
+        for d in 0..lo.len() {
+            let overlap = hi[d].min(ohi[d]) - lo[d].max(olo[d]);
             if overlap > 0.0 {
                 continue; // positive overlap in this dim
             }
@@ -178,7 +215,7 @@ impl Zone {
             if touch.is_some() {
                 return None; // touching in 2+ dims is a corner, not a face
             }
-            let dir = if self.hi[d] == other.lo[d] { 1 } else { -1 };
+            let dir = if hi[d] == olo[d] { 1 } else { -1 };
             touch = Some((d, dir));
         }
         touch
@@ -189,12 +226,13 @@ impl Zone {
     #[allow(clippy::needless_range_loop)] // d indexes three slices at once
     pub fn distance_to(&self, p: &[f64]) -> f64 {
         debug_assert_eq!(p.len(), self.dims());
+        let (lo, hi) = self.lo_hi();
         let mut sum = 0.0;
-        for d in 0..self.dims() {
-            let gap = if p[d] < self.lo[d] {
-                self.lo[d] - p[d]
-            } else if p[d] >= self.hi[d] {
-                p[d] - self.hi[d]
+        for d in 0..lo.len() {
+            let gap = if p[d] < lo[d] {
+                lo[d] - p[d]
+            } else if p[d] >= hi[d] {
+                p[d] - hi[d]
             } else {
                 0.0
             };
@@ -206,7 +244,7 @@ impl Zone {
     /// The zone's center point.
     pub fn center(&self) -> Point {
         (0..self.dims())
-            .map(|d| 0.5 * (self.lo[d] + self.hi[d]))
+            .map(|d| 0.5 * (self.lo(d) + self.hi(d)))
             .collect()
     }
 }

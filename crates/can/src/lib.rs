@@ -31,6 +31,7 @@ pub mod adjacency;
 pub mod churn;
 pub mod dst;
 pub mod geom;
+mod idmap;
 pub mod membership;
 pub mod oracles;
 pub mod protocol;

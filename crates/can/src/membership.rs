@@ -9,6 +9,7 @@
 //! edge" (§IV-A, Figure 2).
 
 use crate::geom::{Point, Zone};
+use crate::idmap::IdMap;
 use pgrid_simcore::SimTime;
 use pgrid_types::NodeId;
 use std::collections::{BTreeMap, HashMap};
@@ -65,6 +66,17 @@ impl NeighborEntry {
         NeighborEntry::fresh(zone, heard_at, false, epoch)
     }
 
+    /// First-hand contact at `now`: folds the inter-arrival gap into
+    /// the link statistics, refreshes `last_heard` and confirms the
+    /// entry. Returns whether this contact is what confirmed it.
+    fn hear(&mut self, now: SimTime) -> bool {
+        if self.confirmed && now > self.last_heard {
+            self.record_gap(now - self.last_heard);
+        }
+        self.last_heard = self.last_heard.max(now);
+        !std::mem::replace(&mut self.confirmed, true)
+    }
+
     /// Folds one observed first-hand inter-arrival gap into the EWMA
     /// statistics.
     fn record_gap(&mut self, gap: f64) {
@@ -94,6 +106,10 @@ impl NeighborEntry {
 /// A full-state snapshot of a node: its zone plus its complete neighbor
 /// table. Carried by vanilla heartbeats, by compact/adaptive heartbeats
 /// to take-over targets, by full-update responses and by handoffs.
+///
+/// A payload is content only — no send time — because one allocation
+/// is sent round after round for as long as the content stands (see
+/// [`LocalNode::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct Payload {
     /// The sender.
@@ -105,13 +121,22 @@ pub struct Payload {
     /// The sender's neighbor table (ids and zones as the sender knew
     /// them — possibly already stale).
     pub neighbors: Vec<(NodeId, Zone)>,
-    /// Snapshot time.
-    pub sent_at: SimTime,
+}
+
+/// The last full payload a node took from one sender, and how the
+/// receiver's table stood when it merged it.
+#[derive(Debug)]
+struct CachedFull {
+    payload: Rc<Payload>,
+    /// The receiver's [`LocalNode::generation`] right after it merged
+    /// `payload`'s records.
+    merged_at: u64,
 }
 
 /// A warm-standby copy of another node's zone state, held by one of its
-/// take-over targets. Where the legacy [`LocalNode::cache`] keeps the
-/// owner's last *full heartbeat* (refreshed wholesale every round), a
+/// take-over targets. Where the heartbeat cache
+/// ([`LocalNode::cached_payload`]) keeps the owner's last *full
+/// heartbeat* (refreshed wholesale whenever its content changes), a
 /// replica is an explicitly versioned snapshot shipped incrementally:
 /// the owner bumps `version` only when its replicated content actually
 /// changed, and the heir acks each version back, so both sides know
@@ -153,8 +178,6 @@ pub struct ReplicaPayload {
     pub neighbors: Vec<(NodeId, Zone)>,
     /// The opaque zone-local aggregate slice.
     pub agg: Vec<u64>,
-    /// Snapshot time.
-    pub sent_at: SimTime,
 }
 
 /// The local protocol state of one CAN member.
@@ -166,12 +189,12 @@ pub struct LocalNode {
     /// capabilities plus the random virtual coordinate).
     pub coord: Point,
     /// This node's current zone (updated locally on splits/take-overs).
-    pub zone: Zone,
+    zone: Zone,
     /// The neighbor table — this node's possibly-stale view.
-    pub table: HashMap<NodeId, NeighborEntry>,
+    table: IdMap<NeighborEntry>,
     /// Cached full-state payloads from nodes whose zone this node may
     /// have to take over (refreshed by their full heartbeats).
-    pub cache: HashMap<NodeId, Rc<Payload>>,
+    cache: IdMap<CachedFull>,
     /// Set when this node's zone changed (join split it, or a take-over
     /// grew/moved it): the next heartbeat round carries the new zone to
     /// every neighbor rather than a bare keepalive.
@@ -192,10 +215,10 @@ pub struct LocalNode {
     /// an epoch strictly above the expelled owner's, and a revived node
     /// seeing a higher epoch for its old zone knows its death was
     /// declared and its state is stale.
-    pub epoch: u64,
+    epoch: u64,
     /// Warm-standby replicas of other nodes' zone state, keyed by
     /// owner: populated by versioned replica deltas when replication is
-    /// armed. Unlike [`LocalNode::cache`] entries, replicas survive
+    /// armed. Unlike cached heartbeat payloads, replicas survive
     /// neighbor expiry — the heir must still hold the copy when the
     /// deferred take-over fires, well after the owner went silent.
     pub replicas: HashMap<NodeId, ZoneReplica>,
@@ -229,17 +252,28 @@ pub struct LocalNode {
     /// adaptive scheme queries the gap every tick; in steady state this
     /// turns an allocation + recursion into a field read.
     gap_cache: Option<Option<Point>>,
+    /// Counts the mutations of what [`LocalNode::merge_records`] reads
+    /// besides the records — the own zone and the table's key set (and,
+    /// harmlessly, recorded-zone changes): bumped by
+    /// [`LocalNode::touched`] and by nothing else. Two equal readings
+    /// mean a payload merged at the first would merge to nothing at the
+    /// second.
+    generation: u64,
+    /// The full-state payload of the current content, built on first
+    /// use and dropped by every mutation of what it holds: the zone,
+    /// the epoch, and the confirmed entries' ids and zones.
+    payload_memo: Option<Rc<Payload>>,
 }
 
 impl LocalNode {
-    /// A fresh member with an empty table.
-    pub fn new(id: NodeId, coord: Point, zone: Zone) -> Self {
+    /// A fresh member with an empty table, claiming `zone` at `epoch`.
+    pub fn new(id: NodeId, coord: Point, zone: Zone, epoch: u64) -> Self {
         LocalNode {
             id,
             coord,
             zone,
-            table: HashMap::new(),
-            cache: HashMap::new(),
+            table: IdMap::default(),
+            cache: IdMap::default(),
             zone_dirty: false,
             wants_full_update: false,
             zone_change_audience: Vec::new(),
@@ -248,10 +282,54 @@ impl LocalNode {
             replica_hash: 0,
             replica_acked: HashMap::new(),
             agg_slice: Vec::new(),
-            epoch: 1,
+            epoch,
             suspects: BTreeMap::new(),
             gap_cache: None,
+            generation: 0,
+            payload_memo: None,
         }
+    }
+
+    /// This node's current zone. Written only by
+    /// [`LocalNode::set_zone_fenced`].
+    #[inline]
+    pub fn zone(&self) -> &Zone {
+        &self.zone
+    }
+
+    /// This node's zone-ownership epoch. Written only by
+    /// [`LocalNode::set_zone_fenced`].
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The neighbor table — this node's possibly-stale view. Read-only,
+    /// entries included: every write goes through a method here that
+    /// keeps the gap cache, the generation and the payload memo in
+    /// step.
+    #[inline]
+    pub(crate) fn table(&self) -> &IdMap<NeighborEntry> {
+        &self.table
+    }
+
+    /// The zone, a recorded zone or the table's key set changed: what
+    /// was derived from them is void.
+    fn touched(&mut self) {
+        self.gap_cache = None;
+        self.generation += 1;
+        self.payload_memo = None;
+    }
+
+    /// The last full payload taken from `from`, if it is still cached —
+    /// what a crash take-over recovers the victim's neighborhood from.
+    pub fn cached_payload(&self, from: NodeId) -> Option<Rc<Payload>> {
+        self.cache.get(&from).map(|c| Rc::clone(&c.payload))
+    }
+
+    /// Drops the cached payload of `from` (its zone has a new owner).
+    pub fn drop_cached_payload(&mut self, from: NodeId) {
+        self.cache.remove(&from);
     }
 
     /// Stores (or refreshes) a warm-standby replica of `from`'s zone
@@ -297,32 +375,29 @@ impl LocalNode {
         }
         self.suspects.remove(&from);
         if let Some(e) = self.table.get_mut(&from) {
-            if e.confirmed && now > e.last_heard {
-                let gap = now - e.last_heard;
-                e.record_gap(gap);
+            if e.hear(now) {
+                self.payload_memo = None; // the entry joins the snapshot
             }
-            e.last_heard = e.last_heard.max(now);
-            e.confirmed = true;
             if epoch != 0 && epoch < e.epoch {
                 return; // stale ownership claim: liveness only
             }
             e.epoch = e.epoch.max(epoch);
             if self.zone.abuts(zone) {
-                // Skip the store (and the cache invalidation) when the
+                // Skip the store (and the invalidation) when the
                 // advertised zone matches the record — the steady-state
                 // case; equal bounds mean bit-identical state.
                 if e.zone != *zone {
                     e.zone = zone.clone();
-                    self.gap_cache = None;
+                    self.touched();
                 }
             } else {
                 self.table.remove(&from);
-                self.gap_cache = None;
+                self.touched();
             }
         } else if self.zone.abuts(zone) {
             self.table
                 .insert(from, NeighborEntry::fresh(zone.clone(), now, true, epoch));
-            self.gap_cache = None;
+            self.touched();
         }
     }
 
@@ -335,15 +410,33 @@ impl LocalNode {
     pub fn hear_keepalive(&mut self, from: NodeId, now: SimTime) -> bool {
         self.suspects.remove(&from);
         if let Some(e) = self.table.get_mut(&from) {
-            if e.confirmed && now > e.last_heard {
-                let gap = now - e.last_heard;
-                e.record_gap(gap);
+            if e.hear(now) {
+                self.payload_memo = None; // the entry joins the snapshot
             }
-            e.last_heard = e.last_heard.max(now);
-            e.confirmed = true;
             true
         } else {
             false
+        }
+    }
+
+    /// Records an indirect-probe vouch: a helper heard `suspect`
+    /// (owning `zone` at `epoch`) at `heard_at`. Second-hand liveness —
+    /// it absolves the suspicion and pushes `last_heard` forward to the
+    /// voucher's observation, but does not feed the per-link gap
+    /// statistics (they measure *our* link), does not confirm the
+    /// entry, and does not roll the claim back past the recorded
+    /// epoch. A suspect already expired here is re-seeded as an
+    /// unconfirmed entry if its vouched zone abuts ours, so the link
+    /// does not stay torn while the suspect is alive.
+    pub fn hear_vouch(&mut self, suspect: NodeId, zone: &Zone, epoch: u64, heard_at: SimTime) {
+        self.suspects.remove(&suspect);
+        if let Some(e) = self.table.get_mut(&suspect) {
+            if epoch >= e.epoch {
+                e.last_heard = e.last_heard.max(heard_at);
+                e.epoch = epoch;
+            }
+        } else if self.zone.abuts(zone) {
+            self.reseed_second_hand(suspect, zone.clone(), heard_at, epoch);
         }
     }
 
@@ -362,7 +455,7 @@ impl LocalNode {
             if self.zone.abuts(mz) {
                 self.table
                     .insert(*m, NeighborEntry::fresh(mz.clone(), now, false, 0));
-                self.gap_cache = None;
+                self.touched();
                 repaired += 1;
             }
         }
@@ -386,16 +479,51 @@ impl LocalNode {
             } else if self.zone.abuts(mz) {
                 self.table
                     .insert(*m, NeighborEntry::fresh(mz.clone(), now, false, 0));
-                self.gap_cache = None;
+                self.touched();
             }
         }
     }
 
-    /// Merges a full payload: second-hand records via
-    /// [`LocalNode::merge_records`], plus the sender itself as
-    /// first-hand information.
-    pub fn merge_payload_records(&mut self, payload: &Payload, now: SimTime) -> usize {
-        let repaired = self.merge_records(&payload.neighbors, now);
+    /// Takes a full heartbeat: caches the payload, merges its
+    /// second-hand records via [`LocalNode::merge_records`], and hears
+    /// the sender itself first-hand. Returns the repairs.
+    ///
+    /// The merge is skipped when it provably inserts nothing: the
+    /// sender re-sent the *same allocation* it sent last time (see
+    /// [`LocalNode::snapshot`]), and this node's generation is what it
+    /// was right after it merged that allocation. `merge_records` reads
+    /// only the own id, the own zone and the table's key set, and
+    /// inserts every unknown abutting record; with the records, the
+    /// zone and the key set all unchanged, none is left to insert. (The
+    /// cache holds the allocation it compares against, so the address
+    /// cannot have been reused.) The sender is heard every time —
+    /// liveness is per delivery.
+    pub fn merge_payload_records(&mut self, payload: &Rc<Payload>, now: SimTime) -> usize {
+        let merged_before = self
+            .cache
+            .get(&payload.from)
+            .is_some_and(|c| Rc::ptr_eq(&c.payload, payload) && c.merged_at == self.generation);
+        let repaired = if merged_before {
+            debug_assert!(
+                payload.neighbors.iter().all(|(m, mz)| *m == self.id
+                    || self.table.contains_key(m)
+                    || !self.zone.abuts(mz)),
+                "{}: skipped a merge from {} that would have inserted a record",
+                self.id,
+                payload.from
+            );
+            0
+        } else {
+            let repaired = self.merge_records(&payload.neighbors, now);
+            self.cache.insert(
+                payload.from,
+                CachedFull {
+                    payload: Rc::clone(payload),
+                    merged_at: self.generation,
+                },
+            );
+            repaired
+        };
         self.hear_fenced(payload.from, &payload.zone, payload.epoch, now);
         repaired
     }
@@ -416,7 +544,7 @@ impl LocalNode {
             if self.zone.abuts(&e.zone) {
                 self.table
                     .insert(*m, NeighborEntry::fresh(e.zone.clone(), now, false, 0));
-                self.gap_cache = None;
+                self.touched();
                 repaired += 1;
             }
         }
@@ -434,7 +562,7 @@ impl LocalNode {
             .map(|(id, _)| *id)
             .collect();
         if !ids.is_empty() {
-            self.gap_cache = None;
+            self.touched();
         }
         ids.into_iter()
             .map(|id| {
@@ -556,8 +684,15 @@ impl LocalNode {
     /// have been the stale one, and a peer that never hears the change
     /// keeps a stale record of us indefinitely.
     pub fn set_zone(&mut self, zone: Zone) {
+        self.set_zone_fenced(zone, 0);
+    }
+
+    /// [`LocalNode::set_zone`] for a take-over: the new claim's epoch
+    /// clears `fence` — every claim a previous owner of any part of the
+    /// zone ever made — as well as this node's own last claim.
+    pub fn set_zone_fenced(&mut self, zone: Zone, fence: u64) {
         self.zone = zone;
-        self.epoch += 1;
+        self.epoch = self.epoch.max(fence) + 1;
         let own = self.zone.clone();
         let mut pruned = Vec::new();
         self.table.retain(|id, e| {
@@ -570,7 +705,7 @@ impl LocalNode {
         pruned.sort_unstable(); // retain() walks a HashMap: order it
         self.zone_change_audience.extend(pruned);
         self.zone_dirty = true;
-        self.gap_cache = None;
+        self.touched();
     }
 
     /// Removes `id` from the table (take-over cleanup, targeted
@@ -578,21 +713,22 @@ impl LocalNode {
     /// gap cache can never go stale.
     pub fn forget(&mut self, id: NodeId) {
         if self.table.remove(&id).is_some() {
-            self.gap_cache = None;
+            self.touched();
         }
     }
 
     /// Clears the whole table (relocation: the node leaves its old
-    /// neighborhood entirely). Standby replicas go with it — they were
-    /// held for owners near the *old* position, whose take-over plans
-    /// no longer name this node — and so do the acks collected for the
-    /// old position's replica, forcing a fresh delta to the new
-    /// position's targets.
+    /// neighborhood entirely). Cached payloads and standby replicas go
+    /// with it — they were held for owners near the *old* position,
+    /// whose take-over plans no longer name this node — and so do the
+    /// acks collected for the old position's replica, forcing a fresh
+    /// delta to the new position's targets.
     pub fn forget_all(&mut self) {
         if !self.table.is_empty() {
-            self.gap_cache = None;
+            self.touched();
         }
         self.table.clear();
+        self.cache.clear();
         self.replicas.clear();
         self.replica_acked.clear();
     }
@@ -602,7 +738,7 @@ impl LocalNode {
     pub fn reseed_second_hand(&mut self, id: NodeId, zone: Zone, heard_at: SimTime, epoch: u64) {
         self.table
             .insert(id, NeighborEntry::fresh_second_hand(zone, heard_at, epoch));
-        self.gap_cache = None;
+        self.touched();
     }
 
     /// Snapshot of this node's full state for a heartbeat/handoff.
@@ -611,8 +747,17 @@ impl LocalNode {
     /// second-hand records would let a frozen record of a departed or
     /// shrunk zone propagate epidemically between tables, resurrecting
     /// faster than expiry can retire it.
-    pub fn snapshot(&self, now: SimTime) -> Payload {
-        Payload {
+    ///
+    /// Built once per content change: until the zone, the epoch, or a
+    /// confirmed entry's presence or zone changes, every call returns
+    /// the same allocation — which is also how a receiver recognizes a
+    /// payload it has already merged
+    /// ([`LocalNode::merge_payload_records`]).
+    pub fn snapshot(&mut self) -> Rc<Payload> {
+        if let Some(memo) = &self.payload_memo {
+            return Rc::clone(memo);
+        }
+        let payload = Rc::new(Payload {
             from: self.id,
             zone: self.zone.clone(),
             epoch: self.epoch,
@@ -622,8 +767,9 @@ impl LocalNode {
                 .filter(|(_, e)| e.confirmed)
                 .map(|(id, e)| (*id, e.zone.clone()))
                 .collect(),
-            sent_at: now,
-        }
+        });
+        self.payload_memo = Some(Rc::clone(&payload));
+        payload
     }
 
     /// Ids currently in the table (sorted, for deterministic
@@ -728,7 +874,7 @@ mod tests {
 
     fn node() -> LocalNode {
         // Owns the left half of the unit square.
-        LocalNode::new(NodeId(0), vec![0.2, 0.5], z(&[0.0, 0.0], &[0.5, 1.0]))
+        LocalNode::new(NodeId(0), vec![0.2, 0.5], z(&[0.0, 0.0], &[0.5, 1.0]), 1)
     }
 
     #[test]
@@ -770,7 +916,7 @@ mod tests {
         let mut n = node();
         // Sender 1 abuts us; its payload mentions node 2 whose zone
         // also abuts us — the Figure 2 repair path.
-        let payload = Payload {
+        let payload = Rc::new(Payload {
             from: NodeId(1),
             zone: z(&[0.5, 0.0], &[1.0, 0.5]),
             epoch: 1,
@@ -779,8 +925,7 @@ mod tests {
                 (NodeId(3), z(&[0.9, 0.9], &[1.0, 1.0])), // does not abut us
                 (NodeId(0), z(&[0.0, 0.0], &[0.5, 1.0])), // ourselves
             ],
-            sent_at: 40.0,
-        };
+        });
         let repaired = n.merge_payload_records(&payload, 40.0);
         assert_eq!(repaired, 1);
         assert!(n.table.contains_key(&NodeId(1)), "sender inserted");
@@ -793,13 +938,12 @@ mod tests {
     fn payload_merge_does_not_refresh_existing_entries() {
         let mut n = node();
         n.hear_with_zone(NodeId(2), &z(&[0.5, 0.5], &[1.0, 1.0]), 10.0);
-        let payload = Payload {
+        let payload = Rc::new(Payload {
             from: NodeId(1),
             zone: z(&[0.5, 0.0], &[1.0, 0.5]),
             epoch: 1,
             neighbors: vec![(NodeId(2), z(&[0.5, 0.5], &[1.0, 1.0]))],
-            sent_at: 100.0,
-        };
+        });
         n.merge_payload_records(&payload, 100.0);
         assert_eq!(
             n.table[&NodeId(2)].last_heard,
@@ -836,10 +980,9 @@ mod tests {
     fn snapshot_round_trips_table() {
         let mut n = node();
         n.hear_with_zone(NodeId(1), &z(&[0.5, 0.0], &[1.0, 0.5]), 0.0);
-        let snap = n.snapshot(12.0);
+        let snap = n.snapshot();
         assert_eq!(snap.from, NodeId(0));
         assert_eq!(snap.neighbors.len(), 1);
-        assert_eq!(snap.sent_at, 12.0);
         assert_eq!(snap.neighbors[0].0, NodeId(1));
     }
 
@@ -1051,18 +1194,31 @@ mod tests {
         v
     }
 
+    type Content = (NodeId, Zone, u64, Vec<(NodeId, Zone)>);
+
     /// A snapshot's content with the neighbor list in id order.
-    fn content(p: &Payload) -> (NodeId, Zone, u64, Vec<(NodeId, Zone)>) {
+    fn content(p: &Payload) -> Content {
         let mut nbrs = p.neighbors.clone();
         nbrs.sort_by_key(|(id, _)| *id);
         (p.from, p.zone.clone(), p.epoch, nbrs)
+    }
+
+    /// What a snapshot of `n` must hold, read off its fields.
+    fn expected_content(n: &LocalNode) -> Content {
+        let confirmed = rows(n).into_iter().filter(|(_, e)| e.confirmed);
+        (
+            n.id,
+            n.zone.clone(),
+            n.epoch,
+            confirmed.map(|(id, e)| (id, e.zone)).collect(),
+        )
     }
 
     type RecordDraw = (u32, usize);
     type PayloadDraw = (u32, usize, u64, Vec<RecordDraw>);
 
     proptest! {
-        /// Two facts the heartbeat path may lean on, over random
+        /// The two facts the heartbeat path leans on, over random
         /// operation sequences.
         ///
         /// *Re-merging changes nothing.* `merge_records` reads the own
@@ -1073,13 +1229,16 @@ mod tests {
         /// whatever liveness traffic ran in between.
         ///
         /// *A snapshot is a function of content.* Two snapshots with no
-        /// mutation in between are field-for-field equal.
+        /// mutation in between are one allocation, and a snapshot
+        /// always holds what the fields say, whatever ran since it was
+        /// last built.
         ///
         /// The node under test takes payloads through
-        /// `merge_payload_records`; a reference node takes the same
-        /// operations with the merge spelled out as `merge_records`
-        /// then `hear_fenced` on the sender, and the two must agree on
-        /// every table row and every repair count at every step.
+        /// `merge_payload_records`, which skips merges it has proved
+        /// empty; a reference node takes the same operations with every
+        /// merge spelled out as `merge_records` then `hear_fenced` on
+        /// the sender, and the two must agree on every table row and
+        /// every repair count at every step.
         #[test]
         fn remerge_is_a_noop_and_snapshots_follow_content(
             own in 0usize..256,
@@ -1088,21 +1247,22 @@ mod tests {
                  prop::collection::vec((0u32..6, 0usize..256), 0..6)),
                 3,
             ),
-            ops in prop::collection::vec((0usize..9, 0u32..6, 0usize..256, 0u64..1000), 20..120),
+            ops in prop::collection::vec((0usize..10, 0u32..6, 0usize..256, 0u64..1000), 20..120),
         ) {
-            let new_node = || LocalNode::new(NodeId(0), vec![0.0, 0.0], lattice_zone(own));
+            let new_node = || LocalNode::new(NodeId(0), vec![0.0, 0.0], lattice_zone(own), 1);
             let (mut node, mut reference) = (new_node(), new_node());
-            let payloads: Vec<Payload> = pool
+            let payloads: Vec<Rc<Payload>> = pool
                 .into_iter()
-                .map(|(from, zone, epoch, records): PayloadDraw| Payload {
-                    from: NodeId(from),
-                    zone: lattice_zone(zone),
-                    epoch,
-                    neighbors: records
-                        .into_iter()
-                        .map(|(id, zc)| (NodeId(id), lattice_zone(zc)))
-                        .collect(),
-                    sent_at: 0.0,
+                .map(|(from, zone, epoch, records): PayloadDraw| {
+                    Rc::new(Payload {
+                        from: NodeId(from),
+                        zone: lattice_zone(zone),
+                        epoch,
+                        neighbors: records
+                            .into_iter()
+                            .map(|(id, zc)| (NodeId(id), lattice_zone(zc)))
+                            .collect(),
+                    })
                 })
                 .collect();
             // Per payload: the reference's structure right after its
@@ -1154,25 +1314,34 @@ mod tests {
                         prop_assert_eq!(gone, expected, "step {}: expired", step);
                     }
                     6 => {
-                        node.set_zone(zone.clone());
-                        reference.set_zone(zone);
+                        node.set_zone_fenced(zone.clone(), aux % 7);
+                        reference.set_zone_fenced(zone, aux % 7);
                     }
                     7 => {
                         node.forget(who);
                         reference.forget(who);
                     }
+                    // The protocol never vouches for a node to itself.
+                    8 => {
+                        let who = NodeId(who.0.max(1));
+                        node.hear_vouch(who, &zone, epoch, now - 10.0);
+                        reference.hear_vouch(who, &zone, epoch, now - 10.0);
+                    }
                     _ => {
-                        // The protocol never vouches for a node to itself.
                         let who = NodeId(who.0.max(1));
                         node.reseed_second_hand(who, zone.clone(), now, epoch);
                         reference.reseed_second_hand(who, zone, now, epoch);
                     }
                 }
                 prop_assert_eq!(rows(&node), rows(&reference), "step {}: tables", step);
-                let (first, second) = (node.snapshot(now), node.snapshot(now));
-                prop_assert_eq!(&first.neighbors, &second.neighbors);
-                prop_assert_eq!(content(&first), content(&second));
-                prop_assert_eq!(content(&first), content(&reference.snapshot(now)));
+                let (first, second) = (node.snapshot(), node.snapshot());
+                prop_assert!(Rc::ptr_eq(&first, &second), "step {}: rebuilt unchanged", step);
+                prop_assert_eq!(
+                    content(&first),
+                    expected_content(&reference),
+                    "step {}: stale snapshot",
+                    step
+                );
             }
         }
     }

@@ -132,7 +132,7 @@ fn ownership_exclusivity(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>
         for &m in members {
             let mz = sim.zone(m);
             let overlap =
-                (0..mz.dims()).all(|d| mz.lo(d) < zn.zone.hi(d) && zn.zone.lo(d) < mz.hi(d));
+                (0..mz.dims()).all(|d| mz.lo(d) < zn.zone().hi(d) && zn.zone().lo(d) < mz.hi(d));
             if !overlap {
                 continue;
             }
@@ -143,13 +143,13 @@ fn ownership_exclusivity(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>
             let me = sim
                 .local(m)
                 .expect("member has local state")
-                .epoch
+                .epoch()
                 .max(sim.fence_floor(m));
-            if me <= zn.epoch {
+            if me <= zn.epoch() {
                 out.push(format!(
                     "t={now}: member {m} (epoch {me}) and zombie {z} (epoch {e}) hold \
                      competing claims on overlapping space — stale claim not fenced",
-                    e = zn.epoch
+                    e = zn.epoch()
                 ));
                 reported += 1;
                 if reported >= MAX_PER_CHECK {
@@ -184,12 +184,12 @@ impl EpochLedger {
         let mut claims: Vec<(NodeId, u64)> = sim
             .members()
             .iter()
-            .map(|&m| (m, sim.local(m).expect("member has local state").epoch))
+            .map(|&m| (m, sim.local(m).expect("member has local state").epoch()))
             .collect();
         claims.extend(
             sim.zombie_ids()
                 .iter()
-                .map(|&z| (z, sim.zombie(z).expect("listed zombie").epoch)),
+                .map(|&z| (z, sim.zombie(z).expect("listed zombie").epoch())),
         );
         for (id, epoch) in claims {
             let e = self.seen.entry(id).or_insert(0);
@@ -506,8 +506,8 @@ mod tests {
         // hold an unfenced claim against their own original.
         for (i, &m) in members[..6].iter().enumerate() {
             let live = sim.local(m).expect("member has local state");
-            let mut z = LocalNode::new(m, live.coord.clone(), sim.zone(m).clone());
-            z.epoch = if i == 0 { 0 } else { live.epoch };
+            let epoch = if i == 0 { 0 } else { live.epoch() };
+            let z = LocalNode::new(m, live.coord.clone(), sim.zone(m).clone(), epoch);
             sim.park_zombie(z);
         }
         // One malformed slice, then three-finding slices: the fourth

@@ -20,6 +20,7 @@
 use crate::accounting::Accounting;
 use crate::adjacency::Adjacency;
 use crate::geom::{Point, Zone};
+use crate::idmap::{IdMap, IdSet};
 use crate::membership::{LocalNode, Payload, ReplicaPayload, ZoneReplica};
 use crate::split_tree::{SplitTree, ZoneChange};
 use crate::wire::{MsgKind, WireModel};
@@ -27,7 +28,8 @@ use pgrid_simcore::dst::Fnv;
 use pgrid_simcore::fault::{MsgClass, NetworkModel};
 use pgrid_simcore::{EventQueue, SimTime};
 use pgrid_types::NodeId;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
 /// Retry bound for acknowledged exchanges (join, handoff) under loss:
@@ -399,10 +401,11 @@ enum Ev {
 /// reified.
 #[derive(Debug, Clone)]
 enum Msg {
-    /// Full-state heartbeat payload. Reference-counted: one round's
-    /// payload is shared by every receiver (and any delayed in-flight
-    /// copy), so fan-out costs a refcount bump instead of a deep clone
-    /// of every neighbor zone.
+    /// Full-state heartbeat payload. Reference-counted: one allocation
+    /// is shared by every receiver (and any delayed in-flight copy) of
+    /// every round the sender's content stands, so fan-out costs a
+    /// refcount bump — and a receiver recognizes a payload it has
+    /// already merged by its address.
     Full(Rc<Payload>),
     /// Zone-carrying update from a node whose zone changed, fenced by
     /// the sender's ownership epoch.
@@ -548,7 +551,7 @@ pub struct CanSim {
     cfg: ProtocolConfig,
     tree: Option<SplitTree>,
     adj: Adjacency,
-    nodes: HashMap<NodeId, LocalNode>,
+    nodes: IdMap<LocalNode>,
     queue: EventQueue<Ev>,
     now: SimTime,
     acct: Accounting,
@@ -626,7 +629,7 @@ impl CanSim {
             cfg,
             tree: None,
             adj: Adjacency::new(),
-            nodes: HashMap::new(),
+            nodes: IdMap::default(),
             queue: EventQueue::new(),
             now: 0.0,
             acct: Accounting::new(),
@@ -747,7 +750,7 @@ impl CanSim {
 
     /// Local neighbor table size of a member.
     pub fn table_len(&self, id: NodeId) -> usize {
-        self.nodes[&id].table.len()
+        self.nodes[&id].table().len()
     }
 
     /// Read-only access to a member's local state (tests/diagnostics).
@@ -892,7 +895,7 @@ impl CanSim {
         digest.write_usize(members.len());
         for &id in &members {
             digest.write_u64(u64::from(id.0));
-            digest.write_u64(self.local(id).expect("member has local state").epoch);
+            digest.write_u64(self.local(id).expect("member has local state").epoch());
             let z = self.zone(id);
             for d in 0..z.dims() {
                 digest.write_f64(z.lo(d));
@@ -1003,7 +1006,7 @@ impl CanSim {
             .map(|(id, n)| {
                 self.adj
                     .neighbors(*id)
-                    .filter(|q| !n.table.contains_key(q))
+                    .filter(|q| !n.table().contains_key(q))
                     .count()
             })
             .sum()
@@ -1015,7 +1018,7 @@ impl CanSim {
         self.nodes
             .iter()
             .map(|(id, n)| {
-                n.table
+                n.table()
                     .keys()
                     .filter(|q| !self.adj.are_neighbors(*id, **q))
                     .count()
@@ -1101,9 +1104,8 @@ impl CanSim {
             let zone = Zone::unit(self.cfg.dims);
             self.tree = Some(SplitTree::new(self.cfg.dims, id));
             self.adj.insert_first(id);
-            let mut first = LocalNode::new(id, coord, zone);
-            first.epoch = base_epoch + 1;
-            self.nodes.insert(id, first);
+            self.nodes
+                .insert(id, LocalNode::new(id, coord, zone, base_epoch + 1));
             self.acct.advance(t, self.nodes.len());
             self.queue
                 .schedule(t + self.cfg.heartbeat_period, Ev::Tick(id));
@@ -1134,7 +1136,7 @@ impl CanSim {
         // dropped request or reply is retransmitted until it gets
         // through, with every transmission charged and every loss
         // counted.
-        let host_k = self.nodes[&host].table.len();
+        let host_k = self.nodes[&host].table().len();
         let req_sends =
             self.net
                 .reliable_sends(t, id.0, host.0, MsgClass::Join, RELIABLE_RETRY_CAP);
@@ -1157,18 +1159,21 @@ impl CanSim {
         // Seed the joiner's table from the host's (pre-split) view.
         let host_entries: Vec<(NodeId, Zone)> = {
             let hn = self.nodes.get_mut(&host).unwrap();
-            let entries = hn.table.iter().map(|(n, e)| (*n, e.zone.clone())).collect();
+            let entries = hn
+                .table()
+                .iter()
+                .map(|(n, e)| (*n, e.zone.clone()))
+                .collect();
             hn.set_zone(new_host_zone.clone());
             entries
         };
-        let mut joiner = LocalNode::new(id, coord, joiner_zone);
         // The joiner's region was carved out of the host's: inheriting
         // the host's (just-bumped) epoch keeps every region's claim
         // epochs monotone through splits — a zombie fenced below the
         // host stays fenced below whoever splits off part of its old
         // zone later.
-        let host_epoch = self.nodes[&host].epoch;
-        joiner.epoch = (base_epoch + 1).max(host_epoch);
+        let host_epoch = self.nodes[&host].epoch();
+        let mut joiner = LocalNode::new(id, coord, joiner_zone, (base_epoch + 1).max(host_epoch));
         // Any fence the host still owes on its zone covers the carved
         // region too: the obligation follows the space.
         if let Some(&f) = self.fence_floors.get(&host) {
@@ -1228,7 +1233,7 @@ impl CanSim {
                 // Take-over plans name live members, so the relocator
                 // is present at plan time.
                 let r_claims = self.nodes[&relocator]
-                    .epoch
+                    .epoch()
                     .max(self.fence_floor(relocator));
                 self.raise_floor(relocator, departed_epoch);
                 self.raise_floor(absorber, departed_epoch.max(r_claims));
@@ -1241,7 +1246,7 @@ impl CanSim {
     /// targets had cached from previous full heartbeats.
     pub fn leave(&mut self, id: NodeId, graceful: bool) {
         let t = self.now;
-        let Some(departing) = self.nodes.remove(&id) else {
+        let Some(mut departing) = self.nodes.remove(&id) else {
             return;
         };
         self.frozen.remove(&id);
@@ -1249,7 +1254,7 @@ impl CanSim {
             self.silent_since.entry(id).or_insert(t);
         }
         let departed_epoch = departing
-            .epoch
+            .epoch()
             .max(self.fence_floors.remove(&id).unwrap_or(0));
         let tree = self.tree.as_mut().expect("member implies tree");
         let victim_zone = tree.zone(id).clone();
@@ -1265,7 +1270,7 @@ impl CanSim {
                 .collect();
             acked.sort_unstable();
             CrashCtx {
-                victim_epoch: departing.epoch,
+                victim_epoch: departing.epoch(),
                 victim_zone,
                 owner_acked: acked,
             }
@@ -1284,17 +1289,14 @@ impl CanSim {
                     // Synchronous leave protocol: fresh handoff, heir
                     // adopts and announces immediately. The handoff is
                     // acknowledged — retransmitted under loss.
-                    let snap = departing.snapshot(t);
+                    let snap = departing.snapshot();
                     self.record_handoff(id, heir, snap.neighbors.len(), t);
-                    self.apply_merge(id, departed_epoch, heir, Some(Rc::new(snap)), None, t);
+                    self.apply_merge(id, departed_epoch, heir, Some(snap), None, t);
                 } else {
                     // Crash: the heir only notices after the failure
                     // timeout, then recovers from its cached copy of
                     // the victim's last full heartbeat.
-                    let payload = self
-                        .nodes
-                        .get(&heir)
-                        .and_then(|hn| hn.cache.get(&id).cloned());
+                    let payload = self.nodes.get(&heir).and_then(|hn| hn.cached_payload(id));
                     self.schedule_takeover(
                         t,
                         Pending {
@@ -1316,14 +1318,14 @@ impl CanSim {
                     .on_relocate(id, relocator, absorber, |n| tree.zone(n));
                 self.acct.advance(t, self.nodes.len());
                 if graceful {
-                    let snap = departing.snapshot(t);
+                    let snap = departing.snapshot();
                     self.record_handoff(id, relocator, snap.neighbors.len(), t);
                     self.apply_relocate(
                         id,
                         departed_epoch,
                         relocator,
                         absorber,
-                        Some(Rc::new(snap)),
+                        Some(snap),
                         None,
                         t,
                     );
@@ -1331,7 +1333,7 @@ impl CanSim {
                     let payload = self
                         .nodes
                         .get(&relocator)
-                        .and_then(|rn| rn.cache.get(&id).cloned());
+                        .and_then(|rn| rn.cached_payload(id));
                     self.schedule_takeover(
                         t,
                         Pending {
@@ -1413,9 +1415,8 @@ impl CanSim {
                 }
             }
             // Fence: the heir's post-take-over epoch must exceed every
-            // claim the departed node ever made (set_zone bumps by 1).
-            hn.epoch = hn.epoch.max(departed_epoch);
-            hn.set_zone(zone);
+            // claim the departed node ever made.
+            hn.set_zone_fenced(zone, departed_epoch);
             if let Some(r) = &promoted {
                 hn.adopt_records(&r.neighbors, t);
             }
@@ -1423,7 +1424,7 @@ impl CanSim {
                 hn.adopt_records(&p.neighbors, t);
             }
             hn.forget(departed);
-            hn.cache.remove(&departed);
+            hn.drop_cached_payload(departed);
             if self.cfg.scheme == HeartbeatScheme::Adaptive && hn.has_boundary_gap_cached() {
                 hn.wants_full_update = true;
             }
@@ -1493,7 +1494,7 @@ impl CanSim {
         // post-take-over epoch must also exceed every claim the
         // relocator made there before moving.
         let r_pre_epoch = if r_alive {
-            self.nodes[&relocator].epoch
+            self.nodes[&relocator].epoch()
         } else {
             0
         };
@@ -1514,7 +1515,11 @@ impl CanSim {
         }
         // The relocator ships its old-position state to the absorber.
         let r_old = if r_alive {
-            let snap = self.nodes[&relocator].snapshot(t);
+            let snap = self
+                .nodes
+                .get_mut(&relocator)
+                .expect("checked alive")
+                .snapshot();
             self.record_handoff(relocator, absorber, snap.neighbors.len(), t);
             Some(snap)
         } else {
@@ -1524,9 +1529,7 @@ impl CanSim {
             let zone = self.tree.as_ref().unwrap().zone(relocator).clone();
             let rn = self.nodes.get_mut(&relocator).unwrap();
             rn.forget_all();
-            rn.cache.clear();
-            rn.epoch = rn.epoch.max(departed_epoch);
-            rn.set_zone(zone);
+            rn.set_zone_fenced(zone, departed_epoch);
             if let Some(r) = &promoted {
                 rn.adopt_records(&r.neighbors, t);
             }
@@ -1538,21 +1541,20 @@ impl CanSim {
         if a_alive {
             let zone = self.tree.as_ref().unwrap().zone(absorber).clone();
             let an = self.nodes.get_mut(&absorber).unwrap();
-            an.epoch = an.epoch.max(departed_epoch).max(r_pre_epoch);
-            an.set_zone(zone);
+            an.set_zone_fenced(zone, departed_epoch.max(r_pre_epoch));
             if let Some(p) = &r_old {
                 an.adopt_records(&p.neighbors, t);
             }
             an.forget(departed);
             an.forget(relocator);
-            an.cache.remove(&relocator);
+            an.drop_cached_payload(relocator);
         }
         // They introduce their new zones (and epochs) to each other.
         if r_alive && a_alive {
             let rz = self.tree.as_ref().unwrap().zone(relocator).clone();
             let az = self.tree.as_ref().unwrap().zone(absorber).clone();
-            let re = self.nodes[&relocator].epoch;
-            let ae = self.nodes[&absorber].epoch;
+            let re = self.nodes[&relocator].epoch();
+            let ae = self.nodes[&absorber].epoch();
             self.nodes
                 .get_mut(&relocator)
                 .unwrap()
@@ -1762,7 +1764,7 @@ impl CanSim {
         let cap = self.cfg.fail_timeout;
         let mut fresh: Vec<(NodeId, SimTime)> = {
             let n = &self.nodes[&id];
-            n.table
+            n.table()
                 .iter()
                 .filter(|(p, e)| e.confirmed && !n.suspects.contains_key(p))
                 .filter(|(_, e)| {
@@ -1783,7 +1785,7 @@ impl CanSim {
         let helpers: Vec<NodeId> = {
             let n = &self.nodes[&id];
             let mut v: Vec<NodeId> = n
-                .table
+                .table()
                 .iter()
                 .filter(|(p, e)| {
                     e.confirmed
@@ -1853,12 +1855,12 @@ impl CanSim {
         // The fence must clear the victim's own claims *and* any floor
         // it still owed on space it had been assigned but never fenced.
         let departed_epoch = victim
-            .epoch
+            .epoch()
             .max(self.fence_floors.remove(&suspect).unwrap_or(0));
         // Capture the promotion-fence context before the victim's local
         // state is parked (an expelled node is a crash as far as the
         // take-over actors can tell).
-        let victim_epoch = victim.epoch;
+        let victim_epoch = victim.epoch();
         let mut owner_acked: Vec<(NodeId, u64)> =
             victim.replica_acked.iter().map(|(&n, &v)| (n, v)).collect();
         owner_acked.sort_unstable();
@@ -1888,7 +1890,7 @@ impl CanSim {
                 let payload = self
                     .nodes
                     .get(&heir)
-                    .and_then(|hn| hn.cache.get(&suspect).cloned());
+                    .and_then(|hn| hn.cached_payload(suspect));
                 self.apply_merge(suspect, departed_epoch, heir, payload, Some(&ctx), t);
             }
             ZoneChange::Relocated {
@@ -1903,7 +1905,7 @@ impl CanSim {
                 let payload = self
                     .nodes
                     .get(&relocator)
-                    .and_then(|rn| rn.cache.get(&suspect).cloned());
+                    .and_then(|rn| rn.cached_payload(suspect));
                 self.apply_relocate(
                     suspect,
                     departed_epoch,
@@ -1937,7 +1939,7 @@ impl CanSim {
         let peers: Vec<NodeId> = {
             let zn = &self.zombies[&id];
             let mut v: Vec<NodeId> = zn
-                .table
+                .table()
                 .iter()
                 .filter(|(_, e)| e.confirmed)
                 .map(|(&p, _)| p)
@@ -1976,7 +1978,7 @@ impl CanSim {
             let stale = self.zombies.remove(&id).unwrap();
             self.revivals += 1;
             self.silent_since.remove(&id);
-            let epoch = stale.epoch;
+            let epoch = stale.epoch();
             self.join_as(id, stale.coord.clone(), epoch, t)
                 .expect("first member cannot be inseparable");
             return true;
@@ -2011,16 +2013,16 @@ impl CanSim {
         // coordinate the two probes are identical.
         let probe = {
             let zn = &self.zombies[&id];
-            if zn.zone.contains(&zn.coord) {
+            if zn.zone().contains(&zn.coord) {
                 zn.coord.clone()
             } else {
-                zn.zone.center()
+                zn.zone().center()
             }
         };
         let Some(owner) = self.tree.as_ref().and_then(|tr| tr.owner_at(&probe)) else {
             return false;
         };
-        let claim_epoch = self.nodes[&owner].epoch;
+        let claim_epoch = self.nodes[&owner].epoch();
         self.acct
             .record(MsgKind::Probe, self.cfg.wire.probe_vouch(self.cfg.dims));
         if self
@@ -2031,7 +2033,7 @@ impl CanSim {
             return false;
         }
         let stale = self.zombies.remove(&id).unwrap();
-        if claim_epoch <= stale.epoch {
+        if claim_epoch <= stale.epoch() {
             // No higher claim (should not happen under take-over
             // fencing): keep waiting rather than risk two owners.
             self.zombies.insert(id, stale);
@@ -2039,7 +2041,7 @@ impl CanSim {
         }
         self.revivals += 1;
         self.silent_since.remove(&id);
-        let base = stale.epoch.max(claim_epoch);
+        let base = stale.epoch().max(claim_epoch);
         match self.join_as(id, stale.coord.clone(), base, t) {
             Ok(()) => true,
             Err(_) => {
@@ -2100,7 +2102,7 @@ impl CanSim {
                     }
                 }
             }
-            (n.snapshot(t), dirty)
+            (n.snapshot(), dirty)
         };
         let d = self.cfg.dims;
         let k = payload.neighbors.len();
@@ -2108,13 +2110,15 @@ impl CanSim {
         let zone_bytes = self.cfg.wire.zone_update(d);
         let keepalive_bytes = self.cfg.wire.compact_keepalive();
         let is_vanilla = self.cfg.scheme == HeartbeatScheme::Vanilla;
-        // Each variant this round can send is built exactly once;
-        // `post` borrows it per receiver. (The receiver's own copy of a
-        // full payload is made where it is stored, in `apply_msg`.)
+        // Each variant this round can send is built at most once —
+        // the full payload not even that, while the sender's content
+        // stands (`LocalNode::snapshot`); `post` borrows it per
+        // receiver, and a receiver keeps a handle on the payload where
+        // it merges it (`LocalNode::merge_payload_records`).
         let zone_msg =
             (!is_vanilla && zone_dirty).then(|| Msg::Zone(id, payload.zone.clone(), payload.epoch));
         let keepalive_msg = Msg::Keepalive(id);
-        let full_msg = Msg::Full(Rc::new(payload));
+        let full_msg = Msg::Full(payload);
         for &r in &receivers {
             if r == id {
                 continue;
@@ -2158,7 +2162,7 @@ impl CanSim {
                 return;
             };
             let mut nbrs: Vec<(NodeId, Zone)> = n
-                .table
+                .table()
                 .iter()
                 .filter(|(_, e)| e.confirmed)
                 .map(|(&p, e)| (p, e.zone.clone()))
@@ -2166,11 +2170,11 @@ impl CanSim {
             nbrs.sort_unstable_by_key(|(p, _)| *p);
             nbrs.truncate(rep.max_neighbors);
             let mut h = Fnv::new();
-            for d in 0..n.zone.dims() {
-                h.write_f64(n.zone.lo(d));
-                h.write_f64(n.zone.hi(d));
+            for d in 0..n.zone().dims() {
+                h.write_f64(n.zone().lo(d));
+                h.write_f64(n.zone().hi(d));
             }
-            h.write_u64(n.epoch);
+            h.write_u64(n.epoch());
             h.write_usize(nbrs.len());
             for (p, z) in &nbrs {
                 h.write_u64(u64::from(p.0));
@@ -2200,12 +2204,11 @@ impl CanSim {
             (
                 ReplicaPayload {
                     from: id,
-                    zone: n.zone.clone(),
-                    epoch: n.epoch,
+                    zone: n.zone().clone(),
+                    epoch: n.epoch(),
                     version,
                     neighbors: nbrs,
                     agg: n.agg_slice.clone(),
-                    sent_at: t,
                 },
                 lagging,
             )
@@ -2245,7 +2248,7 @@ impl CanSim {
             return;
         }
         let zone = tree.zone(actor).clone();
-        let epoch = self.nodes[&actor].epoch;
+        let epoch = self.nodes[&actor].epoch();
         let mut recipients: Vec<NodeId> = audience
             .iter()
             .map(|(n, _)| *n)
@@ -2319,14 +2322,13 @@ impl CanSim {
         let mut ack_to: Option<(NodeId, Msg)> = None;
         match msg {
             Msg::Full(payload) => {
-                n.cache.insert(payload.from, Rc::clone(payload));
                 self.repairs += n.merge_payload_records(payload, t) as u64;
             }
             Msg::Zone(from, zone, epoch) => {
-                let unknown = !n.table.contains_key(from);
+                let unknown = !n.table().contains_key(from);
                 n.hear_fenced(*from, zone, *epoch, t);
-                if unknown && n.table.contains_key(from) {
-                    introduce_to = Some((*from, n.zone.clone(), n.epoch));
+                if unknown && n.table().contains_key(from) {
+                    introduce_to = Some((*from, n.zone().clone(), n.epoch()));
                 }
             }
             Msg::Keepalive(from) => {
@@ -2358,7 +2360,7 @@ impl CanSim {
                 departed,
             } => {
                 n.forget(*departed);
-                n.cache.remove(departed);
+                n.drop_cached_payload(*departed);
                 // The departed zone has a new owner: any warm replica
                 // of the old incarnation is now useless (and the fence
                 // would reject it anyway).
@@ -2371,11 +2373,11 @@ impl CanSim {
                 // chance to refresh them first-hand; its keepalives to
                 // us would otherwise keep a stale adopted zone alive
                 // indefinitely.
-                introduce_to = Some((*from, n.zone.clone(), n.epoch));
+                introduce_to = Some((*from, n.zone().clone(), n.epoch()));
             }
             Msg::ProbeReq { origin, suspect } => {
                 if let Some(det) = &self.cfg.detector {
-                    if let Some(e) = n.table.get(suspect) {
+                    if let Some(e) = n.table().get(suspect) {
                         let thr = e.suspicion_timeout(
                             self.cfg.heartbeat_period,
                             det.k_min,
@@ -2406,7 +2408,7 @@ impl CanSim {
             Msg::ProbePing { origin } => {
                 // We are the suspect and evidently alive: answer the
                 // suspecting origin directly with our zone and epoch.
-                introduce_to = Some((*origin, n.zone.clone(), n.epoch));
+                introduce_to = Some((*origin, n.zone().clone(), n.epoch()));
             }
             Msg::ProbeVouch {
                 suspect,
@@ -2415,22 +2417,7 @@ impl CanSim {
                 heard_at,
             } => {
                 self.probe_vouches += 1;
-                n.suspects.remove(suspect);
-                // Second-hand liveness: push `last_heard` forward to the
-                // voucher's observation, but do NOT feed the per-link
-                // gap statistics (they measure *our* link) and do not
-                // roll the zone claim back past the recorded epoch.
-                if let Some(e) = n.table.get_mut(suspect) {
-                    if *epoch >= e.epoch {
-                        e.last_heard = e.last_heard.max(*heard_at);
-                        e.epoch = *epoch;
-                    }
-                } else if n.zone.abuts(zone) {
-                    // Already expired here: re-seed an unconfirmed
-                    // entry from the vouched record so the link does
-                    // not stay torn while the suspect is alive.
-                    n.reseed_second_hand(*suspect, zone.clone(), *heard_at, *epoch);
-                }
+                n.hear_vouch(*suspect, zone, *epoch, *heard_at);
             }
             Msg::ReplicaDelta(rp) => {
                 if self.cfg.replication.is_some() {
@@ -2472,7 +2459,7 @@ impl CanSim {
             } => {
                 debug_assert_eq!(*owner, to, "an ack is routed back to its owner");
                 debug_assert!(
-                    *epoch <= n.epoch,
+                    *epoch <= n.epoch(),
                     "an acked epoch cannot exceed the owner's own"
                 );
                 let e = n.replica_acked.entry(*from).or_insert(0);
@@ -2534,7 +2521,7 @@ impl CanSim {
         // Loop-invariant: nothing below changes the requester's zone or
         // epoch (responses only merge into its *table*), so clone once.
         let Some((requester_zone, requester_epoch)) =
-            self.nodes.get(&id).map(|n| (n.zone.clone(), n.epoch))
+            self.nodes.get(&id).map(|n| (n.zone().clone(), n.epoch()))
         else {
             return;
         };
@@ -2563,7 +2550,7 @@ impl CanSim {
             // expired (e.g. thawing from a long freeze) re-introduces
             // itself to peers whose keepalives could never re-add it.
             rn.hear_fenced(id, &requester_zone, requester_epoch, t);
-            let k = rn.table.values().filter(|e| e.confirmed).count();
+            let k = rn.table().values().filter(|e| e.confirmed).count();
             self.acct
                 .record(MsgKind::FullUpdateResponse, wire.full_update_response(d, k));
             if self.net.fate(t, r.0, id.0, MsgClass::FullUpdate).dropped() {
@@ -2590,7 +2577,7 @@ impl CanSim {
         else {
             return;
         };
-        let Some(route) = self.route_probe(id, &p, t) else {
+        let Ok(route) = self.route_probe(id, &p, t) else {
             return; // probe walk stalled: tables too decayed, retry
         };
         if route.owner == id {
@@ -2613,14 +2600,14 @@ impl CanSim {
             return;
         }
         let Some((prober_zone, prober_epoch)) =
-            self.nodes.get(&id).map(|n| (n.zone.clone(), n.epoch))
+            self.nodes.get(&id).map(|n| (n.zone().clone(), n.epoch()))
         else {
             return;
         };
         if let Some(on) = self.nodes.get_mut(&route.owner) {
             on.hear_fenced(id, &prober_zone, prober_epoch, t);
-            let owner_zone = on.zone.clone();
-            let owner_epoch = on.epoch;
+            let owner_zone = on.zone().clone();
+            let owner_epoch = on.epoch();
             self.acct.record(MsgKind::Heartbeat, wire.zone_update(d));
             self.post(
                 route.owner,
@@ -2644,17 +2631,29 @@ impl CanSim {
     /// branch when the current one is exhausted), so it finds the
     /// owner whenever *any* chain of table records reaches it. A hop
     /// budget bounds the walk; dead ends fail the probe (the
-    /// level-triggered gap check retries next round).
-    fn route_probe(&self, start: NodeId, p: &Point, t: SimTime) -> Option<crate::routing::Route> {
+    /// level-triggered gap check retries next round), reporting the
+    /// hops walked — a walk that exhausts the overlay, because no live
+    /// node's *local* zone contains `p` yet (its owner is a crash
+    /// take-over still waiting out the failure timeout), visits every
+    /// reachable node exactly once.
+    fn route_probe(
+        &self,
+        start: NodeId,
+        p: &Point,
+        t: SimTime,
+    ) -> Result<crate::routing::Route, usize> {
         let mut current = start;
         let mut hops = 0usize;
         let max_hops = 4 * (self.nodes.len() + 4);
-        let mut visited: std::collections::HashSet<NodeId> =
-            std::collections::HashSet::from([start]);
+        let mut visited = IdSet::default();
+        visited.insert(start);
         // Candidates discovered but not yet walked, by *recorded* zone
         // distance to `p` (stale records give stale distances; the
-        // global frontier makes that a detour, not a dead end).
-        let mut frontier: Vec<(f64, NodeId)> = Vec::new();
+        // global frontier makes that a detour, not a dead end). A
+        // min-heap on (distance, id); distances are non-negative, so
+        // their bit patterns order exactly as they do.
+        let candidate = |zone: &Zone, n: NodeId| Reverse((zone.distance_to(p).to_bits(), n));
+        let mut frontier = BinaryHeap::new();
         // Seed the frontier with the prober's take-over targets: a node
         // whose table fully decayed (a long partition can leave one
         // completely forgotten *and* completely amnesiac) can still
@@ -2666,7 +2665,7 @@ impl CanSim {
             for tg in tree.takeover_plan(start).targets() {
                 if tg != start && !self.frozen_at(tg, t) {
                     if let Some(tn) = self.nodes.get(&tg) {
-                        frontier.push((tn.zone.distance_to(p), tg));
+                        frontier.push(candidate(tn.zone(), tg));
                     }
                 }
             }
@@ -2686,31 +2685,30 @@ impl CanSim {
             .min()
         {
             let bn = &self.nodes[&boot];
-            frontier.push((bn.zone.distance_to(p), boot));
+            frontier.push(candidate(bn.zone(), boot));
         }
         loop {
-            let node = self.nodes.get(&current)?;
-            if node.zone.contains(p) {
-                return Some(crate::routing::Route {
+            let node = self.nodes.get(&current).ok_or(hops)?;
+            if node.zone().contains(p) {
+                return Ok(crate::routing::Route {
                     owner: current,
                     hops,
                 });
             }
             if hops >= max_hops {
-                return None;
+                return Err(hops);
             }
-            for (&n, e) in &node.table {
+            for (&n, e) in node.table() {
                 // A dead or frozen entry is an unacknowledged forward:
                 // the walker never expands it.
                 if !visited.contains(&n) && self.nodes.contains_key(&n) && !self.frozen_at(n, t) {
-                    frontier.push((e.zone.distance_to(p), n));
+                    frontier.push(candidate(&e.zone, n));
                 }
             }
-            // Pop the closest unvisited candidate. Sorted descending so
-            // pop() yields (min distance, min id) — deterministic.
-            frontier.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+            // Pop the closest unvisited candidate: (min distance, min
+            // id) — deterministic.
             current = loop {
-                let (_, n) = frontier.pop()?;
+                let Reverse((_, n)) = frontier.pop().ok_or(hops)?;
                 if visited.insert(n) {
                     break n;
                 }
@@ -2790,7 +2788,7 @@ mod tests {
             let truth = sim.true_neighbors(id);
             for q in &truth {
                 assert!(
-                    sim.local(id).unwrap().table.contains_key(q),
+                    sim.local(id).unwrap().table().contains_key(q),
                     "{id} missing true neighbor {q}"
                 );
             }
@@ -2929,7 +2927,7 @@ mod tests {
                     let truth_nbrs = sim.true_neighbors(id);
                     let local = sim.local(id).unwrap();
                     for q in &truth_nbrs {
-                        let e = local.table.get(q).unwrap_or_else(|| {
+                        let e = local.table().get(q).unwrap_or_else(|| {
                             panic!("{} seed {seed}: {id} missing {q}", scheme.label())
                         });
                         assert_eq!(
@@ -2970,7 +2968,7 @@ mod tests {
         for id in sim.members() {
             let local = sim.local(id).unwrap();
             for q in &sim.true_neighbors(id) {
-                if let Some(e) = local.table.get(q) {
+                if let Some(e) = local.table().get(q) {
                     assert_eq!(
                         &e.zone,
                         sim.zone(*q),
@@ -3263,6 +3261,44 @@ mod tests {
         assert_eq!(sim.broken_links(), 0, "cached payload should suffice");
     }
 
+    #[test]
+    fn probe_toward_an_unclaimed_point_walks_every_node_once() {
+        // Between a crash and its deferred take-over, ground truth has
+        // already given the victim's zone to its heir, but no live
+        // node's *local* zone contains it: a gap probe aimed there
+        // cannot terminate early. It must exhaust the overlay — one
+        // hop per node besides the prober — and then give up.
+        let (mut sim, _) = build(HeartbeatScheme::Adaptive, 40, 3, 37);
+        sim.advance_to(sim.now() + 120.0);
+        let victim = sim.members()[10];
+        let p = sim.zone(victim).center();
+        sim.leave(victim, false); // crash
+        assert!(sim.owner_at(&p).is_some(), "ground truth moved on");
+        let t = sim.now();
+        assert!(
+            sim.members()
+                .iter()
+                .all(|&m| !sim.local(m).unwrap().zone().contains(&p)),
+            "no local zone claims the point before the take-over applies"
+        );
+        for start in sim.members() {
+            assert_eq!(
+                sim.route_probe(start, &p, t),
+                Err(sim.len() - 1),
+                "walk from {start}"
+            );
+        }
+        // Once the heir has taken over, the same probe finds it.
+        sim.advance_to(t + 200.0);
+        let owner = sim.owner_at(&p).unwrap();
+        for start in sim.members() {
+            assert_eq!(
+                sim.route_probe(start, &p, sim.now()).map(|r| r.owner),
+                Ok(owner)
+            );
+        }
+    }
+
     // ---- failure detector, expulsion, and revival ----
 
     fn build_detector(det: DetectorConfig, n: usize, seed: u64) -> (CanSim, SimRng) {
@@ -3343,7 +3379,7 @@ mod tests {
         for det in [DetectorConfig::fixed(), DetectorConfig::adaptive()] {
             let (mut sim, _) = build_detector(det, 24, 43);
             let victim = sim.members()[7];
-            let pre_epoch = sim.local(victim).unwrap().epoch;
+            let pre_epoch = sim.local(victim).unwrap().epoch();
             sim.freeze(victim, 900.0); // far past the 150 s timeout
             sim.advance_to(sim.now() + 600.0);
             assert!(
@@ -3378,7 +3414,7 @@ mod tests {
             assert_eq!(sim.zombie_count(), 0);
             assert_eq!(sim.revivals(), 1);
             assert!(
-                sim.local(victim).unwrap().epoch > pre_epoch,
+                sim.local(victim).unwrap().epoch() > pre_epoch,
                 "{:?}: revived epoch must fence above the old incarnation",
                 det.mode
             );
@@ -3620,12 +3656,12 @@ mod tests {
             if !sim.local(h).is_some_and(|n| n.replicas.contains_key(&x)) {
                 continue; // H never stored a replica of X: can't pin
             }
-            let x_epoch_pre = sim.local(x).unwrap().epoch;
+            let x_epoch_pre = sim.local(x).unwrap().epoch();
             sim.freeze(h, 500.0);
             sim.leave(z, false);
             sim.advance_to(t0 + 160.0);
             assert!(
-                sim.local(x).unwrap().epoch > x_epoch_pre,
+                sim.local(x).unwrap().epoch() > x_epoch_pre,
                 "adopting Z's zone must bump X's epoch"
             );
             sim.leave(x, false);

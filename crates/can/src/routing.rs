@@ -157,7 +157,7 @@ pub fn route_local(sim: &crate::protocol::CanSim, start: NodeId, p: &Point) -> O
     let mut visited: HashSet<NodeId> = HashSet::from([start]);
     loop {
         let node = sim.local(current)?;
-        if node.zone.contains(p) {
+        if node.zone().contains(p) {
             return Some(Route {
                 owner: current,
                 hops,
@@ -166,10 +166,10 @@ pub fn route_local(sim: &crate::protocol::CanSim, start: NodeId, p: &Point) -> O
         if hops >= max_hops {
             return None; // routing loop: treat as failure
         }
-        let here = node.zone.distance_to(p);
+        let here = node.zone().distance_to(p);
         // Order known neighbors by their *recorded* zone distance.
         let mut cands: Vec<(f64, NodeId)> = node
-            .table
+            .table()
             .iter()
             .map(|(&n, e)| (e.zone.distance_to(p), n))
             .collect();

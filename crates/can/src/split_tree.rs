@@ -16,8 +16,8 @@
 //! (the classic CAN "defragmentation").
 
 use crate::geom::{Point, Zone};
+use crate::idmap::IdMap;
 use pgrid_types::NodeId;
-use std::collections::HashMap;
 
 /// Arena index of a tree slot.
 type Idx = usize;
@@ -166,7 +166,7 @@ pub struct SplitTree {
     slots: Vec<Slot>,
     free_head: Option<Idx>,
     root: Option<Idx>,
-    leaf_of: HashMap<NodeId, Idx>,
+    leaf_of: IdMap<Idx>,
     dims: usize,
 }
 
@@ -178,7 +178,7 @@ impl SplitTree {
             slots: Vec::new(),
             free_head: None,
             root: None,
-            leaf_of: HashMap::new(),
+            leaf_of: IdMap::default(),
             dims,
         };
         let idx = t.alloc(Slot::Leaf {
@@ -707,6 +707,7 @@ impl SplitTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn pt(v: &[f64]) -> Point {
         v.to_vec()
