@@ -1137,17 +1137,28 @@ mod tests {
     /// _render_and_csv -- --nocapture`) only for a change that is
     /// *supposed* to alter a table, never for a refactor.
     fn assert_csv_pinned(path: &Path, expect: u64) {
+        let bytes = std::fs::read(path).expect("read csv back");
+        assert_bytes_pinned(&path.display().to_string(), &bytes, expect);
+    }
+
+    /// The same hold on a rendered text table — what `--quick` prints at
+    /// the default seed, recorded on the hand-written `render_*`
+    /// functions before the column lists replaced them.
+    fn assert_text_pinned(what: &str, text: &str, expect: u64) {
+        assert_bytes_pinned(what, text.as_bytes(), expect);
+    }
+
+    fn assert_bytes_pinned(what: &str, bytes: &[u8], expect: u64) {
         let mut h = pgrid::simcore::Fnv::new();
-        h.write(&std::fs::read(path).expect("read csv back"));
+        h.write(bytes);
         if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
-            println!("{}: 0x{:016x}", path.display(), h.finish());
+            println!("{what}: 0x{:016x}", h.finish());
             return;
         }
         assert_eq!(
             h.finish(),
             expect,
-            "{}: a published table moved (pinned 0x{expect:016x})",
-            path.display()
+            "{what}: a published table moved (pinned 0x{expect:016x})"
         );
     }
 
@@ -1247,6 +1258,7 @@ mod tests {
         let reports = experiments::chaos_suite(Scale::Quick, experiments::CHAOS_SEED);
         assert_eq!(reports.len(), 9, "3 scenarios x 3 schemes");
         let text = render_chaos(&reports);
+        assert_text_pinned("chaos table (quick)", &text, 0x0a0d_378f_4e3e_bed0);
         assert!(text.contains("flash-crowd"));
         assert!(text.contains("rolling-partition"));
         assert!(text.contains("lossy-churn"));
@@ -1325,10 +1337,26 @@ mod tests {
     }
 
     #[test]
+    fn scenarios_render_and_csv() {
+        let specs = pgrid::scenarios::matching("");
+        let cells =
+            experiments::scenario_suite_over(Scale::Quick, experiments::SCENARIO_SEED, &specs);
+        assert_eq!(cells.len(), pgrid::scenarios::REGISTRY.len());
+        let text = render_scenarios(&cells);
+        assert_text_pinned("scenarios table (quick)", &text, 0x2300_254b_b683_fbbb);
+        let dir = std::env::temp_dir().join("pgrid_bench_lib_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("scenarios_resilience.csv");
+        save_scenarios_csv(&csv, &cells).unwrap();
+        assert_csv_pinned(&csv, 0x84f8_c5db_8abc_fcd6);
+    }
+
+    #[test]
     fn takeover_render_and_csv() {
         let cells = experiments::takeover_suite(Scale::Quick, experiments::TAKEOVER_SEED);
         assert_eq!(cells.len(), 3, "one cell per heartbeat scheme");
         let text = render_takeover(&cells);
+        assert_text_pinned("takeover table (quick)", &text, 0xb74c_ab3c_a2e4_1057);
         assert!(text.contains("vanilla"));
         assert!(text.contains("replicated"));
         assert!(text.contains("relearn(hb)"));
@@ -1350,6 +1378,7 @@ mod tests {
     fn detector_render_and_csv() {
         let cells = experiments::detector_suite(Scale::Quick, experiments::DETECTOR_SEED);
         let text = render_detector(&cells);
+        assert_text_pinned("detector table (quick)", &text, 0xb94c_170a_c821_c8de);
         assert!(text.contains("false pos"));
         assert!(text.contains("fixed"));
         assert!(text.contains("adaptive"));
