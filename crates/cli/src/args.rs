@@ -25,7 +25,13 @@ impl Args {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument '{a}'"));
             };
-            if SWITCHES.contains(&key) && raw.get(i + 1).is_none_or(|next| next.starts_with("--")) {
+            if values.contains_key(key) || switches.iter().any(|s| s == key) {
+                return Err(format!("flag '--{key}' given twice"));
+            }
+            // A switch never takes the next token: a stray word after
+            // `--quick` is a positional error, not a value that turns
+            // the switch off and launches the paper-scale run.
+            if SWITCHES.contains(&key) {
                 switches.push(key.to_string());
                 i += 1;
                 continue;
@@ -53,15 +59,19 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
+    /// Typed value of a flag, if given.
+    pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("bad value '{v}' for --{key}"))
+            })
+            .transpose()
+    }
+
     /// Typed value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        self.note(key);
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad value '{v}' for --{key}")),
-        }
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 
     /// Whether a boolean switch was given.
@@ -127,6 +137,30 @@ mod tests {
         let a = Args::parse(&raw(&["--bogus", "1"])).unwrap();
         let _ = a.get_or("nodes", 0usize);
         assert!(a.reject_unknown().is_err());
+    }
+
+    #[test]
+    fn rejects_a_stray_token_after_a_switch() {
+        let err = Args::parse(&raw(&["--quick", "foo"])).unwrap_err();
+        assert!(err.contains("positional") && err.contains("foo"), "{err}");
+        let err = Args::parse(&raw(&["--list", "7", "--seed", "1"])).unwrap_err();
+        assert!(err.contains("positional") && err.contains("'7'"), "{err}");
+    }
+
+    #[test]
+    fn rejects_repeated_flags() {
+        let err = Args::parse(&raw(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("twice"), "{err}");
+        let err = Args::parse(&raw(&["--quick", "--nodes", "5", "--quick"])).unwrap_err();
+        assert!(err.contains("--quick") && err.contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn optional_values_are_typed() {
+        let a = Args::parse(&raw(&["--seed", "7", "--nodes", "many"])).unwrap();
+        assert_eq!(a.opt::<u64>("seed").unwrap(), Some(7));
+        assert_eq!(a.opt::<u64>("budget").unwrap(), None);
+        assert!(a.opt::<usize>("nodes").is_err());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The `pgrid` subcommands.
 
 use crate::args::Args;
-use crate::CliError;
+use crate::{report, CliError};
 use pgrid::prelude::*;
 use pgrid::types::DimensionLayout;
 use pgrid::workload::trace;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// `pgrid help`
 pub fn help() -> String {
@@ -24,31 +26,41 @@ USAGE:
       Run one CAN maintenance simulation under churn and print broken-link
       and message-cost statistics.
 
-  pgrid chaos    [--scenario flash-crowd|rolling-partition|lossy-churn|all]
-                 [--scheme vanilla|compact|adaptive|all] [--nodes N] [--seed S]
-      Run scripted fault scenarios through the chaos harness and print the
-      resilience table; exits non-zero on any invariant violation.
+  pgrid chaos    [--quick] [--out DIR] [--seed S] [--budget SECS]
+                 [--scenario flash-crowd|rolling-partition|lossy-churn|all]
+                 [--scheme vanilla|compact|adaptive|all] [--nodes N]
+      Run the scripted fault scenarios under every heartbeat scheme, the
+      warm-standby takeover sweep and the crash-recovery suite; print the
+      resilience tables, write chaos.csv and takeover.csv under DIR, and exit
+      non-zero on any invariant violation. --scenario, --scheme and --nodes
+      narrow the run to the chaos table; past --budget the crash-recovery
+      suite is skipped.
 
-  pgrid scenarios [--list] [--scenario NAME] [--seed S] [--quick]
+  pgrid scenarios [--quick] [--out DIR] [--seed S] [--scenario NAME] [--list]
       Run the named adversarial scenario library (diurnal waves, flash
       crowds, rack storms, stragglers, gray failures, plus the chaos trio)
-      through the DST oracle harness, scheme vs scheme; --scenario filters
-      by substring (zero matches is an error), --list prints the registry.
+      through the DST oracle harness, scheme vs scheme, and write
+      scenarios_resilience.csv; --scenario filters by substring (zero
+      matches is an error), --list prints the registry.
 
-  pgrid detector [--seed S] [--quick]
+  pgrid detector [--quick] [--out DIR] [--seed S]
       Sweep asymmetric link stress against process-freeze length, running
       every cell under both the fixed-timeout and the adaptive suspicion
       failure detectors; prints the false-positive / detection-latency
-      table and errors if the adaptive rule is ever worse.
+      table, writes detector.csv, and errors if the adaptive rule is ever
+      worse or a real failure goes unexpelled or unrevived.
 
-  pgrid fuzz     [--seeds N] [--seed S] [--budget SECS] [--out DIR]
+  pgrid fuzz     [--quick] [--out DIR] [--seed S] [--seeds N] [--budget SECS]
   pgrid fuzz     --replay FILE
       Fuzz random fault schedules through the cross-layer invariant oracles
       (CAN zone tiling / neighbor symmetry / take-over / quiescence, scheduler
-      job conservation, event-queue monotonicity). On a violation the schedule
-      is shrunk to a near-minimal repro and written as a replayable trace
-      under DIR; exits non-zero. --replay re-executes a saved trace and
-      checks it against its recorded digest.
+      job conservation, event-queue monotonicity); --quick selects the smoke
+      grammar (16 seeds, 120 s) over the full one (64 seeds, 900 s). On a
+      violation the schedule is shrunk to a near-minimal repro and written as
+      a replayable trace under DIR; exits non-zero. --replay re-executes a
+      saved trace and checks it against its recorded digest.
+
+  Without --quick the four suites above run at paper scale (minutes).
 
   pgrid trace gen-nodes  [--count N] [--dims D] [--seed S] [--out FILE]
   pgrid trace gen-jobs   [--count N] [--dims D] [--ratio R] [--interarrival S]
@@ -87,7 +99,11 @@ pub fn info() -> String {
     );
     let _ = writeln!(
         out,
-        "extensions: sf_sweep lossy_network routing_under_churn future_gpus contention_model chaos"
+        "extensions: sf_sweep lossy_network routing_under_churn future_gpus contention_model"
+    );
+    let _ = writeln!(
+        out,
+        "fault suites (pgrid subcommands): chaos scenarios detector fuzz"
     );
     out
 }
@@ -198,13 +214,7 @@ pub fn simulate(args: Args) -> Result<String, CliError> {
 pub fn churn(args: Args) -> Result<String, String> {
     let nodes: usize = args.get_or("nodes", 200)?;
     let dims: usize = args.get_or("dims", 11)?;
-    let schemes = match args.get("scheme").unwrap_or("all") {
-        "vanilla" => vec![HeartbeatScheme::Vanilla],
-        "compact" => vec![HeartbeatScheme::Compact],
-        "adaptive" => vec![HeartbeatScheme::Adaptive],
-        "all" => HeartbeatScheme::ALL.to_vec(),
-        other => return Err(format!("unknown scheme '{other}'")),
-    };
+    let schemes = schemes_from(&args)?;
     let gap: f64 = args.get_or("gap", 10.0)?;
     let duration: f64 = args.get_or("duration", 3600.0)?;
     let loss: f64 = args.get_or("loss", 0.0)?;
@@ -246,19 +256,68 @@ pub fn churn(args: Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `pgrid chaos`
-pub fn chaos(args: Args) -> Result<String, String> {
-    let schemes = match args.get("scheme").unwrap_or("all") {
-        "vanilla" => vec![HeartbeatScheme::Vanilla],
-        "compact" => vec![HeartbeatScheme::Compact],
-        "adaptive" => vec![HeartbeatScheme::Adaptive],
-        "all" => HeartbeatScheme::ALL.to_vec(),
-        other => return Err(format!("unknown scheme '{other}'")),
-    };
+/// `--scheme`: one heartbeat scheme by label, or `all`.
+fn schemes_from(args: &Args) -> Result<Vec<HeartbeatScheme>, String> {
+    match args.get("scheme").unwrap_or("all") {
+        "all" => Ok(HeartbeatScheme::ALL.to_vec()),
+        label => scheme_from_label(label)
+            .map(|scheme| vec![scheme])
+            .ok_or_else(|| format!("unknown scheme '{label}'")),
+    }
+}
+
+/// `--quick` selects the reduced smoke-run configuration; without it a
+/// suite runs at paper scale.
+fn scale_from(args: &Args) -> Scale {
+    if args.switch("quick") {
+        Scale::Quick
+    } else {
+        Scale::Paper
+    }
+}
+
+/// `--out`, the directory CSVs and repro traces are written under.
+fn out_dir_from(args: &Args) -> PathBuf {
+    PathBuf::from(args.get("out").unwrap_or("results"))
+}
+
+/// Writes `text` to `file` under `dir`, creating `dir` if missing.
+fn save_under(dir: &Path, file: &str, text: &str) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(file);
+    std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// `--budget`, a wall-clock cap in seconds.
+fn budget_from(args: &Args) -> Result<Option<f64>, String> {
+    let budget: Option<f64> = args.opt("budget")?;
+    match budget {
+        Some(b) if !(b.is_finite() && b > 0.0) => {
+            Err(format!("--budget must be positive and finite, got {b}"))
+        }
+        _ => Ok(budget),
+    }
+}
+
+/// `pgrid chaos`: the three scripted fault scenarios for every
+/// heartbeat scheme, then the warm-standby takeover sweep, then each
+/// scheduler under fail-stop crashes with the job-conservation ledger
+/// armed. `--scenario`, `--scheme` and `--nodes` narrow the first table
+/// and leave out the other two, which have no such axes. `--seed`
+/// replaces both historical seeds (41 and 53); past `--budget` the
+/// crash-recovery suite is skipped (the CAN suites and their verdicts
+/// always run).
+pub fn chaos(args: Args) -> Result<String, CliError> {
+    let schemes = schemes_from(&args)?;
     let scenario = args.get("scenario").unwrap_or("all").to_string();
-    let nodes: usize = args.get_or("nodes", 60)?;
-    let seed: u64 = args.get_or("seed", 41)?;
+    let nodes: Option<usize> = args.opt("nodes")?;
+    let seed: Option<u64> = args.opt("seed")?;
+    let budget = budget_from(&args)?;
+    let scale = scale_from(&args);
+    let out_dir = out_dir_from(&args);
     args.reject_unknown()?;
+    let started = Instant::now();
 
     let mut specs = pgrid::scenarios::chaos_trio();
     if scenario != "all" {
@@ -267,69 +326,61 @@ pub fn chaos(args: Args) -> Result<String, String> {
             return Err(format!(
                 "unknown scenario '{scenario}' ({} | all)",
                 pgrid::scenarios::CHAOS_TRIO.join(" | ")
-            ));
+            )
+            .into());
         }
     }
-    // The paper-scale settle window; `--nodes` resizes the overlay only.
-    let rows = pgrid::experiments::chaos_rows(&specs, &schemes, seed, nodes, 300.0);
+    let full_matrix = specs.len() == pgrid::scenarios::CHAOS_TRIO.len()
+        && schemes.len() == HeartbeatScheme::ALL.len()
+        && nodes.is_none();
 
-    let mut out = format!("chaos: {nodes} nodes, seed {seed}\n\n");
-    let mut table = Table::new([
-        "scenario",
-        "scheme",
-        "broken peak",
-        "broken after",
-        "gaps after",
-        "recovery(s)",
-        "dropped",
-        "verdict",
-    ]);
-    let mut violations = Vec::new();
-    for row in &rows {
-        let r = &row.report;
-        table.row([
-            row.scenario.to_string(),
-            row.scheme.label().to_string(),
-            r.broken_peak.to_string(),
-            r.broken_after.to_string(),
-            r.gaps_after.to_string(),
-            r.recovery_time
-                .map(|t| format!("{t:.0}"))
-                .unwrap_or_else(|| "-".into()),
-            r.dropped_messages.to_string(),
-            if r.violations.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("{} VIOLATIONS", r.violations.len())
-            },
-        ]);
-        for v in &r.violations {
-            violations.push(format!("{}/{}: {v}", row.scenario, row.scheme.label()));
+    let chaos_seed = seed.unwrap_or(experiments::CHAOS_SEED);
+    let mut out = format!("chaos: scripted faults, seed {chaos_seed} ({scale:?})\n\n");
+    out.push_str("--- CAN maintenance under chaos ---\n");
+    let rows = experiments::chaos_rows(&specs, &schemes, scale, chaos_seed, nodes);
+    let table = report::chaos(&rows);
+    let _ = writeln!(out, "{}", table.text);
+    let chaos_csv = save_under(&out_dir, "chaos.csv", &table.csv)?;
+
+    let mut cells = Vec::new();
+    if full_matrix {
+        out.push_str("--- Warm-standby takeover sweep (vanilla vs replicated) ---\n");
+        cells = experiments::takeover_suite(scale, seed.unwrap_or(experiments::TAKEOVER_SEED));
+        let table = report::takeover(&cells);
+        let _ = writeln!(out, "{}", table.text);
+        let takeover_csv = save_under(&out_dir, "takeover.csv", &table.csv)?;
+
+        if budget.is_none_or(|b| started.elapsed().as_secs_f64() <= b) {
+            out.push_str("--- Crash-safe job recovery (conservation ledger armed) ---\n");
+            let recovery = experiments::crash_recovery_suite(scale);
+            let _ = writeln!(out, "{}", report::crash_recovery(&recovery));
+        } else {
+            out.push_str("(crash-recovery suite skipped: wall budget exceeded)\n");
         }
+        let _ = writeln!(
+            out,
+            "CSV written to {} and {}",
+            chaos_csv.display(),
+            takeover_csv.display()
+        );
+    } else {
+        let _ = writeln!(out, "CSV written to {}", chaos_csv.display());
     }
-    out.push_str(&table.render());
-    if !violations.is_empty() {
-        return Err(format!(
-            "invariant violations:\n  {}",
-            violations.join("\n  ")
-        ));
-    }
-    Ok(out)
+    report::invariants_verdict(out, experiments::chaos_violations(&rows, &cells))
 }
 
-/// `pgrid scenarios`
-pub fn scenarios(args: Args) -> Result<String, String> {
+/// `pgrid scenarios`: every registered adversarial scenario (or those
+/// `--scenario` matches) per heartbeat scheme and repeat seed through
+/// the full DST oracle harness, scheme vs scheme.
+pub fn scenarios(args: Args) -> Result<String, CliError> {
     if args.switch("list") {
         args.reject_unknown()?;
         return Ok(pgrid::scenarios::listing());
     }
     let filter = args.get("scenario").unwrap_or("").to_string();
-    let seed: u64 = args.get_or("seed", pgrid::experiments::SCENARIO_SEED)?;
-    let scale = if args.switch("quick") {
-        Scale::Quick
-    } else {
-        Scale::Paper
-    };
+    let seed: u64 = args.get_or("seed", experiments::SCENARIO_SEED)?;
+    let scale = scale_from(&args);
+    let out_dir = out_dir_from(&args);
     args.reject_unknown()?;
     let specs = pgrid::scenarios::matching(&filter);
     if specs.is_empty() {
@@ -337,156 +388,51 @@ pub fn scenarios(args: Args) -> Result<String, String> {
         return Err(format!(
             "no scenario matches '{filter}' (known: {})",
             names.join(" | ")
-        ));
+        )
+        .into());
     }
 
-    let cells = pgrid::experiments::scenario_suite_over(scale, seed, &specs);
-    let mut out = format!(
-        "scenario library: {} scenario(s), seed {seed} ({scale:?})\n\n",
-        specs.len()
+    let cells = experiments::scenario_suite_over(scale, seed, &specs);
+    let table = report::scenarios(&cells);
+    let csv = save_under(&out_dir, "scenarios_resilience.csv", &table.csv)?;
+    let out = format!(
+        "scenario library: {} scenario(s), seed {seed} ({scale:?})\n\n{}\nCSV written to {}\n",
+        specs.len(),
+        table.text,
+        csv.display()
     );
-    let mut table = Table::new([
-        "scenario",
-        "scheme",
-        "broken peak",
-        "false exp",
-        "takeovers",
-        "promoted",
-        "fenced",
-        "relearn(hb)",
-        "misdirect",
-        "verdict",
-    ]);
-    let mut violations = Vec::new();
-    for c in &cells {
-        for arm in &c.arms {
-            table.row([
-                c.scenario.to_string(),
-                arm.scheme.label().to_string(),
-                arm.broken_peak.to_string(),
-                arm.live_expulsions.to_string(),
-                arm.takeovers.to_string(),
-                arm.replica_promotions.to_string(),
-                arm.stale_replica_rejects.to_string(),
-                arm.relearn_mean_heartbeats
-                    .map(|m| format!("{m:.2}"))
-                    .unwrap_or_else(|| "-".into()),
-                format!("{:.1}%", 100.0 * arm.misdirect_rate),
-                if arm.violations.is_empty() {
-                    "ok".to_string()
-                } else {
-                    format!("{} VIOLATIONS", arm.violations.len())
-                },
-            ]);
-            for v in &arm.violations {
-                violations.push(format!("{}/{}: {v}", c.scenario, arm.scheme.label()));
-            }
-        }
-    }
-    out.push_str(&table.render());
-    for c in &cells {
-        if let Some(d) = &c.wait_delta {
-            let _ = writeln!(
-                out,
-                "{}: shaped arrivals mean wait {:.1}s vs {:.1}s baseline (p99 {:.1}s vs {:.1}s)",
-                c.scenario, d.shaped_mean, d.baseline_mean, d.shaped_p99, d.baseline_p99,
-            );
-        }
-        if let Some(o) = &c.overload {
-            let _ = writeln!(
-                out,
-                "{}: goodput {:.1} vs {:.1} jobs/1000s vanilla, shed {:.1}%, \
-                 retry amp {:.2}x, p99 {:.0}s vs {:.0}s",
-                c.scenario,
-                o.controlled_goodput,
-                o.vanilla_goodput,
-                100.0 * o.shed_rate,
-                o.retry_amplification,
-                o.controlled_p99,
-                o.vanilla_p99,
-            );
-            if o.controlled_goodput <= o.vanilla_goodput {
-                violations.push(format!(
-                    "{}: overload control did not improve goodput ({:.2} <= {:.2})",
-                    c.scenario, o.controlled_goodput, o.vanilla_goodput
-                ));
-            }
-        }
-    }
-    if !violations.is_empty() {
-        return Err(format!(
-            "invariant violations:\n  {}",
-            violations.join("\n  ")
-        ));
-    }
-    Ok(out)
+    report::invariants_verdict(out, experiments::scenario_violations(&cells))
 }
 
-/// `pgrid detector`
-pub fn detector(args: Args) -> Result<String, String> {
-    let seed: u64 = args.get_or("seed", pgrid::experiments::DETECTOR_SEED)?;
-    let scale = if args.switch("quick") {
-        Scale::Quick
-    } else {
-        Scale::Paper
-    };
+/// `pgrid detector`: asymmetric link stress against process-freeze
+/// length, every cell under the fixed timeout and under the adaptive
+/// suspicion pipeline with indirect probes.
+pub fn detector(args: Args) -> Result<String, CliError> {
+    let seed: u64 = args.get_or("seed", experiments::DETECTOR_SEED)?;
+    let scale = scale_from(&args);
+    let out_dir = out_dir_from(&args);
     args.reject_unknown()?;
 
-    let cells = pgrid::experiments::detector_suite(scale, seed);
-    let mut out = format!("detector sweep: seed {seed} ({scale:?})\n\n");
-    let mut table = Table::new([
-        "stress",
-        "freeze(s)",
-        "rule",
-        "suspicions",
-        "probes",
-        "expelled",
-        "false pos",
-        "revived",
-        "lag(s)",
-    ]);
-    let mut regressions = Vec::new();
-    for c in &cells {
-        for arm in [&c.fixed, &c.adaptive] {
-            table.row([
-                format!("{:.1}", c.link_stress),
-                format!("{:.0}", c.freeze_secs),
-                arm.mode.label().to_string(),
-                arm.suspicions.to_string(),
-                arm.probe_requests.to_string(),
-                arm.live_expulsions.to_string(),
-                arm.false_expulsions.to_string(),
-                arm.revivals.to_string(),
-                arm.detection_lag
-                    .map(|l| format!("{l:.1}"))
-                    .unwrap_or_else(|| "-".into()),
-            ]);
-        }
-        if c.adaptive.false_expulsions > c.fixed.false_expulsions {
-            regressions.push(format!(
-                "stress {:.1} freeze {:.0}: adaptive false positives {} exceed fixed {}",
-                c.link_stress, c.freeze_secs, c.adaptive.false_expulsions, c.fixed.false_expulsions
-            ));
-        }
-    }
-    out.push_str(&table.render());
-    let fixed_fp: u64 = cells.iter().map(|c| c.fixed.false_expulsions).sum();
-    let adaptive_fp: u64 = cells.iter().map(|c| c.adaptive.false_expulsions).sum();
-    out.push_str(&format!(
-        "false-positive expulsions: fixed {fixed_fp}, adaptive {adaptive_fp}\n"
-    ));
-    if regressions.is_empty() {
-        Ok(out)
-    } else {
-        Err(format!(
-            "detector regressions:\n  {}",
-            regressions.join("\n  ")
-        ))
-    }
+    let cells = experiments::detector_suite(scale, seed);
+    let table = report::detector(&cells);
+    let csv = save_under(&out_dir, "detector.csv", &table.csv)?;
+    let out = format!(
+        "detector sweep: fixed timeout vs adaptive suspicion, seed {seed} ({scale:?})\n\n{}\n\
+         CSV written to {}\n",
+        table.text,
+        csv.display()
+    );
+    report::detector_verdict(out, experiments::detector_regressions(&cells))
 }
 
-/// `pgrid fuzz`
-pub fn fuzz(args: Args) -> Result<String, String> {
+/// `pgrid fuzz`: random fault schedules from a seeded grammar (the
+/// smoke grammar with `--quick`, the full one without) through every
+/// cross-layer oracle; the first violating schedule is delta-debugged
+/// to a near-minimal repro and saved as a replayable trace. `--replay`
+/// re-executes a saved trace against its recorded digest instead.
+/// Deterministic per seed: the wall budget only bounds how many seeds
+/// run, never what any one seed does.
+pub fn fuzz(args: Args) -> Result<String, CliError> {
     if let Some(path) = args.get("replay").map(str::to_string) {
         args.reject_unknown()?;
         let text =
@@ -507,85 +453,63 @@ pub fn fuzz(args: Args) -> Result<String, String> {
                 return Err(format!(
                     "digest mismatch: trace expects 0x{expect:016x}, replay produced 0x{:016x}",
                     report.digest
-                ));
+                )
+                .into());
             }
             out.push_str("  digest matches the trace's recorded value\n");
         }
         if !report.violations.is_empty() {
-            return Err(format!(
-                "replay violations:\n  {}",
-                report.violations.join("\n  ")
-            ));
+            return Err(format!("replay violations:\n  {}", report.violations.join("\n  ")).into());
         }
         out.push_str("invariants: ok\n");
         return Ok(out);
     }
 
+    let scale = scale_from(&args);
+    let quick = scale == Scale::Quick;
     let start: u64 = args.get_or("seed", 1)?;
-    let seeds: usize = args.get_or("seeds", 16)?;
-    let budget: f64 = args.get_or("budget", 60.0)?;
-    let out_dir = args.get("out").unwrap_or("results").to_string();
+    let seeds: usize = args.get_or("seeds", if quick { 16 } else { 64 })?;
+    let budget = budget_from(&args)?.unwrap_or(if quick { 120.0 } else { 900.0 });
+    let out_dir = out_dir_from(&args);
     args.reject_unknown()?;
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    if !(budget.is_finite() && budget > 0.0) {
-        return Err(format!(
-            "--budget must be positive and finite, got {budget}"
-        ));
-    }
 
     let mut cfg = FuzzConfig::new(start, seeds);
+    if !quick {
+        cfg.budget = ScheduleBudget::default();
+    }
     cfg.wall_budget = budget;
     let summary = fuzz_search(&cfg);
-
     let mut out = format!(
-        "fuzz: seeds {start}..{}, wall budget {budget}s\n\n",
-        start + seeds as u64
+        "fuzz: seeds {start}..{} ({scale:?} grammar, {budget:.0} s wall budget)\n\n{}\n",
+        start + seeds as u64,
+        report::fuzz(&summary)
     );
-    let mut table = Table::new(["seed", "scheme", "nodes", "events", "broken peak", "digest"]);
-    for r in &summary.runs {
-        table.row([
-            r.seed.to_string(),
-            r.scheme.clone(),
-            r.nodes.to_string(),
-            r.events.to_string(),
-            r.broken_peak.to_string(),
-            format!("{:016x}", r.digest),
-        ]);
-    }
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "clean seeds: {}/{} requested{}\n",
-        summary.runs.len(),
-        summary.seeds_requested,
-        if summary.hit_wall_budget {
-            " (wall budget hit)"
-        } else {
-            ""
-        }
-    ));
     match summary.failure {
         None => {
-            out.push_str("invariants: ok (zero violations)\n");
+            let _ = writeln!(
+                out,
+                "invariants: ok (zero violations over {} seeds)",
+                summary.runs.len()
+            );
             Ok(out)
         }
         Some(f) => {
-            std::fs::create_dir_all(&out_dir)
-                .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-            let path = std::path::Path::new(&out_dir).join(format!("fuzz_seed{}.trace", f.seed));
-            std::fs::write(&path, f.shrunk.to_text())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            Err(format!(
-                "seed {} violated {} invariant(s); shrunk {} -> {} fault events, \
-                 repro trace written to {}\n  {}",
-                f.seed,
-                f.violations.len(),
-                f.original_events,
-                f.shrunk.events.len(),
-                path.display(),
-                f.violations.join("\n  ")
-            ))
+            let file = format!("fuzz_seed{}.trace", f.seed);
+            let path = save_under(&out_dir, &file, &f.shrunk.to_text())?;
+            Err(CliError {
+                stdout: out,
+                message: format!(
+                    "seed {} violated {} invariant(s); repro trace written to {}\n  {}",
+                    f.seed,
+                    f.violations.len(),
+                    path.display(),
+                    f.violations.join("\n  ")
+                ),
+                status: 1,
+            })
         }
     }
 }
@@ -688,12 +612,7 @@ pub fn replay(
     let mut results = Vec::new();
     for &choice in schedulers {
         let mut grid = StaticGrid::try_build(layout.clone(), population.to_vec(), seed)?;
-        let params = PushParams::default();
-        let mut matchmaker: Box<dyn Matchmaker> = match choice {
-            SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
-            SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
-            SchedulerChoice::Central => Box::new(CentralMatchmaker),
-        };
+        let mut matchmaker = pgrid::sched::matchmaker_for(choice, &grid, PushParams::default());
         results.push(pgrid::sched::grid_sim::run_trace(
             &mut grid,
             matchmaker.as_mut(),
@@ -712,6 +631,12 @@ mod tests {
 
     fn a(raw: &[&str]) -> Args {
         Args::parse(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// A scratch `--out` directory: the suites write CSVs where they run.
+    fn out_dir(test: &str) -> String {
+        let dir = std::env::temp_dir().join("pgrid_cli_suites").join(test);
+        dir.to_str().unwrap().to_string()
     }
 
     #[test]
@@ -783,6 +708,7 @@ mod tests {
 
     #[test]
     fn chaos_runs_small_and_rejects_bad_args() {
+        let dir = out_dir("chaos_small");
         let out = chaos(a(&[
             "--scheme",
             "adaptive",
@@ -790,11 +716,17 @@ mod tests {
             "flash-crowd",
             "--nodes",
             "36",
+            "--out",
+            &dir,
         ]))
         .unwrap();
         assert!(out.contains("flash-crowd"));
         assert!(out.contains("Adaptive"));
         assert!(out.contains("ok"));
+        // A narrowed run is the chaos table alone.
+        assert!(!out.contains("takeover"), "{out}");
+        let csv = std::fs::read_to_string(Path::new(&dir).join("chaos.csv")).unwrap();
+        assert_eq!(csv.lines().count(), 2, "{csv}");
         assert!(chaos(a(&["--scheme", "bogus"])).is_err());
         assert!(chaos(a(&["--scenario", "bogus"])).is_err());
         assert!(chaos(a(&["--bogus", "1"])).is_err());
@@ -806,30 +738,41 @@ mod tests {
         for spec in pgrid::scenarios::REGISTRY {
             assert!(listing.contains(spec.name), "listing misses {}", spec.name);
         }
-        let out = scenarios(a(&["--quick", "--scenario", "gray-failure"])).unwrap();
+        let dir = out_dir("scenarios_filter");
+        let out = scenarios(a(&["--quick", "--scenario", "gray-failure", "--out", &dir])).unwrap();
         assert!(out.contains("gray-failure"));
         assert!(out.contains("ok"));
+        assert!(Path::new(&dir).join("scenarios_resilience.csv").exists());
         let err = scenarios(a(&["--scenario", "no-such-thing"])).unwrap_err();
-        assert!(err.contains("no scenario matches"), "{err}");
-        assert!(err.contains("diurnal-wave"), "{err}");
+        assert!(err.message.contains("no scenario matches"), "{err:?}");
+        assert!(err.message.contains("diurnal-wave"), "{err:?}");
         assert!(scenarios(a(&["--bogus", "1"])).is_err());
         assert!(scenarios(a(&["--seed", "nope"])).is_err());
     }
 
     #[test]
     fn detector_runs_quick_and_rejects_bad_args() {
-        let out = detector(a(&["--quick"])).unwrap();
+        let dir = out_dir("detector_quick");
+        let out = detector(a(&["--quick", "--out", &dir])).unwrap();
         assert!(out.contains("false-positive expulsions"), "{out}");
         assert!(out.contains("fixed"));
         assert!(out.contains("adaptive"));
+        assert!(out.contains("detector claims: ok"), "{out}");
+        assert!(Path::new(&dir).join("detector.csv").exists());
         assert!(detector(a(&["--bogus", "1"])).is_err());
         assert!(detector(a(&["--seed", "nope"])).is_err());
     }
 
     #[test]
     fn fuzz_runs_a_tiny_clean_sweep() {
-        // Seeds 100.. are exercised as clean in the core fuzz tests.
-        let out = fuzz(a(&["--seed", "100", "--seeds", "2", "--budget", "300"])).unwrap();
+        // Seeds 100.. are exercised as clean in the core fuzz tests
+        // (smoke grammar, which `--quick` selects).
+        let dir = out_dir("fuzz_clean");
+        let out = fuzz(a(&[
+            "--quick", "--seed", "100", "--seeds", "2", "--budget", "300", "--out", &dir,
+        ]))
+        .unwrap();
+        assert!(out.contains("Quick grammar"), "{out}");
         assert!(out.contains("clean seeds: 2/2 requested"), "{out}");
         assert!(out.contains("invariants: ok"));
     }
@@ -858,14 +801,18 @@ mod tests {
         // A corrupted recorded digest must fail the replay.
         schedule.expect_digest = Some(0xdead_beef);
         std::fs::write(&path, schedule.to_text()).unwrap();
-        let err = fuzz(a(&["--replay", path.to_str().unwrap()])).unwrap_err();
+        let err = fuzz(a(&["--replay", path.to_str().unwrap()]))
+            .unwrap_err()
+            .message;
         assert!(err.contains("digest mismatch"), "{err}");
 
         // An unknown heartbeat scheme is a parse error that names the
         // trace and the label — not an executor panic and a mismatch.
         schedule.scheme = "laser".into();
         std::fs::write(&path, schedule.to_text()).unwrap();
-        let err = fuzz(a(&["--replay", path.to_str().unwrap()])).unwrap_err();
+        let err = fuzz(a(&["--replay", path.to_str().unwrap()]))
+            .unwrap_err()
+            .message;
         assert!(
             err.contains("case.trace") && err.contains("`laser`"),
             "{err}"
@@ -1002,5 +949,18 @@ mod tests {
         assert!(crate::dispatch(vec!["pgrid".into(), "frobnicate".into()]).is_err());
         let bare = crate::dispatch(vec!["pgrid".into()]).unwrap();
         assert!(bare.contains("USAGE"));
+    }
+
+    #[test]
+    fn dispatch_rejects_a_stray_token_or_a_repeated_flag_before_running() {
+        // `--quick foo` used to read as "no --quick" and launch the
+        // paper-scale sweep; `--seed 1 --seed 2` used to keep the last.
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = crate::dispatch(argv(&["pgrid", "detector", "--quick", "foo"])).unwrap_err();
+        assert!(err.message.contains("'foo'"), "{}", err.message);
+        assert_eq!(err.status, 1);
+        let err =
+            crate::dispatch(argv(&["pgrid", "chaos", "--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.message.contains("twice"), "{}", err.message);
     }
 }

@@ -6,7 +6,8 @@
 //!   style) with configurable population, workload and scheduler;
 //! * `pgrid churn` — one CAN churn simulation (Figure 7/8 style) with
 //!   configurable scheme, churn rate and message loss;
-//! * `pgrid chaos` — the scripted fault scenarios through the DST
+//! * `pgrid chaos` — the scripted fault scenarios, the warm-standby
+//!   takeover sweep and the crash-recovery suite through the DST
 //!   schedule executor, failing on any invariant violation;
 //! * `pgrid scenarios` — the named adversarial scenario library
 //!   (diurnal waves, flash crowds, rack storms, stragglers, gray
@@ -20,6 +21,11 @@
 //! * `pgrid info` — the built-in scenario defaults and experiment
 //!   inventory.
 //!
+//! The four fault suites above have no other front end: each prints
+//! its tables, saves them as CSV under `--out` and exits non-zero on a
+//! broken rule, all through [`report`] — one column list per table,
+//! one verdict per suite — whose bytes `tests` pins.
+//!
 //! Argument parsing is hand-rolled (`--flag value` pairs plus boolean
 //! switches) to stay inside the approved dependency set.
 
@@ -28,12 +34,18 @@
 
 pub mod args;
 pub mod commands;
+pub mod report;
+#[cfg(test)]
+mod tests;
 
 use std::process::ExitCode;
 
 /// A failed command: what to tell the user, and the exit status.
 #[derive(Debug)]
 pub struct CliError {
+    /// What the command had to show before it failed — a suite that
+    /// breaks a rule still prints its tables. Printed on stdout.
+    pub stdout: String,
     /// Printed after `error: ` on stderr.
     pub message: String,
     /// 1 for a bad invocation or a failed run; 2 for input no grid can
@@ -44,7 +56,11 @@ pub struct CliError {
 
 impl From<String> for CliError {
     fn from(message: String) -> Self {
-        CliError { message, status: 1 }
+        CliError {
+            stdout: String::new(),
+            message,
+            status: 1,
+        }
     }
 }
 
@@ -57,8 +73,8 @@ impl From<&str> for CliError {
 impl From<pgrid::sched::BuildError> for CliError {
     fn from(e: pgrid::sched::BuildError) -> Self {
         CliError {
-            message: e.to_string(),
             status: 2,
+            ..e.to_string().into()
         }
     }
 }
@@ -71,6 +87,7 @@ pub fn run(argv: Vec<String>) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
+            print!("{}", e.stdout);
             eprintln!("error: {}", e.message);
             eprintln!("run `pgrid help` for usage");
             ExitCode::from(e.status)

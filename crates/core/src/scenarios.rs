@@ -396,8 +396,8 @@ pub fn listing() -> String {
 /// Registry names of the scripted chaos trio, in chaos-table order.
 pub const CHAOS_TRIO: [&str; 3] = ["flash-crowd", "rolling-partition", "lossy-churn"];
 
-/// The [`CHAOS_TRIO`] entries — what the chaos bench, `pgrid chaos`
-/// and `experiments::chaos_suite` run.
+/// The [`CHAOS_TRIO`] entries — what `pgrid chaos` runs through
+/// `experiments::chaos_rows`.
 pub fn chaos_trio() -> Vec<&'static ScenarioSpec> {
     CHAOS_TRIO
         .iter()

@@ -1,11 +1,13 @@
 //! Measurement and reporting utilities: CDFs (the paper's Figures 5–6
 //! are wait-time CDFs), histograms, summary statistics, time series
-//! (Figure 7), ASCII tables and CSV export.
+//! (Figure 7), ASCII tables, CSV export, and column lists that render a
+//! published table in both forms from one declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cdf;
+pub mod columns;
 pub mod csv;
 pub mod histogram;
 pub mod series;
@@ -14,6 +16,7 @@ pub mod svg;
 pub mod table;
 
 pub use cdf::Cdf;
+pub use columns::{Cell, Column, Columns};
 pub use csv::CsvWriter;
 pub use histogram::{Buckets, Histogram};
 pub use series::TimeSeries;

@@ -169,6 +169,19 @@ pub fn try_run_load_balance(
     run_scenario(scenario, choice, None, None)
 }
 
+/// The matchmaker a [`SchedulerChoice`] names, over `grid`.
+pub fn matchmaker_for(
+    choice: SchedulerChoice,
+    grid: &StaticGrid,
+    params: PushParams,
+) -> Box<dyn Matchmaker> {
+    match choice {
+        SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(grid, params)),
+        SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(grid, params)),
+        SchedulerChoice::Central => Box::new(CentralMatchmaker),
+    }
+}
+
 /// The shared body of the scenario entry points.
 fn run_scenario(
     scenario: &LoadBalanceScenario,
@@ -177,12 +190,7 @@ fn run_scenario(
     overload: Option<&OverloadConfig>,
 ) -> Result<SimResult, BuildError> {
     let (mut grid, jobs) = instantiate(scenario)?;
-    let params = push_params(scenario);
-    let mut matchmaker: Box<dyn Matchmaker> = match choice {
-        SchedulerChoice::CanHet => Box::new(PushingMatchmaker::heterogeneous(&grid, params)),
-        SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
-        SchedulerChoice::Central => Box::new(CentralMatchmaker),
-    };
+    let mut matchmaker = matchmaker_for(choice, &grid, push_params(scenario));
     Ok(run_with(
         &mut grid,
         matchmaker.as_mut(),

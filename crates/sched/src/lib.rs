@@ -20,8 +20,9 @@ pub mod timeshare;
 pub use aggregate::{AiEntry, AiGrouping, AiTable};
 pub use grid::{BuildError, StaticGrid};
 pub use grid_sim::{
-    run_load_balance, run_load_balance_ablated, run_load_balance_chaos, run_load_balance_overload,
-    run_trace, run_trace_sharded, try_run_load_balance, SchedulerChoice, SimResult,
+    matchmaker_for, run_load_balance, run_load_balance_ablated, run_load_balance_chaos,
+    run_load_balance_overload, run_trace, run_trace_sharded, try_run_load_balance, SchedulerChoice,
+    SimResult,
 };
 pub use matchmakers::{
     CentralMatchmaker, HetFeatures, Matchmaker, Placement, PushMode, PushParams, PushingMatchmaker,

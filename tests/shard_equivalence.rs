@@ -6,7 +6,7 @@
 //! statistics: a run that reorders even one tie-break fails.
 
 use p2p_ce_grid::prelude::*;
-use p2p_ce_grid::sched::{run_trace, run_trace_sharded};
+use p2p_ce_grid::sched::{matchmaker_for, run_trace, run_trace_sharded};
 
 /// Every behaviour-bearing field of a trace replay, in a fixed order
 /// (`recovery` and `overload` are `None` on this entry point).
@@ -48,14 +48,7 @@ fn fig5_quick_matches_sequential_for_every_shard_count() {
     for choice in SchedulerChoice::ALL {
         let run = |shards: Option<usize>| {
             let mut grid = StaticGrid::build(layout.clone(), population.clone(), s.seed);
-            let params = PushParams::default();
-            let mut mm: Box<dyn Matchmaker> = match choice {
-                SchedulerChoice::CanHet => {
-                    Box::new(PushingMatchmaker::heterogeneous(&grid, params))
-                }
-                SchedulerChoice::CanHom => Box::new(PushingMatchmaker::homogeneous(&grid, params)),
-                SchedulerChoice::Central => Box::new(CentralMatchmaker),
-            };
+            let mut mm = matchmaker_for(choice, &grid, PushParams::default());
             let (period, seed) = (s.ai_refresh_period, s.seed);
             digest(&match shards {
                 None => run_trace(&mut grid, mm.as_mut(), &jobs, period, seed, choice),
