@@ -82,6 +82,18 @@ impl Adjacency {
         }
     }
 
+    /// Adds or removes the one directed edge `from -> to` — a corrupt
+    /// graph no run reaches, for the oracle tests that need one.
+    #[cfg(test)]
+    pub(crate) fn set_directed(&mut self, from: NodeId, to: NodeId, present: bool) {
+        let set = self.nbrs.entry(from).or_default();
+        if present {
+            set.insert(to);
+        } else {
+            set.remove(&to);
+        }
+    }
+
     fn relink(&mut self, a: NodeId, b: NodeId, abut: bool) {
         if abut {
             self.link(a, b);

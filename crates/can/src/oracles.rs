@@ -550,6 +550,164 @@ mod tests {
         assert_eq!(step_violations(&sim), expect);
     }
 
+    /// The ten-node overlay the sabotage tests break, at t = 210:
+    /// n1 and n7 are sibling leaves, n1 abuts n2 and n7 only, n0 abuts
+    /// n4, n5, n6 and n9.
+    fn ten() -> CanSim {
+        grown(10, HeartbeatScheme::Compact)
+    }
+
+    /// `ten()` with directed ground-truth edges added (`true`) or
+    /// removed; an undirected edit is both directions.
+    fn with_edges(edits: &[(u32, u32, bool)]) -> CanSim {
+        let mut sim = ten();
+        for &(from, to, present) in edits {
+            assert_ne!(
+                sim.true_neighbors(NodeId(from)).contains(&NodeId(to)),
+                present,
+                "edit {from} -> {to} changes nothing"
+            );
+            sim.set_true_edge(NodeId(from), NodeId(to), present);
+        }
+        sim
+    }
+
+    /// Tiling sabotage, string for string: a stored leaf zone that
+    /// disagrees with its split history is reported by `zone_tiling`
+    /// and by no other oracle.
+    #[test]
+    fn overwritten_leaf_zones_break_the_tiling_and_nothing_else() {
+        let overlaps = |pairs: &[(u32, u32)]| -> Vec<String> {
+            pairs
+                .iter()
+                .map(|(a, b)| format!("t=210: zones of n{a} and n{b} overlap"))
+                .collect()
+        };
+        // Grown over its sibling: the volume line, then the one pair.
+        let mut sim = ten();
+        let grown_zone = sim.zone(NodeId(1)).merge(sim.zone(NodeId(7)));
+        sim.overwrite_zone(NodeId(1), grown_zone.expect("n1 and n7 are siblings"));
+        let mut expect = vec![
+            "t=210: member zones cover volume 1.1249999999999998, not 1 (space not tiled)"
+                .to_string(),
+        ];
+        expect.extend(overlaps(&[(1, 7)]));
+        assert_eq!(step_violations(&sim), expect);
+
+        // Grown over all nine other leaves: the scan stops after the
+        // eighth pair, (n5, n9) is never named.
+        let mut sim = ten();
+        sim.overwrite_zone(NodeId(5), crate::geom::Zone::unit(2));
+        let mut expect = vec![
+            "t=210: member zones cover volume 1.9428042085819919, not 1 (space not tiled)"
+                .to_string(),
+        ];
+        expect.extend(overlaps(&[
+            (0, 5),
+            (1, 5),
+            (2, 5),
+            (3, 5),
+            (4, 5),
+            (5, 6),
+            (5, 7),
+            (5, 8),
+        ]));
+        assert_eq!(step_violations(&sim), expect);
+
+        // Shrunk to its lower half: a hole, no overlap.
+        let mut sim = ten();
+        let (lower, _) = sim.zone(NodeId(0)).split(0, 0.75);
+        sim.overwrite_zone(NodeId(0), lower);
+        assert_eq!(
+            step_violations(&sim),
+            ["t=210: member zones cover volume 0.875, not 1 (space not tiled)"]
+        );
+    }
+
+    /// Symmetry sabotage, string for string: a one-way ground-truth
+    /// edge is reported by `neighbor_symmetry`, naming the side that
+    /// still sees the other, and by no other oracle.
+    #[test]
+    fn one_way_edges_break_symmetry_and_nothing_else() {
+        let one_way = |a: u32, b: u32| {
+            format!("t=210: neighbor table asymmetric: n{a} sees n{b} but not vice versa")
+        };
+        // n1 forgets n2: n2 is the one left looking.
+        let sim = with_edges(&[(1, 2, false)]);
+        assert_eq!(step_violations(&sim), [one_way(2, 1)]);
+        // n1 sees n0, whose zone it does not touch.
+        let sim = with_edges(&[(1, 0, true)]);
+        assert_eq!(step_violations(&sim), [one_way(1, 0)]);
+        // Nine one-way edges — n0 and n7 forget everyone, n2 forgets
+        // n3: members ascending, each one's neighbors ascending, cut
+        // after the eighth; (n9, n0) is never named.
+        let sim = with_edges(&[
+            (0, 4, false),
+            (0, 5, false),
+            (0, 6, false),
+            (0, 9, false),
+            (7, 1, false),
+            (7, 4, false),
+            (7, 6, false),
+            (7, 8, false),
+            (2, 3, false),
+        ]);
+        let expect = [
+            (1, 7),
+            (3, 2),
+            (4, 0),
+            (4, 7),
+            (5, 0),
+            (6, 0),
+            (6, 7),
+            (8, 7),
+        ]
+        .map(|(a, b)| one_way(a, b));
+        assert_eq!(step_violations(&sim), expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "incremental adjacency diverged")]
+    fn check_invariants_catches_a_one_way_missing_edge() {
+        with_edges(&[(1, 2, false)]).check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "incremental adjacency diverged")]
+    fn check_invariants_catches_a_one_way_phantom_edge() {
+        with_edges(&[(1, 0, true)]).check_invariants();
+    }
+
+    /// The three *symmetric* corruptions below are silent to every
+    /// string oracle (asserted first: a finding there would panic with
+    /// another message); only `check_invariants` sees them.
+    #[test]
+    #[should_panic(expected = "incremental adjacency diverged")]
+    fn check_invariants_catches_a_missing_abutting_pair() {
+        let sim = with_edges(&[(1, 2, false), (2, 1, false)]);
+        assert_eq!(step_violations(&sim), Vec::<String>::new());
+        sim.check_invariants();
+    }
+
+    /// Every abutting pair is still linked: only the edge count tells.
+    #[test]
+    #[should_panic(expected = "incremental adjacency diverged")]
+    fn check_invariants_catches_a_phantom_pair_of_non_abutting_members() {
+        let sim = with_edges(&[(1, 0, true), (0, 1, true)]);
+        assert_eq!(step_violations(&sim), Vec::<String>::new());
+        sim.check_invariants();
+    }
+
+    /// One real pair swapped for a phantom one, edge count unchanged:
+    /// only the lookup of each abutting pair tells.
+    #[test]
+    #[should_panic(expected = "incremental adjacency diverged")]
+    fn check_invariants_catches_an_edge_swapped_for_a_phantom() {
+        let sim = with_edges(&[(1, 2, false), (2, 1, false), (1, 0, true), (0, 1, true)]);
+        assert_eq!(step_violations(&sim), Vec::<String>::new());
+        sim.check_invariants();
+    }
+
     #[test]
     fn frozen_node_fails_quiescence() {
         let mut sim = grown(12, HeartbeatScheme::Vanilla);

@@ -953,6 +953,24 @@ impl CanSim {
         self.zombies.insert(node.id, node);
     }
 
+    /// Overwrites the stored ground-truth zone of member `id`, split
+    /// history untouched — the tiling sabotage of the oracle tests.
+    #[cfg(test)]
+    pub(crate) fn overwrite_zone(&mut self, id: NodeId, zone: Zone) {
+        self.tree
+            .as_mut()
+            .expect("empty CAN")
+            .overwrite_zone(id, zone);
+    }
+
+    /// Adds or removes the one *directed* ground-truth edge
+    /// `from -> to` — the adjacency sabotage of the oracle tests; an
+    /// undirected edge is two calls.
+    #[cfg(test)]
+    pub(crate) fn set_true_edge(&mut self, from: NodeId, to: NodeId, present: bool) {
+        self.adj.set_directed(from, to, present);
+    }
+
     /// Mean seconds from a node going silent (crash or freeze) to the
     /// first suspicion raised against it; `None` with no samples.
     pub fn mean_detection_lag(&self) -> Option<f64> {

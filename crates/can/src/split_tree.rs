@@ -256,6 +256,17 @@ impl SplitTree {
         }
     }
 
+    /// Overwrites `owner`'s stored zone and leaves the split history
+    /// alone — a corrupt tree no run reaches, for the oracle tests that
+    /// need one.
+    #[cfg(test)]
+    pub(crate) fn overwrite_zone(&mut self, owner: NodeId, zone: Zone) {
+        match &mut self.slots[self.leaf_of[&owner]] {
+            Slot::Leaf { zone: stored, .. } => *stored = zone,
+            _ => unreachable!("leaf_of points at non-leaf"),
+        }
+    }
+
     /// The member owning the zone containing `p`.
     pub fn owner_at(&self, p: &Point) -> Option<NodeId> {
         let mut idx = self.root?;
