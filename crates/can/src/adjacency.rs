@@ -4,7 +4,11 @@
 //! §II-A) is maintained *incrementally*: each join touches only the
 //! host's old neighborhood, each departure only the neighborhoods of
 //! the zones involved in the take-over. An O(n²) recomputation is kept
-//! for test-time verification.
+//! for test-time verification: [`Adjacency::recompute`] is the reference
+//! of this module's tests, of the join/leave proptests, of
+//! `StaticGrid::check_invariants` and of the `debug_assert!` in
+//! `CanSim::check_invariants`. What runs at every heartbeat boundary
+//! of a fault schedule is [`Adjacency::matches_tree`], in O(edges).
 //!
 //! This adjacency is the simulator's *ground truth* — what the DHT
 //! would look like with perfect knowledge. Per-node (possibly stale)
@@ -12,19 +16,34 @@
 //! ground-truth edge missing from a node's local view.
 
 use crate::geom::Zone;
+use crate::idmap::{IdMap, IdSet};
+use crate::split_tree::SplitTree;
 use pgrid_types::NodeId;
-use std::collections::{HashMap, HashSet};
 
 /// Incrementally-maintained abutment graph over zones.
 #[derive(Debug, Default)]
 pub struct Adjacency {
-    nbrs: HashMap<NodeId, HashSet<NodeId>>,
+    nbrs: IdMap<IdSet>,
 }
 
 /// Iterator over a node's neighbor ids, in no particular order
 /// ([`Adjacency::neighbors`]).
-pub type Neighbors<'a> =
-    std::iter::Copied<std::iter::Flatten<std::option::IntoIter<&'a HashSet<NodeId>>>>;
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a>(Option<std::collections::hash_set::Iter<'a, NodeId>>);
+
+impl Iterator for Neighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.0.as_mut()?.next().copied()
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.as_ref().map_or((0, Some(0)), Iterator::size_hint)
+    }
+}
 
 impl Adjacency {
     /// Empty graph.
@@ -44,7 +63,7 @@ impl Adjacency {
 
     /// The current neighbor set of `id` (empty if unknown).
     pub fn neighbors(&self, id: NodeId) -> Neighbors<'_> {
-        self.nbrs.get(&id).into_iter().flatten().copied()
+        Neighbors(self.nbrs.get(&id).map(IdSet::iter))
     }
 
     /// Whether `a` and `b` are currently neighbors.
@@ -54,18 +73,18 @@ impl Adjacency {
 
     /// Neighbor count of `id`.
     pub fn degree(&self, id: NodeId) -> usize {
-        self.nbrs.get(&id).map_or(0, HashSet::len)
+        self.nbrs.get(&id).map_or(0, IdSet::len)
     }
 
     /// Total directed edge count (2× undirected edges).
     pub fn directed_edges(&self) -> usize {
-        self.nbrs.values().map(HashSet::len).sum()
+        self.nbrs.values().map(IdSet::len).sum()
     }
 
     /// Registers the first node (no neighbors).
     pub fn insert_first(&mut self, id: NodeId) {
         assert!(self.nbrs.is_empty(), "insert_first on non-empty graph");
-        self.nbrs.insert(id, HashSet::new());
+        self.nbrs.insert(id, IdSet::default());
     }
 
     fn link(&mut self, a: NodeId, b: NodeId) {
@@ -136,7 +155,7 @@ impl Adjacency {
         heir: NodeId,
         zones: impl Fn(NodeId) -> &'z Zone,
     ) {
-        let mut candidates: HashSet<NodeId> = self.neighbors(departed).collect();
+        let mut candidates: IdSet = self.neighbors(departed).collect();
         candidates.extend(self.neighbors(heir));
         candidates.remove(&heir);
         candidates.remove(&departed);
@@ -160,14 +179,14 @@ impl Adjacency {
         // Candidates for the relocator's new position: the departed
         // zone is unchanged, so its old neighbors (plus the absorber,
         // whose zone grew) are the only possibilities.
-        let mut reloc_candidates: HashSet<NodeId> = self.neighbors(departed).collect();
+        let mut reloc_candidates: IdSet = self.neighbors(departed).collect();
         reloc_candidates.insert(absorber);
         reloc_candidates.remove(&relocator);
         reloc_candidates.remove(&departed);
 
         // Candidates for the absorber's grown zone: old neighbors of
         // the absorber and of the relocator's old zone.
-        let mut absorb_candidates: HashSet<NodeId> = self.neighbors(absorber).collect();
+        let mut absorb_candidates: IdSet = self.neighbors(absorber).collect();
         absorb_candidates.extend(self.neighbors(relocator));
         absorb_candidates.remove(&absorber);
         absorb_candidates.remove(&relocator);
@@ -227,6 +246,30 @@ impl Adjacency {
         adj
     }
 
+    /// Whether this graph is exactly the abutment graph of `tree`'s
+    /// leaves — the verdict of `same_as(&recompute(..))` over the same
+    /// tree, in O(edges) instead of O(n²).
+    ///
+    /// [`SplitTree::for_each_abutting_pair`] names every abutting pair
+    /// once. Equal sizes and every tree member a key make the key sets
+    /// equal; every named pair linked in both directions makes the
+    /// true edges a subset of this graph's; `2 × pairs` equal to the
+    /// directed edge count leaves no room for one more. Neither half
+    /// stands alone: the lookups miss a phantom pair of non-abutting
+    /// members, the count misses one real pair swapped for a phantom.
+    pub fn matches_tree(&self, tree: &SplitTree) -> bool {
+        if self.len() != tree.len() || !tree.members().all(|m| self.nbrs.contains_key(&m)) {
+            return false;
+        }
+        let mut pairs = 0usize;
+        let mut linked = true;
+        tree.for_each_abutting_pair(|low, high, _| {
+            pairs += 1;
+            linked &= self.are_neighbors(low, high) && self.are_neighbors(high, low);
+        });
+        linked && 2 * pairs == self.directed_edges()
+    }
+
     /// Structural equality against another adjacency (for tests).
     pub fn same_as(&self, other: &Adjacency) -> bool {
         if self.nbrs.len() != other.nbrs.len() {
@@ -250,7 +293,7 @@ impl Adjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_tree::{SplitTree, ZoneChange};
+    use crate::split_tree::ZoneChange;
     use pgrid_simcore::SimRng;
     use std::collections::HashMap;
 
@@ -407,10 +450,8 @@ mod tests {
         assert!(!adj.are_neighbors(NodeId(0), NodeId(1)));
     }
 
-    #[test]
-    fn mean_degree_of_grid() {
-        // 4 quadrants: each node abuts 2 others (corner contact doesn't
-        // count), so mean degree is exactly 2.
+    /// Four quadrants, n0 | n1 below n2 | n3, tree and graph in step.
+    fn quad() -> (SplitTree, Adjacency) {
         let mut tree = SplitTree::new(2, NodeId(0));
         let mut adj = Adjacency::new();
         adj.insert_first(NodeId(0));
@@ -441,10 +482,53 @@ mod tests {
             0.5,
         );
         adj.on_split(NodeId(1), NodeId(3), |n| tree.zone(n));
+        (tree, adj)
+    }
+
+    #[test]
+    fn mean_degree_of_grid() {
+        // 4 quadrants: each node abuts 2 others (corner contact doesn't
+        // count), so mean degree is exactly 2.
+        let (_, adj) = quad();
         assert_eq!(adj.mean_degree(), 2.0);
         assert!(adj.are_neighbors(NodeId(0), NodeId(1)));
         assert!(adj.are_neighbors(NodeId(2), NodeId(3)));
         assert!(!adj.are_neighbors(NodeId(0), NodeId(3)));
         assert!(!adj.are_neighbors(NodeId(1), NodeId(2)));
+    }
+
+    /// `matches_tree` on every one-edge corruption of the quadrants,
+    /// against the verdict it replaces. n0–n3 and n1–n2 meet in a
+    /// corner, so either is a phantom edge.
+    #[test]
+    fn matches_tree_decides_what_same_as_recompute_decides() {
+        let verdicts = |edits: &[(u32, u32, bool)]| {
+            let (tree, mut adj) = quad();
+            for &(from, to, present) in edits {
+                adj.set_directed(NodeId(from), NodeId(to), present);
+            }
+            let reference = Adjacency::recompute(tree.members(), |n| tree.zone(n));
+            (adj.matches_tree(&tree), adj.same_as(&reference))
+        };
+        assert_eq!(verdicts(&[]), (true, true));
+        for edits in [
+            &[(0, 1, false)][..],
+            &[(0, 3, true)],
+            &[(0, 1, false), (1, 0, false)],
+            // Every abutting pair still linked: the edge count tells.
+            &[(0, 3, true), (3, 0, true)],
+            // Edge count unchanged: the pair lookup tells.
+            &[(0, 1, false), (1, 0, false), (0, 3, true), (3, 0, true)],
+        ] {
+            assert_eq!(verdicts(edits), (false, false), "{edits:?}");
+        }
+        // A member the graph never heard of, and one the tree never did.
+        let (tree, mut adj) = quad();
+        adj.remove_node(NodeId(3));
+        assert!(!adj.matches_tree(&tree));
+        let lone = SplitTree::new(2, NodeId(0));
+        let mut other = Adjacency::new();
+        other.insert_first(NodeId(7));
+        assert!(!other.matches_tree(&lone));
     }
 }

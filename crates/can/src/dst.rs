@@ -178,13 +178,7 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
     let mut victim_rng = SimRng::sub_stream(schedule.seed, 0x71C7);
     let mut coords = uniform_coords(schedule.dims);
 
-    let mut digest = Fnv::new();
-    let mut violations: Vec<String> = Vec::new();
-    let record = |violations: &mut Vec<String>, msg: String| {
-        if violations.len() < MAX_VIOLATIONS {
-            violations.push(msg);
-        }
-    };
+    let mut watch = BoundaryWatch::default();
 
     // Arm the network.
     let fault_start = sim.now();
@@ -240,12 +234,6 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
     events.reverse(); // pop() yields earliest-first
     let mut next_churn = schedule.churn_gap.map(|g| fault_start + g);
     let mut next_check = fault_start;
-    let mut ledger = oracles::EpochLedger::new();
-    let mut replica_ledger = oracles::ReplicaLedger::new();
-    // Read-only take-over telemetry (re-learn windows, misdirection).
-    // Polling never perturbs the trajectory, and its stats stay out of
-    // the digest like the replication counters below.
-    let mut watch = TakeoverWatch::default();
     let mut broken_peak = 0usize;
     let mut prev_now = sim.now();
     loop {
@@ -260,10 +248,11 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
         }
         sim.advance_to(due);
         if sim.now() < prev_now {
-            record(
-                &mut violations,
-                format!("time ran backwards: {} after {}", sim.now(), prev_now),
-            );
+            watch.record(format!(
+                "time ran backwards: {} after {}",
+                sim.now(),
+                prev_now
+            ));
         }
         prev_now = sim.now();
         if Some(due) == t_event {
@@ -280,21 +269,7 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
             }
             next_churn = Some(due + schedule.churn_gap.expect("churn active"));
         } else {
-            let broken = sim.broken_links();
-            broken_peak = broken_peak.max(broken);
-            digest.write_usize(broken);
-            digest.write_u64(epoch_checksum(&sim));
-            for msg in oracles::step_violations(&sim) {
-                record(&mut violations, msg);
-            }
-            for msg in ledger.check(&sim) {
-                record(&mut violations, msg);
-            }
-            for msg in replica_ledger.check(&sim) {
-                record(&mut violations, msg);
-            }
-            sim.check_invariants();
-            watch.poll(&sim, schedule.heartbeat_period);
+            broken_peak = broken_peak.max(watch.boundary(&sim, schedule.heartbeat_period));
             next_check += schedule.heartbeat_period;
         }
     }
@@ -308,29 +283,22 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
     while t < recovery_end {
         t = (t + schedule.heartbeat_period).min(recovery_end);
         sim.advance_to(t);
-        let broken = sim.broken_links();
+        let broken = watch.boundary(&sim, schedule.heartbeat_period);
         if recovery_time.is_none() && broken == 0 {
             recovery_time = Some(t - fault_end);
         }
-        digest.write_usize(broken);
-        digest.write_u64(epoch_checksum(&sim));
-        for msg in oracles::step_violations(&sim) {
-            record(&mut violations, msg);
-        }
-        for msg in ledger.check(&sim) {
-            record(&mut violations, msg);
-        }
-        for msg in replica_ledger.check(&sim) {
-            record(&mut violations, msg);
-        }
-        sim.check_invariants();
-        watch.poll(&sim, schedule.heartbeat_period);
     }
 
     // Quiescence audit.
     for msg in oracles::quiescence_violations(&sim, scheme, schedule.recovery_periods) {
-        record(&mut violations, msg);
+        watch.record(msg);
     }
+    let BoundaryWatch {
+        mut digest,
+        violations,
+        takeovers,
+        ..
+    } = watch;
 
     // Fold the final observable state into the digest (the shared
     // byte sequence in `CanSim::fold_observable_state`).
@@ -339,7 +307,7 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
     for msg in &violations {
         digest.write_str(msg);
     }
-    let relearn = watch.finish(&sim, schedule.heartbeat_period);
+    let relearn = takeovers.finish(&sim, schedule.heartbeat_period);
 
     // Everything below is read after the digest is folded: report
     // columns, never part of the pinned trajectory.
@@ -390,6 +358,47 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
         misdirect_misses: relearn.misses,
         digest: digest.finish(),
         violations,
+    }
+}
+
+/// What a run carries from one heartbeat boundary to the next: the
+/// trajectory digest, the violations found so far, the two
+/// cross-boundary ledgers and the take-over telemetry.
+#[derive(Default)]
+struct BoundaryWatch {
+    digest: Fnv,
+    violations: Vec<String>,
+    ledger: oracles::EpochLedger,
+    replica_ledger: oracles::ReplicaLedger,
+    /// Read-only (re-learn windows, misdirection): polling never
+    /// perturbs the trajectory, and its stats stay out of the digest
+    /// like the replication counters of the report.
+    takeovers: TakeoverWatch,
+}
+
+impl BoundaryWatch {
+    fn record(&mut self, msg: String) {
+        if self.violations.len() < MAX_VIOLATIONS {
+            self.violations.push(msg);
+        }
+    }
+
+    /// One heartbeat boundary, fault phase and recovery alike: folds
+    /// the broken-link count and the epoch checksum into the digest,
+    /// runs every oracle, and returns the broken-link count.
+    fn boundary(&mut self, sim: &CanSim, heartbeat_period: f64) -> usize {
+        let broken = sim.broken_links();
+        self.digest.write_usize(broken);
+        self.digest.write_u64(epoch_checksum(sim));
+        let mut found = oracles::step_violations(sim);
+        found.extend(self.ledger.check(sim));
+        found.extend(self.replica_ledger.check(sim));
+        for msg in found {
+            self.record(msg);
+        }
+        sim.check_invariants();
+        self.takeovers.poll(sim, heartbeat_period);
+        broken
     }
 }
 

@@ -21,6 +21,14 @@
 //!
 //! Each violation is rendered as a human-readable string carrying the
 //! simulation time, so a shrunk trace's report reads as a story.
+//!
+//! A boundary costs O(n·d + edges), less than the heartbeat round it
+//! follows, so the oracles stay armed at any population the protocol
+//! itself can run at. The one all-pairs scan left, `overlapping_pairs`,
+//! runs only on a split tree that fails its own audit (invariant O1,
+//! DESIGN.md §8) and, in debug builds, as the reference the shortcut
+//! is asserted against; nothing is cached between boundaries. Each
+//! oracle is shown to fire by a planted fault in this module's tests.
 
 use crate::protocol::{CanSim, HeartbeatScheme};
 use pgrid_types::NodeId;
@@ -40,7 +48,7 @@ const VOLUME_TOL: f64 = 1e-9;
 pub fn step_violations(sim: &CanSim) -> Vec<String> {
     let members = sim.members();
     let mut v = Vec::new();
-    zone_tiling(sim, &mut v);
+    zone_tiling(sim, &members, &mut v);
     neighbor_symmetry(sim, &members, &mut v);
     takeover_reachability(sim, &members, &mut v);
     ownership_exclusivity(sim, &members, &mut v);
@@ -276,8 +284,13 @@ impl ReplicaLedger {
 
 /// The member zones partition the unit d-cube: volumes sum to 1 and no
 /// two zones overlap on an open set.
-fn zone_tiling(sim: &CanSim, out: &mut Vec<String>) {
-    let members = sim.members();
+///
+/// Invariant O1 (DESIGN.md §8): a member's zone *is* its split-tree
+/// leaf's stored zone, and on a sound tree ([`crate::SplitTree::audit`])
+/// every leaf stores the region its split history gives it — disjoint
+/// from every other leaf's. So the all-pairs scan runs only on a tree
+/// that fails the O(n·d) audit, where it is what names the pairs.
+fn zone_tiling(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
     if members.is_empty() {
         return;
     }
@@ -288,6 +301,25 @@ fn zone_tiling(sim: &CanSim, out: &mut Vec<String>) {
             "t={now}: member zones cover volume {sum}, not 1 (space not tiled)"
         ));
     }
+    if sim.tree_is_sound() {
+        debug_assert!(
+            {
+                let mut pairs = Vec::new();
+                overlapping_pairs(sim, members, &mut pairs);
+                pairs.is_empty()
+            },
+            "O1: a sound split tree with overlapping member zones"
+        );
+        return;
+    }
+    overlapping_pairs(sim, members, out);
+}
+
+/// Every pair of members whose zones overlap on an open set, all pairs
+/// in ascending id order — [`zone_tiling`]'s scan of a tree that left
+/// its history, and the reference its shortcut is held to.
+fn overlapping_pairs(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
+    let now = sim.now();
     let mut reported = 0usize;
     for (i, &a) in members.iter().enumerate() {
         let za = sim.zone(a);
@@ -305,13 +337,17 @@ fn zone_tiling(sim: &CanSim, out: &mut Vec<String>) {
     }
 }
 
-/// The ground-truth neighbor relation (zone abutment) is symmetric.
+/// The ground-truth neighbor relation (zone abutment) is symmetric:
+/// members ascending, each one's neighbors ascending, the reverse edge
+/// by one lookup.
 fn neighbor_symmetry(sim: &CanSim, members: &[NodeId], out: &mut Vec<String>) {
     let now = sim.now();
     let mut reported = 0usize;
     for &a in members {
         for b in sim.true_neighbors(a) {
-            if sim.true_neighbors(b).binary_search(&a).is_err() {
+            let mutual = sim.are_true_neighbors(b, a);
+            debug_assert_eq!(mutual, sim.true_neighbors(b).binary_search(&a).is_ok());
+            if !mutual {
                 out.push(format!(
                     "t={now}: neighbor table asymmetric: {a} sees {b} but not vice versa"
                 ));

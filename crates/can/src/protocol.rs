@@ -743,6 +743,12 @@ impl CanSim {
         self.adj.neighbors(id)
     }
 
+    /// Whether `b` is in `a`'s ground-truth neighbor set (one
+    /// direction: the symmetry oracle asks both).
+    pub(crate) fn are_true_neighbors(&self, a: NodeId, b: NodeId) -> bool {
+        self.adj.are_neighbors(a, b)
+    }
+
     /// Ground-truth mean neighbor degree.
     pub fn mean_degree(&self) -> f64 {
         self.adj.mean_degree()
@@ -2735,16 +2741,28 @@ impl CanSim {
         }
     }
 
-    /// Test-time invariant check: the ground-truth structures agree
-    /// with each other.
+    /// Whether the split tree is sound ([`SplitTree::audit`]); so is an
+    /// empty CAN.
+    pub(crate) fn tree_is_sound(&self) -> bool {
+        self.tree.as_ref().is_none_or(|t| t.audit().is_ok())
+    }
+
+    /// Panics unless the ground-truth structures agree with each other:
+    /// the split tree is sound, the incremental adjacency is the
+    /// abutment graph of its leaves, members and zombies are disjoint.
+    /// O(n·d + edges); the schedule executor calls it at every
+    /// heartbeat boundary.
     pub fn check_invariants(&self) {
         if let Some(tree) = &self.tree {
             tree.check_invariants();
-            let reference = Adjacency::recompute(tree.members(), |n| tree.zone(n));
-            assert!(
-                self.adj.same_as(&reference),
-                "incremental adjacency diverged from recomputation"
+            let agrees = self.adj.matches_tree(tree);
+            debug_assert_eq!(
+                agrees,
+                self.adj
+                    .same_as(&Adjacency::recompute(tree.members(), |n| tree.zone(n))),
+                "the tree-driven adjacency check disagrees with the all-pairs one"
             );
+            assert!(agrees, "incremental adjacency diverged from recomputation");
             assert_eq!(tree.len(), self.nodes.len(), "membership out of sync");
         } else {
             assert!(self.nodes.is_empty());

@@ -665,12 +665,22 @@ impl SplitTree {
         }
     }
 
-    /// Exhaustive invariant check for tests: leaves partition the unit
-    /// space, `leaf_of` is consistent, parents link correctly.
-    pub fn check_invariants(&self) {
+    /// Walks the tree from the root and names the first defect: every
+    /// leaf's stored zone is the region its split history gives it,
+    /// `leaf_of` points each owner at its leaf, parents link back, no
+    /// free slot is reachable and the leaves' volumes sum to 1.
+    /// O(n·d), no panic.
+    ///
+    /// `Ok` implies that no two members' zones overlap: each split
+    /// hands its two children disjoint halves, so distinct leaves get
+    /// disjoint regions, and a leaf stores exactly its region.
+    pub fn audit(&self) -> Result<(), String> {
         let Some(root) = self.root else {
-            assert!(self.leaf_of.is_empty());
-            return;
+            return if self.leaf_of.is_empty() {
+                Ok(())
+            } else {
+                Err(format!("rootless tree lists {} owners", self.leaf_of.len()))
+            };
         };
         let mut volume = 0.0;
         let mut leaves = 0usize;
@@ -682,13 +692,18 @@ impl SplitTree {
                     zone,
                     parent: p,
                 } => {
-                    assert_eq!(*p, parent, "parent link broken at leaf {idx}");
-                    assert_eq!(zone, &region, "leaf zone disagrees with split history");
-                    assert_eq!(
-                        self.leaf_of.get(owner),
-                        Some(&idx),
-                        "leaf_of out of sync for {owner}"
-                    );
+                    if *p != parent {
+                        return Err(format!("parent link broken at leaf {idx}"));
+                    }
+                    if zone != &region {
+                        return Err(format!(
+                            "leaf zone disagrees with split history: {owner} stores {zone:?}, \
+                             its splits give {region:?}"
+                        ));
+                    }
+                    if self.leaf_of.get(owner) != Some(&idx) {
+                        return Err(format!("leaf_of out of sync for {owner}"));
+                    }
                     volume += zone.volume();
                     leaves += 1;
                 }
@@ -699,19 +714,38 @@ impl SplitTree {
                     upper,
                     parent: p,
                 } => {
-                    assert_eq!(*p, parent, "parent link broken at internal {idx}");
+                    if *p != parent {
+                        return Err(format!("parent link broken at internal {idx}"));
+                    }
+                    if !(region.lo(*dim) < *at && *at < region.hi(*dim)) {
+                        return Err(format!("split plane of internal {idx} misses its region"));
+                    }
                     let (lo_region, hi_region) = region.split(*dim, *at);
                     stack.push((*lower, lo_region, Some(idx)));
                     stack.push((*upper, hi_region, Some(idx)));
                 }
-                Slot::Free { .. } => panic!("reachable free slot {idx}"),
+                Slot::Free { .. } => return Err(format!("reachable free slot {idx}")),
             }
         }
-        assert_eq!(leaves, self.leaf_of.len(), "leaf count mismatch");
-        assert!(
-            (volume - 1.0).abs() < 1e-9,
-            "zones do not partition the space: total volume {volume}"
-        );
+        if leaves != self.leaf_of.len() {
+            return Err(format!(
+                "leaf count mismatch: {leaves} reachable, {} owners",
+                self.leaf_of.len()
+            ));
+        }
+        if (volume - 1.0).abs() >= 1e-9 {
+            return Err(format!(
+                "zones do not partition the space: total volume {volume}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Panics with [`Self::audit`]'s finding, if it has one.
+    pub fn check_invariants(&self) {
+        if let Err(defect) = self.audit() {
+            panic!("{defect}");
+        }
     }
 }
 
@@ -775,6 +809,19 @@ mod tests {
         assert_eq!(t.owner_at(&pt(&[0.9, 0.1])), Some(NodeId(1)));
         assert_eq!(t.owner_at(&pt(&[0.1, 0.9])), Some(NodeId(2)));
         assert_eq!(t.owner_at(&pt(&[0.9, 0.9])), Some(NodeId(3)));
+    }
+
+    #[test]
+    fn audit_names_a_leaf_that_left_its_history() {
+        let mut t = quad();
+        assert_eq!(t.audit(), Ok(()));
+        let (lower, _) = t.zone(NodeId(3)).split(0, 0.75);
+        t.overwrite_zone(NodeId(3), lower);
+        let defect = t.audit().expect_err("n3 shrank");
+        assert!(
+            defect.starts_with("leaf zone disagrees with split history: n3 stores"),
+            "{defect}"
+        );
     }
 
     #[test]

@@ -481,7 +481,16 @@ pub fn fuzz(args: Args) -> Result<String, CliError> {
         cfg.budget = ScheduleBudget::default();
     }
     cfg.wall_budget = budget;
+    let started = Instant::now();
     let summary = fuzz_search(&cfg);
+    // Throughput of the search itself (shrinking a failure included in
+    // the seconds, not in the count). On stderr: stdout is pinned.
+    let wall = started.elapsed().as_secs_f64();
+    let schedules = summary.runs.len() + usize::from(summary.failure.is_some());
+    eprintln!(
+        "fuzz: {schedules} schedules in {wall:.2} s ({:.1} schedules/s)",
+        schedules as f64 / wall
+    );
     let mut out = format!(
         "fuzz: seeds {start}..{} ({scale:?} grammar, {budget:.0} s wall budget)\n\n{}\n",
         start + seeds as u64,
