@@ -159,6 +159,13 @@ impl PushingMatchmaker {
         }
     }
 
+    /// Moves the placement generation counter, so a test can stand
+    /// just short of its wrap.
+    #[cfg(test)]
+    fn set_generation(&mut self, gen: u32) {
+        self.cur_gen = gen;
+    }
+
     /// The CE type driving ranking/scoring for this job.
     fn ranking_ce(&self, grid: &StaticGrid, job: &JobSpec) -> CeType {
         if self.features.dominant_ce {
@@ -791,6 +798,74 @@ mod tests {
             }
         }
         g.check_invariants();
+    }
+
+    #[test]
+    fn place_survives_the_generation_wrap() {
+        for het in [true, false] {
+            let new = |g: &StaticGrid| {
+                if het {
+                    PushingMatchmaker::heterogeneous(g, PushParams::default())
+                } else {
+                    PushingMatchmaker::homogeneous(g, PushParams::default())
+                }
+            };
+            // Every CPU full with waiters behind it: no node can start a
+            // CPU job now, so every walk runs until its stop draw.
+            let mut g = grid(200);
+            let mut next_id = 1000;
+            let mut load = |g: &mut StaticGrid, node: u32, jobs: u32| {
+                g.with_runtime_mut(NodeId(node), |rt| {
+                    for _ in 0..jobs {
+                        rt.enqueue(easy_job(next_id), 0.0);
+                        next_id += 1;
+                    }
+                    rt.start_ready();
+                });
+            };
+            for i in 0..200 {
+                load(&mut g, i, 10);
+            }
+            // Wear the stamps in over one load state, generation 7 first
+            // and generation 1 last, so each generation's stamps lie
+            // under none but lower ones; then another load state, so
+            // whatever a stale stamp carries across the wrap is wrong as
+            // well as old.
+            let mut worn = new(&g);
+            worn.refresh(&g, 0.0);
+            let mut rng = SimRng::seed_from_u64(8);
+            let mut draws = vec![rng.clone(); 8];
+            let mut pushes = 0;
+            for k in (1..8).rev() {
+                draws[k] = rng.clone();
+                worn.set_generation(k as u32 - 1);
+                pushes += worn.place(&g, &easy_job(k as u32), &mut rng).pushes;
+            }
+            assert!(pushes > 14, "walks too short to wear stamps in: {pushes}");
+            for i in (0..200).step_by(3) {
+                load(&mut g, i, 1 + i % 5);
+            }
+            worn.refresh(&g, 1.0);
+            worn.set_generation(u32::MAX - 1);
+            let mut fresh = new(&g);
+            fresh.refresh(&g, 1.0);
+            // The next placement runs in generation `u32::MAX`, the ones
+            // after it in 1, 2, …: each of those repeats the job and the
+            // draws of the warm-up placement of its generation, so it
+            // starts from the same owner, among that one's stamps.
+            draws[0] = rng;
+            for (k, rng) in draws.iter().enumerate() {
+                let (mut worn_rng, mut fresh_rng) = (rng.clone(), rng.clone());
+                let job = easy_job(k as u32);
+                assert_eq!(
+                    worn.place(&g, &job, &mut worn_rng),
+                    fresh.place(&g, &job, &mut fresh_rng),
+                    "het {het}: placement {k} after the wrap"
+                );
+                assert_eq!(worn_rng.next_u64(), fresh_rng.next_u64());
+            }
+            assert_eq!(worn.cur_gen, 7, "the generation counter wrapped");
+        }
     }
 
     #[test]

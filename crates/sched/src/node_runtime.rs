@@ -379,6 +379,7 @@ impl NodeRuntime {
 mod tests {
     use super::*;
     use pgrid_types::{CeRequirement, CeSpec};
+    use std::collections::HashSet;
 
     fn het_node() -> NodeRuntime {
         NodeRuntime::new(
@@ -616,6 +617,235 @@ mod tests {
         assert_eq!(n.queued_count(), 1);
         // Within bounds: nothing shed.
         assert!(n.shed_overloaded(200.0, Some(1), Some(175.0)).is_empty());
+    }
+
+    // ------------------------------------------- queue-scan references
+    //
+    // The queue-scan bodies of `score`, `load_of`, `is_acceptable` and
+    // `start_ready`, spelled out: what the runtime's answers are held
+    // to after every operation of a random sequence.
+
+    fn scan_queued_jobs(n: &NodeRuntime, ty: CeType) -> u32 {
+        n.queue.iter().filter(|w| w.job.req(ty).is_some()).count() as u32
+    }
+
+    fn scan_queued_cores(n: &NodeRuntime, ty: CeType) -> u32 {
+        n.queue
+            .iter()
+            .filter_map(|w| w.job.req(ty).map(|r| r.occupied_cores()))
+            .sum()
+    }
+
+    fn scan_score(n: &NodeRuntime, ty: CeType) -> Option<f64> {
+        let ce = n.ce_state(ty)?;
+        let spec = n.spec.ce(ty)?;
+        Some(if ce.dedicated {
+            pgrid_types::score::score_dedicated(
+                (ce.running_jobs + scan_queued_jobs(n, ty)) as usize,
+                spec.clock,
+            )
+        } else {
+            pgrid_types::score::score_non_dedicated(
+                ce.used_cores + scan_queued_cores(n, ty),
+                ce.total_cores,
+                spec.clock,
+            )
+        })
+    }
+
+    fn scan_load_of(n: &NodeRuntime, ty: CeType) -> Option<(f64, f64)> {
+        let ce = n.ce_state(ty)?;
+        Some(if ce.dedicated {
+            let queued = n.queue.iter().filter(|w| w.job.req(ty).is_some()).count() as f64;
+            (
+                f64::from(ce.total_cores),
+                (f64::from(ce.running_jobs) + queued) * f64::from(ce.total_cores),
+            )
+        } else {
+            (
+                f64::from(ce.total_cores),
+                f64::from(ce.used_cores + scan_queued_cores(n, ty)),
+            )
+        })
+    }
+
+    fn scan_is_acceptable(n: &NodeRuntime, job: &JobSpec) -> bool {
+        if !n.available || !job.satisfied_by(&n.spec) || !n.has_capacity(job) {
+            return false;
+        }
+        let blocked: HashSet<CeType> = n
+            .queue
+            .iter()
+            .flat_map(|w| w.job.ce_reqs.iter().map(|r| r.ce_type))
+            .collect();
+        job.ce_reqs.iter().all(|r| !blocked.contains(&r.ce_type))
+    }
+
+    /// Conservative backfill with a `HashSet` blocked set; consumes a
+    /// copy of the node and returns the ids it starts, in order.
+    fn scan_start_ready(mut n: NodeRuntime) -> Vec<JobId> {
+        let mut started = Vec::new();
+        if !n.available {
+            return started;
+        }
+        let mut blocked: HashSet<CeType> = HashSet::new();
+        let mut i = 0;
+        while i < n.queue.len() {
+            let uses_blocked = n.queue[i]
+                .job
+                .ce_reqs
+                .iter()
+                .any(|r| blocked.contains(&r.ce_type));
+            if !uses_blocked && n.has_capacity(&n.queue[i].job) {
+                let w = n.queue.remove(i);
+                n.allocate(&w.job);
+                started.push(w.job.id);
+            } else {
+                blocked.extend(n.queue[i].job.ce_reqs.iter().map(|r| r.ce_type));
+                i += 1;
+            }
+        }
+        started
+    }
+
+    /// CPU + dedicated GPU + a second dedicated GPU.
+    fn three_ce_node() -> NodeRuntime {
+        NodeRuntime::new(
+            NodeId(0),
+            NodeSpec::new(
+                CeSpec::cpu(2.0, 8.0, 4),
+                vec![CeSpec::gpu(0, 1.5, 4.0, 448), CeSpec::gpu(1, 0.9, 2.0, 240)],
+                500.0,
+            ),
+        )
+    }
+
+    fn job_on(id: u32, reqs: &[(CeType, Option<u32>)]) -> JobSpec {
+        JobSpec::new(
+            JobId(id),
+            reqs.iter()
+                .map(|&(ce_type, min_cores)| CeRequirement {
+                    ce_type,
+                    min_cores,
+                    ..Default::default()
+                })
+                .collect(),
+            None,
+            600.0,
+        )
+    }
+
+    /// A job of one to three requirements the three-CE node satisfies,
+    /// some leaving `min_cores` open.
+    fn random_job(id: u32, rng: &mut pgrid_simcore::SimRng) -> JobSpec {
+        let cores = |rng: &mut pgrid_simcore::SimRng, choices: &[u32]| {
+            (rng.below(3) > 0).then(|| *rng.pick(choices))
+        };
+        let mut reqs = Vec::new();
+        let subset = 1 + rng.below(7);
+        if subset & 1 != 0 {
+            reqs.push((CeType::CPU, cores(rng, &[1, 2, 3, 4])));
+        }
+        if subset & 2 != 0 {
+            reqs.push((CeType::gpu(0), cores(rng, &[64, 128, 448])));
+        }
+        if subset & 4 != 0 {
+            reqs.push((CeType::gpu(1), cores(rng, &[32, 240])));
+        }
+        job_on(id, &reqs)
+    }
+
+    #[test]
+    fn random_operation_sequences_match_the_queue_scans() {
+        let (cpu, g0, g1) = (CeType::CPU, CeType::gpu(0), CeType::gpu(1));
+        let types = [cpu, g0, g1, CeType::gpu(2)];
+        let mut probes = vec![
+            job_on(900, &[(cpu, Some(1))]),
+            job_on(901, &[(cpu, Some(4))]),
+            job_on(902, &[(cpu, None)]),
+            job_on(903, &[(g0, Some(128))]),
+            job_on(904, &[(g1, None)]),
+            job_on(905, &[(cpu, Some(1)), (g0, None)]),
+            job_on(906, &[(cpu, Some(2)), (g0, Some(64)), (g1, Some(32))]),
+            // Two the node can never run: a CE it lacks, a clock it lacks.
+            job_on(907, &[(CeType::gpu(2), None)]),
+            job_on(908, &[(cpu, Some(1))]),
+        ];
+        probes[8].ce_reqs[0].min_clock = Some(9.0);
+
+        let mut ops_run = [0usize; 7];
+        for seed in 0..24u64 {
+            let mut rng = pgrid_simcore::SimRng::seed_from_u64(seed);
+            let mut n = three_ce_node();
+            let mut running: Vec<JobId> = Vec::new();
+            let mut next_id = 0u32;
+            let mut now = 0.0f64;
+            for step in 0..500 {
+                now += rng.unit() * 40.0;
+                let op = [0, 0, 0, 1, 1, 2, 2, 3, 4, 5, 6][rng.below(11)];
+                ops_run[op] += 1;
+                match op {
+                    0 => {
+                        n.enqueue(random_job(next_id, &mut rng), now);
+                        next_id += 1;
+                    }
+                    1 => {
+                        let want = scan_start_ready(n.clone());
+                        let got: Vec<JobId> = n.start_ready().iter().map(|s| s.job.id).collect();
+                        assert_eq!(got, want, "seed {seed} step {step}: start order");
+                        running.extend(got);
+                    }
+                    2 => {
+                        if !running.is_empty() {
+                            n.finish(running.swap_remove(rng.below(running.len())));
+                        }
+                    }
+                    3 => {
+                        let slots = [None, Some(0), Some(2), Some(5)][rng.below(4)];
+                        let max_wait = [None, Some(30.0), Some(200.0)][rng.below(3)];
+                        let before = n.queued_count();
+                        let shed = n.shed_overloaded(now, slots, max_wait);
+                        assert_eq!(n.queued_count() + shed.len(), before);
+                    }
+                    4 => {
+                        let (was_running, _) = n.evict_split();
+                        assert_eq!(was_running.len(), running.len());
+                        running.clear();
+                    }
+                    5 => n.restore(),
+                    _ => {
+                        let drained = n.evict();
+                        assert!(drained.len() >= running.len());
+                        running.clear();
+                        n.restore();
+                    }
+                }
+                for ty in types {
+                    assert_eq!(
+                        n.score(ty).map(f64::to_bits),
+                        scan_score(&n, ty).map(f64::to_bits),
+                        "seed {seed} step {step} op {op}: score({ty})"
+                    );
+                    assert_eq!(
+                        n.load_of(ty).map(|(c, r)| (c.to_bits(), r.to_bits())),
+                        scan_load_of(&n, ty).map(|(c, r)| (c.to_bits(), r.to_bits())),
+                        "seed {seed} step {step} op {op}: load_of({ty})"
+                    );
+                }
+                for probe in &probes {
+                    assert_eq!(
+                        n.is_acceptable(probe),
+                        scan_is_acceptable(&n, probe),
+                        "seed {seed} step {step} op {op}: is_acceptable({:?})",
+                        probe.id
+                    );
+                }
+            }
+        }
+        assert!(
+            ops_run.iter().all(|&k| k > 300),
+            "every op ran: {ops_run:?}"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Property tests for the demand-driven AI refresh, and the
-//! differential tests of `StaticGrid`'s routing (second half of the
-//! file).
+//! Property tests for the demand-driven AI refresh, the differential
+//! tests of `StaticGrid`'s routing (second part of the file), and the
+//! differential test of the push/stop walk against Algorithm 1 written
+//! the plain way (last part).
 //!
 //! Arbitrary interleavings of `evict_node` / `restore_node` / job
 //! placement / completion / `refresh` / row reads must preserve
@@ -16,16 +17,21 @@
 //!    dimension a stale row's inward face neighbors are all stale, so
 //!    no fresh row was computed from a row that has since gone stale.
 //!
-//! CI runs the `refresh_*` ones in release (`--test props refresh`).
+//! CI runs the `refresh_*` ones in release (`--test props refresh`),
+//! and likewise `route` and `place`.
 
 use pgrid_can::geom::Point;
 use pgrid_can::routing::{route, RoutingView};
-use pgrid_sched::{AiEntry, AiGrouping, AiTable, StaticGrid};
+use pgrid_sched::{
+    AiEntry, AiGrouping, AiTable, Matchmaker, NodeRuntime, Placement, PushParams,
+    PushingMatchmaker, StaticGrid,
+};
 use pgrid_simcore::SimRng;
 use pgrid_types::{CeRequirement, CeType, DimensionLayout, JobId, JobSpec, NodeId, NodeSpec};
 use pgrid_workload::jobgen::{JobGenConfig, JobStream};
 use pgrid_workload::nodegen::{generate_nodes, NodeGenConfig};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn bits_eq(a: &AiEntry, b: &AiEntry) -> bool {
     a.nodes == b.nodes
@@ -108,11 +114,8 @@ impl Churn {
             2 => {
                 let job = cpu_job(self.next_id);
                 self.next_id += 1;
-                let started = self.grid.with_runtime_mut(node, |rt| {
-                    rt.enqueue(job, now);
-                    rt.start_ready()
-                });
-                (node, started)
+                self.enqueue(node, job, now);
+                return;
             }
             _ => {
                 if self.running.is_empty() {
@@ -129,6 +132,16 @@ impl Churn {
         let (nd, jobs) = started;
         self.running
             .extend(jobs.into_iter().map(|s| (nd, s.job.id)));
+    }
+
+    /// Queues `job` on `node` and starts whatever can start there.
+    fn enqueue(&mut self, node: NodeId, job: JobSpec, now: f64) {
+        let started = self.grid.with_runtime_mut(node, |rt| {
+            rt.enqueue(job, now);
+            rt.start_ready()
+        });
+        self.running
+            .extend(started.into_iter().map(|s| (node, s.job.id)));
     }
 }
 
@@ -545,4 +558,331 @@ fn route_matches_the_full_scan_on_identical_nodes() {
     let grid = StaticGrid::build(DimensionLayout::with_dims(5), population.clone(), 7);
     let (routes, mismatches) = differential(&grid, &population, 60, None);
     assert_eq!(mismatches, 0, "{mismatches} of {routes} routes differ");
+}
+
+// ------------------------------------------- Algorithm 1 differential
+//
+// `PushingMatchmaker::place` against the push/stop walk written the
+// plain way: a `HashSet` of visited nodes, the zone read per dimension,
+// every candidate's objective computed from the aggregate and the
+// runtime each time it is met. Compared on the `Placement` and on the
+// RNG state after the call, so the two make the same draws. CI runs
+// these in release as well (`--test props place`); the debug run is the
+// one that carries the walk's own `debug_assert!`s.
+
+/// Algorithm 1 for can-het (`het`) or can-hom, over its own aggregate
+/// table.
+struct NaivePush {
+    het: bool,
+    ai: AiTable,
+    params: PushParams,
+}
+
+impl NaivePush {
+    fn new(grid: &StaticGrid, het: bool, bound: Option<usize>) -> Self {
+        let grouping = if het {
+            AiGrouping::PerCe
+        } else {
+            AiGrouping::Pooled
+        };
+        let mut ai = AiTable::new(grid, grouping);
+        ai.set_pressure_bound(bound);
+        NaivePush {
+            het,
+            ai,
+            params: PushParams::default(),
+        }
+    }
+
+    /// Every CE of the node pooled into one `(cores, required)`.
+    fn pooled(rt: &NodeRuntime) -> (f64, f64) {
+        let (mut cores, mut required) = (0.0, 0.0);
+        for c in rt.spec.ces() {
+            let (co, re) = rt.load_of(c.ce_type).expect("a CE of the node's own spec");
+            cores += co;
+            required += re;
+        }
+        (cores, required)
+    }
+
+    /// The load a node adds to a region: the ranking CE's for can-het
+    /// (nothing when the node lacks it), everything pooled for can-hom.
+    fn local_load(&self, rt: &NodeRuntime, ce: CeType) -> Option<(f64, f64)> {
+        if self.het {
+            rt.load_of(ce)
+        } else {
+            Some(Self::pooled(rt))
+        }
+    }
+
+    fn score(&self, rt: &NodeRuntime, ce: CeType) -> f64 {
+        if self.het {
+            return rt.score(ce).unwrap_or(f64::INFINITY);
+        }
+        let (cores, required) = Self::pooled(rt);
+        if cores <= 0.0 {
+            f64::INFINITY
+        } else {
+            (required / cores) / rt.spec.cpu().clock
+        }
+    }
+
+    /// Lines 3–9: among the nodes that can start the job now, the free
+    /// ones if there are any; of those the fastest ranking CE, the
+    /// lowest id on a tie.
+    fn pick_startable(
+        &self,
+        grid: &StaticGrid,
+        cands: &[NodeId],
+        job: &JobSpec,
+        ce: CeType,
+    ) -> Option<NodeId> {
+        let startable: Vec<NodeId> = cands
+            .iter()
+            .copied()
+            .filter(|&n| {
+                let rt = grid.runtime(n);
+                if self.het {
+                    rt.is_acceptable(job)
+                } else {
+                    rt.is_free() && job.satisfied_by(&rt.spec)
+                }
+            })
+            .collect();
+        let free: Vec<NodeId> = startable
+            .iter()
+            .copied()
+            .filter(|&n| grid.runtime(n).is_free())
+            .collect();
+        let clock = |n: NodeId| grid.runtime(n).spec.ce(ce).map_or(0.0, |c| c.clock);
+        let pool = if free.is_empty() { startable } else { free };
+        pool.into_iter()
+            .min_by(|&a, &b| clock(b).total_cmp(&clock(a)).then(a.cmp(&b)))
+    }
+
+    /// Line 14: the least-loaded satisfying node, donating ones first.
+    fn pick_min_score(
+        &self,
+        grid: &StaticGrid,
+        cands: &[NodeId],
+        job: &JobSpec,
+        ce: CeType,
+    ) -> Option<NodeId> {
+        let satisfying: Vec<NodeId> = cands
+            .iter()
+            .copied()
+            .filter(|&n| job.satisfied_by(&grid.runtime(n).spec))
+            .collect();
+        let donating: Vec<NodeId> = satisfying
+            .iter()
+            .copied()
+            .filter(|&n| grid.runtime(n).available())
+            .collect();
+        let score = |n: NodeId| self.score(grid.runtime(n), ce);
+        let pool = if donating.is_empty() {
+            satisfying
+        } else {
+            donating
+        };
+        pool.into_iter()
+            .min_by(|&a, &b| score(a).total_cmp(&score(b)).then(a.cmp(&b)))
+    }
+
+    /// Eq. 3 over the region at and beyond `n` along `d`, or infinity
+    /// when every node known there is at its queue-pressure bound.
+    fn outward_objective(&mut self, grid: &StaticGrid, n: NodeId, d: usize, ce: CeType) -> f64 {
+        let mut region = self.ai.beyond(grid, n, d, ce);
+        let rt = grid.runtime(n);
+        if let Some((cores, required)) = self.local_load(rt, ce) {
+            region.nodes += 1;
+            region.cores += cores;
+            region.required_cores += required;
+            let at_bound = self
+                .ai
+                .pressure_bound()
+                .is_some_and(|b| rt.queued_count() >= b);
+            region.pressured += u64::from(at_bound);
+        }
+        if region.nodes > 0 && region.pressured >= region.nodes {
+            return f64::INFINITY;
+        }
+        region.objective()
+    }
+
+    /// Eq. 3 on `n`'s own load: the inward virtual move.
+    fn local_objective(&self, grid: &StaticGrid, n: NodeId, ce: CeType) -> f64 {
+        let (cores, required) = self.local_load(grid.runtime(n), ce).unwrap_or((0.0, 0.0));
+        pgrid_types::score::objective_fd(required, cores)
+    }
+
+    fn place(&mut self, grid: &StaticGrid, job: &JobSpec, rng: &mut SimRng) -> Placement {
+        let layout = grid.layout();
+        let ce = if self.het {
+            layout.dominant_ce(job)
+        } else {
+            CeType::CPU
+        };
+        let coord = layout.job_coord(job, rng.unit());
+        let entry = NodeId(rng.below(grid.len()) as u32);
+        let route = grid.route_to(entry, &coord);
+        let placed = |node, pushes, fallback| Placement {
+            node,
+            route_hops: route.hops,
+            pushes,
+            fallback,
+        };
+        let vd = DimensionLayout::VIRTUAL_DIM;
+        let dims = layout.dims();
+        let mut current = route.owner;
+        let mut visited: HashSet<NodeId> = HashSet::from([current]);
+        let mut pushes = 0usize;
+        loop {
+            let mut hood = vec![current];
+            hood.extend_from_slice(grid.neighbors(current));
+            if let Some(node) = self.pick_startable(grid, &hood, job, ce) {
+                return placed(node, pushes, false);
+            }
+            // (target, dimension, objective): the minimum, the lowest id
+            // on a tie, infinity never.
+            let mut best: Option<(NodeId, usize, f64)> = None;
+            if pushes < self.params.max_pushes {
+                for d in 0..dims {
+                    let dirs: &[i8] = if d == vd { &[1, -1] } else { &[1] };
+                    for &dir in dirs {
+                        for &n in grid.face_neighbors(current, d, dir) {
+                            let feasible =
+                                (0..dims).all(|k| k == vd || grid.zone(n).hi(k) > coord[k]);
+                            if !feasible || visited.contains(&n) {
+                                continue;
+                            }
+                            let fd = if dir == 1 {
+                                self.outward_objective(grid, n, d, ce)
+                            } else {
+                                self.local_objective(grid, n, ce)
+                            };
+                            let better = match best {
+                                None => fd < f64::INFINITY,
+                                Some((bn, _, bf)) => fd < bf || (fd == bf && n < bn),
+                            };
+                            if better {
+                                best = Some((n, d, fd));
+                            }
+                        }
+                    }
+                }
+            }
+            let stop = match best {
+                None => true,
+                Some((_, d, _)) => {
+                    let beyond = self.ai.beyond(grid, current, d, ce).nodes;
+                    rng.unit()
+                        < pgrid_types::score::stop_probability(beyond, self.params.stopping_factor)
+                }
+            };
+            if stop {
+                if let Some(node) = self.pick_min_score(grid, &hood, job, ce) {
+                    return placed(node, pushes, false);
+                }
+            }
+            let Some((target, _, _)) = best else {
+                break;
+            };
+            current = target;
+            visited.insert(target);
+            pushes += 1;
+        }
+        let everyone: Vec<NodeId> = (0..grid.len() as u32).map(NodeId).collect();
+        let node = self
+            .pick_min_score(grid, &everyone, job, ce)
+            .expect("some node satisfies the job");
+        placed(node, pushes, true)
+    }
+}
+
+/// `rounds` placements by the real matchmaker and by [`NaivePush`] on a
+/// grid that fills up meanwhile: every placed job is queued where it
+/// landed, and evictions, restores, completions, extra arrivals and
+/// refreshes fall between placements, so queues grow deep, rows go
+/// stale and walks run long.
+fn place_differential(het: bool, bound: Option<usize>, n: usize, rounds: usize) {
+    let mut churn = Churn::new(n);
+    let mut real = if het {
+        PushingMatchmaker::heterogeneous(&churn.grid, PushParams::default())
+    } else {
+        PushingMatchmaker::homogeneous(&churn.grid, PushParams::default())
+    };
+    real.set_pressure_bound(bound);
+    let mut naive = NaivePush::new(&churn.grid, het, bound);
+    real.refresh(&churn.grid, 0.0);
+    naive.ai.refresh(&churn.grid, 0.0);
+    let population: Vec<NodeSpec> = churn
+        .grid
+        .runtimes()
+        .iter()
+        .map(|r| r.spec.clone())
+        .collect();
+    let mut stream =
+        JobStream::with_population(JobGenConfig::paper_defaults(1, 0.8, 3.0), 5, population);
+    let mut rng = SimRng::seed_from_u64(0xA160 + n as u64);
+    let mut ops = SimRng::seed_from_u64(0x0B5 + n as u64);
+    let mut now = 0.0f64;
+    let (mut pushes, mut stopped_on_a_queue) = (0usize, 0usize);
+    for round in 0..rounds {
+        let (_, mut job) = stream.next_job();
+        job.id = JobId(1_000_000 + round as u32);
+        let mut naive_rng = rng.clone();
+        let got = real.place(&churn.grid, &job, &mut rng);
+        let want = naive.place(&churn.grid, &job, &mut naive_rng);
+        assert_eq!(got, want, "round {round}: {:?}", job.id);
+        assert_eq!(
+            rng.next_u64(),
+            naive_rng.next_u64(),
+            "round {round}: the two walks made different draws"
+        );
+        assert!(job.satisfied_by(&churn.grid.runtime(got.node).spec));
+        pushes += got.pushes;
+        stopped_on_a_queue += usize::from(churn.grid.runtime(got.node).queued_count() > 0);
+        now += 1.0;
+        churn.enqueue(got.node, job, now);
+        for _ in 0..ops.below(3) {
+            // One eviction to two restores, three arrivals to one
+            // completion.
+            let op = [0, 1, 1, 2, 2, 2, 3][ops.below(7)];
+            churn.mutate(op, ops.below(1 << 20), now);
+        }
+        if ops.below(8) == 0 {
+            real.refresh(&churn.grid, now);
+            naive.ai.refresh(&churn.grid, now);
+        }
+    }
+    assert!(
+        pushes > 2 * rounds && stopped_on_a_queue > rounds / 4,
+        "the grid never filled up: {pushes} pushes, {stopped_on_a_queue} jobs queued behind others"
+    );
+    churn.grid.check_invariants();
+}
+
+fn place_differential_both_bounds(het: bool, n: usize, rounds: usize) {
+    place_differential(het, None, n, rounds);
+    place_differential(het, Some(2), n, rounds);
+}
+
+#[test]
+fn place_matches_naive_algorithm_1_can_het_n200() {
+    place_differential_both_bounds(true, 200, 1500);
+}
+
+#[test]
+fn place_matches_naive_algorithm_1_can_het_n1000() {
+    place_differential_both_bounds(true, 1000, 4000);
+}
+
+#[test]
+fn place_matches_naive_algorithm_1_can_hom_n200() {
+    place_differential_both_bounds(false, 200, 1500);
+}
+
+#[test]
+fn place_matches_naive_algorithm_1_can_hom_n1000() {
+    place_differential_both_bounds(false, 1000, 4000);
 }
