@@ -232,7 +232,7 @@ impl AiTable {
     /// Slot index of a CE type; `None` when the layout does not carry
     /// it (e.g. a GPU family outside the grid's dimension layout) — a
     /// query for such a type sees an empty region, not a panic.
-    fn ce_index(&self, ce: CeType) -> Option<usize> {
+    pub(crate) fn ce_index(&self, ce: CeType) -> Option<usize> {
         match self.grouping {
             AiGrouping::Pooled => Some(0),
             AiGrouping::PerCe => self.ce_types.iter().position(|&t| t == ce),
@@ -260,14 +260,7 @@ impl AiTable {
                 }
             }
             AiGrouping::Pooled => {
-                let mut cores = 0.0;
-                let mut required = 0.0;
-                for ty in rt.spec.ces().iter().map(|c| c.ce_type) {
-                    if let Some((c, r)) = rt.load_of(ty) {
-                        cores += c;
-                        required += r;
-                    }
-                }
+                let (cores, required) = rt.pooled_load();
                 AiEntry {
                     nodes: 1,
                     cores,

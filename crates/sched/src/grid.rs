@@ -478,6 +478,11 @@ impl StaticGrid {
         self.zone_bounds[base..base + 2 * dims].split_at(dims)
     }
 
+    /// A zone's upper bounds, one per dimension, out of the flat cache.
+    pub(crate) fn zone_hi(&self, id: NodeId) -> &[f64] {
+        self.bounds(id).1
+    }
+
     /// Owner of a point.
     pub fn owner_at(&self, p: &Point) -> NodeId {
         self.tree.owner_at(p).expect("grid is non-empty")
@@ -562,6 +567,10 @@ impl StaticGrid {
                 list, &expect,
                 "per-CE availability index diverged for CE type {t}"
             );
+        }
+        // Every runtime's per-CE counters must equal its own lists.
+        for rt in &self.runtimes {
+            rt.check_invariants();
         }
         // Dirty-set stamps never run ahead of the global clock.
         assert!(

@@ -329,6 +329,24 @@ pub fn run_trace_sharded(
     )
 }
 
+/// Heartbeat-boundary shedding: enforces the queue bounds
+/// deterministically (ascending node id, oldest waiters first) and
+/// returns the shed jobs in that order. Only a node with waiters is
+/// entered: an empty queue sheds nothing, and entering a runtime stamps
+/// the node dirty for the aggregate refresh that follows.
+fn shed_at_boundary(grid: &mut StaticGrid, now: f64, o: &OverloadConfig) -> Vec<JobSpec> {
+    let mut shed = Vec::new();
+    for i in 0..grid.len() {
+        let node = NodeId(i as u32);
+        if grid.runtime(node).queued_count() > 0 {
+            shed.extend(grid.with_runtime_mut(node, |rt| {
+                rt.shed_overloaded(now, o.queue_slots, o.max_queue_wait)
+            }));
+        }
+    }
+    shed
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_with(
     grid: &mut StaticGrid,
@@ -435,21 +453,13 @@ fn run_with(
         match ev {
             Ev::AiRefresh => {
                 if let Some(o) = armed {
-                    // Heartbeat-boundary shedding: enforce the queue
-                    // bounds deterministically (ascending node id,
-                    // oldest waiters first) before the aggregate
-                    // refresh snapshots the post-shed state.
-                    for i in 0..grid.len() {
-                        let node = NodeId(i as u32);
-                        let shed = grid.with_runtime_mut(node, |rt| {
-                            rt.shed_overloaded(now, o.queue_slots, o.max_queue_wait)
-                        });
-                        for job in shed {
-                            let jidx = index_of[&job.id];
-                            ov_stats.shed_queue += 1;
-                            ledger.fail(jidx);
-                            remaining -= 1;
-                        }
+                    // Shed before the aggregate refresh, which then
+                    // snapshots the post-shed state.
+                    for job in shed_at_boundary(grid, now, o) {
+                        let jidx = index_of[&job.id];
+                        ov_stats.shed_queue += 1;
+                        ledger.fail(jidx);
+                        remaining -= 1;
                     }
                 }
                 match &gs {
@@ -967,6 +977,42 @@ mod tests {
             assert!(stats.retry_amplification() >= 1.0);
             assert!(r.wait_times.iter().all(|w| w.is_finite() && *w >= 0.0));
         }
+    }
+
+    #[test]
+    fn boundary_shedding_leaves_idle_nodes_clean() {
+        let (mut grid, jobs) = instantiate(&tiny()).expect("tiny scenario builds");
+        let o = OverloadConfig {
+            queue_slots: Some(1),
+            max_queue_wait: Some(60.0),
+            ..OverloadConfig::default()
+        };
+        // An idle grid: the boundary enters no runtime, so no node goes
+        // dirty and the load clock stays where it was.
+        assert!(shed_at_boundary(&mut grid, 30.0, &o).is_empty());
+        assert_eq!(grid.load_clock(), 0);
+        // Three waiters behind a running job on one node: that node
+        // alone is entered, and sheds down to its one slot.
+        let busy = NodeId(7);
+        let job = jobs
+            .iter()
+            .map(|(_, j)| j)
+            .find(|j| j.satisfied_by(&grid.runtime(busy).spec))
+            .expect("some job fits node 7");
+        grid.with_runtime_mut(busy, |rt| {
+            rt.enqueue(job.clone(), 0.0);
+            rt.start_ready();
+            while rt.queued_count() < 3 {
+                rt.enqueue(job.clone(), 0.0);
+                rt.start_ready();
+            }
+        });
+        let clock = grid.load_clock();
+        assert_eq!(shed_at_boundary(&mut grid, 30.0, &o).len(), 2);
+        assert_eq!(grid.load_clock(), clock + 1);
+        assert_eq!(grid.node_load_clock(busy), clock + 1);
+        assert_eq!(grid.runtime(busy).queued_count(), 1);
+        grid.check_invariants();
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! * [`CentralMatchmaker`] — the greedy online **central** baseline
 //!   with perfect, always-fresh global information.
 
-use crate::aggregate::{AiGrouping, AiTable};
+use crate::aggregate::{AiEntry, AiGrouping, AiTable};
 use crate::grid::StaticGrid;
+use crate::node_runtime::NodeRuntime;
 use pgrid_simcore::SimRng;
-use pgrid_types::score::stop_probability;
-use pgrid_types::{CeType, JobSpec, NodeId};
+use pgrid_types::score::{objective_fd, stop_probability};
+use pgrid_types::{CeType, DimensionLayout, JobSpec, NodeId};
 
 /// Parameters of the probabilistic pushing algorithm.
 #[derive(Debug, Clone)]
@@ -106,17 +107,53 @@ impl HetFeatures {
     }
 }
 
+/// What stays fixed from the end of a job's route until
+/// [`Matchmaker::place`] returns.
+struct Walk {
+    /// The CE type ranking and scoring go by.
+    ce: CeType,
+    /// Its slot in the aggregate table; `None` for a type the layout
+    /// does not carry, whose every region reads empty.
+    slot: Option<usize>,
+    /// The job's coordinate with the virtual dimension, which carries
+    /// no resource ordering, at −∞: a zone whose `hi` is not above it
+    /// in every dimension can hold no node that satisfies the job.
+    need: Vec<f64>,
+}
+
+/// What the current placement knows about one node (`DESIGN.md` §6,
+/// "The push walk: what a candidate costs").
+#[derive(Clone, Copy, Default)]
+struct Seen {
+    /// The placement generation the other fields belong to; under any
+    /// other value nothing is known. Generation 0 is never current.
+    gen: u32,
+    /// Never a push target again: the walk stood here, or the zone lies
+    /// below the job's coordinate. The two need no telling apart (M2).
+    out: bool,
+    /// Which objective `fd` is: the dimension of an outward move,
+    /// `dims` for the inward virtual one (a layout has at most
+    /// 5 + 3·255 dimensions), [`Seen::NO_OBJECTIVE`] before the first.
+    key: u16,
+    /// Eq. 3 for a push to this node by move `key`. Nothing it is
+    /// computed from can change while `place` borrows the grid (M1).
+    fd: f64,
+}
+
+impl Seen {
+    const NO_OBJECTIVE: u16 = u16::MAX;
+}
+
 /// The decentralized CAN matchmaker (both modes).
 pub struct PushingMatchmaker {
     mode: PushMode,
     features: HetFeatures,
     ai: AiTable,
     params: PushParams,
-    /// Generation-stamped visited set reused across placements: node
-    /// `n` is visited in the current placement iff
-    /// `visited_gen[n] == cur_gen`. Replaces a per-placement `HashSet`
-    /// so the push loop allocates nothing.
-    visited_gen: Vec<u32>,
+    /// One row per node, reused across placements: a row counts only
+    /// while its `gen` equals `cur_gen`, so opening a placement is one
+    /// counter bump and the push loop allocates nothing.
+    seen: Vec<Seen>,
     cur_gen: u32,
 }
 
@@ -138,7 +175,7 @@ impl PushingMatchmaker {
             features,
             ai: AiTable::new(grid, grouping),
             params,
-            visited_gen: vec![0; grid.len()],
+            seen: vec![Seen::default(); grid.len()],
             cur_gen: 0,
         }
     }
@@ -154,7 +191,7 @@ impl PushingMatchmaker {
             },
             ai: AiTable::new(grid, AiGrouping::Pooled),
             params,
-            visited_gen: vec![0; grid.len()],
+            seen: vec![Seen::default(); grid.len()],
             cur_gen: 0,
         }
     }
@@ -189,14 +226,7 @@ impl PushingMatchmaker {
         match self.mode {
             PushMode::Heterogeneous => rt.score(ce).unwrap_or(f64::INFINITY),
             PushMode::Homogeneous => {
-                let mut cores = 0.0;
-                let mut required = 0.0;
-                for c in rt.spec.ces() {
-                    if let Some((co, re)) = rt.load_of(c.ce_type) {
-                        cores += co;
-                        required += re;
-                    }
-                }
+                let (cores, required) = rt.pooled_load();
                 if cores <= 0.0 {
                     f64::INFINITY
                 } else {
@@ -296,67 +326,47 @@ impl PushingMatchmaker {
         best(true).or_else(|| best(false))
     }
 
+    /// The load a node adds to a region of the aggregate: the ranking
+    /// CE's alone (nothing from a node without it), or every CE pooled.
+    fn local_load(&self, rt: &NodeRuntime, ce: CeType) -> Option<(f64, f64)> {
+        match self.ai.grouping() {
+            AiGrouping::PerCe => rt.load_of(ce),
+            AiGrouping::Pooled => Some(rt.pooled_load()),
+        }
+    }
+
+    /// The aggregate of the region beyond `n` along `dim`, as of the
+    /// last refresh.
+    fn region_beyond(&mut self, grid: &StaticGrid, w: &Walk, n: NodeId, dim: usize) -> AiEntry {
+        match w.slot {
+            Some(slot) => self.ai.entry_at(grid, n, dim, slot),
+            None => AiEntry::EMPTY,
+        }
+    }
+
     /// Eq. 3 evaluated on a single node's local load (used for lateral
     /// moves along the virtual dimension, where no outward aggregate
     /// exists).
-    fn local_objective(&self, grid: &StaticGrid, n: NodeId, ce: CeType) -> f64 {
-        let rt = grid.runtime(n);
-        let (mut cores, mut required) = (0.0, 0.0);
-        match self.ai.grouping() {
-            AiGrouping::PerCe => {
-                if let Some((c, r)) = rt.load_of(ce) {
-                    cores = c;
-                    required = r;
-                }
-            }
-            AiGrouping::Pooled => {
-                for c in rt.spec.ces() {
-                    if let Some((co, re)) = rt.load_of(c.ce_type) {
-                        cores += co;
-                        required += re;
-                    }
-                }
-            }
-        }
-        pgrid_types::score::objective_fd(required, cores)
+    fn local_objective(&self, grid: &StaticGrid, w: &Walk, n: NodeId) -> f64 {
+        let (cores, required) = self.local_load(grid.runtime(n), w.ce).unwrap_or((0.0, 0.0));
+        objective_fd(required, cores)
     }
 
     /// The pushing objective of moving toward neighbor `n` along `dim`:
     /// Eq. 3 over the region at-and-beyond `n`.
-    fn push_objective(&mut self, grid: &StaticGrid, n: NodeId, dim: usize, ce: CeType) -> f64 {
-        let mut region = self.ai.beyond(grid, n, dim, ce);
+    fn push_objective(&mut self, grid: &StaticGrid, w: &Walk, n: NodeId, dim: usize) -> f64 {
+        let mut region = self.region_beyond(grid, w, n, dim);
         // Include the target node itself in the region estimate.
         let rt = grid.runtime(n);
-        let pressured = u64::from(
-            self.ai
-                .pressure_bound()
-                .is_some_and(|b| rt.queued_count() >= b),
-        );
-        match self.ai.grouping() {
-            AiGrouping::PerCe => {
-                if let Some((cores, required)) = rt.load_of(ce) {
-                    region.nodes += 1;
-                    region.cores += cores;
-                    region.required_cores += required;
-                    region.free_nodes += u64::from(rt.is_free());
-                    region.pressured += pressured;
-                }
-            }
-            AiGrouping::Pooled => {
-                let mut cores = 0.0;
-                let mut required = 0.0;
-                for c in rt.spec.ces() {
-                    if let Some((co, re)) = rt.load_of(c.ce_type) {
-                        cores += co;
-                        required += re;
-                    }
-                }
-                region.nodes += 1;
-                region.cores += cores;
-                region.required_cores += required;
-                region.free_nodes += u64::from(rt.is_free());
-                region.pressured += pressured;
-            }
+        if let Some((cores, required)) = self.local_load(rt, w.ce) {
+            region.nodes += 1;
+            region.cores += cores;
+            region.required_cores += required;
+            region.pressured += u64::from(
+                self.ai
+                    .pressure_bound()
+                    .is_some_and(|b| rt.queued_count() >= b),
+            );
         }
         // Congestion signal: a region whose every known node is at its
         // queue-pressure bound is saturated — never steer into it while
@@ -369,6 +379,89 @@ impl PushingMatchmaker {
             return f64::INFINITY;
         }
         region.objective()
+    }
+
+    /// Eq. 3 for a push to `n` across the `(dim, dir)` face — toward
+    /// the origin, which only the virtual dimension allows, there is no
+    /// aggregate and the target's own load is judged.
+    fn objective(&mut self, grid: &StaticGrid, w: &Walk, n: NodeId, dim: usize, dir: i8) -> f64 {
+        if dir == 1 {
+            self.push_objective(grid, w, n, dim)
+        } else {
+            self.local_objective(grid, w, n)
+        }
+    }
+
+    /// Opens a fresh placement generation (wrap: clear every row, so
+    /// generation 1 starts from knowing nothing again).
+    fn open_generation(&mut self, nodes: usize) {
+        if self.seen.len() < nodes {
+            self.seen.resize(nodes, Seen::default());
+        }
+        self.cur_gen = self.cur_gen.wrapping_add(1);
+        if self.cur_gen == 0 {
+            self.seen.fill(Seen::default());
+            self.cur_gen = 1;
+        }
+    }
+
+    /// Marks `n` as a node the walk stood on.
+    fn visit(&mut self, n: NodeId) {
+        self.seen[n.idx()] = Seen {
+            gen: self.cur_gen,
+            out: true,
+            ..Seen::default()
+        };
+    }
+
+    /// [`PushingMatchmaker::objective`] of the face neighbor `n` of the
+    /// walk's current node, or `None` when `n` is no push target:
+    /// visited, or out of the job's feasible region. A node is tested
+    /// against the region once per placement and each of its objectives
+    /// is computed once for as long as the walk keeps meeting it by the
+    /// same move; a debug build recomputes whatever it reuses.
+    fn candidate(
+        &mut self,
+        grid: &StaticGrid,
+        w: &Walk,
+        n: NodeId,
+        dim: usize,
+        dir: i8,
+    ) -> Option<f64> {
+        // Push targets must stay in the job's feasible region: a zone
+        // entirely below the job's coordinate along some real dimension
+        // can never contain a satisfying node. Branch-free on purpose:
+        // most zones pass, in no pattern a predictor can learn.
+        let reaches = || {
+            let hi = grid.zone_hi(n);
+            hi.iter().zip(&w.need).fold(true, |ok, (h, c)| ok & (h > c))
+        };
+        let key = if dir == 1 { dim } else { grid.layout().dims() } as u16;
+        let mut row = self.seen[n.idx()];
+        if row.gen != self.cur_gen {
+            row = Seen {
+                gen: self.cur_gen,
+                out: !reaches(),
+                key: Seen::NO_OBJECTIVE,
+                fd: 0.0,
+            };
+        } else {
+            debug_assert!(row.out || reaches(), "{n} left the feasible region");
+        }
+        if !row.out {
+            if row.key == key {
+                debug_assert_eq!(
+                    row.fd.to_bits(),
+                    self.objective(grid, w, n, dim, dir).to_bits(),
+                    "objective of {n} by move {key} changed within one placement"
+                );
+            } else {
+                row.key = key;
+                row.fd = self.objective(grid, w, n, dim, dir);
+            }
+        }
+        self.seen[n.idx()] = row;
+        (!row.out).then_some(row.fd)
     }
 }
 
@@ -396,25 +489,17 @@ impl Matchmaker for PushingMatchmaker {
         let route = grid.route_to(entry, &coord);
         let mut current = route.owner;
         let mut pushes = 0usize;
-        // Open a fresh visited generation (wrap: clear stale stamps so
-        // generation 1 starts from an all-unvisited state again).
-        if self.visited_gen.len() < grid.len() {
-            self.visited_gen.resize(grid.len(), 0);
-        }
-        self.cur_gen = self.cur_gen.wrapping_add(1);
-        if self.cur_gen == 0 {
-            self.visited_gen.fill(0);
-            self.cur_gen = 1;
-        }
-        self.visited_gen[current.idx()] = self.cur_gen;
         let dims = grid.layout().dims();
-        // Push targets must stay in the job's feasible region: a
-        // zone entirely below the job's coordinate along some real
-        // dimension can never contain a satisfying node.
-        let reaches = |n: NodeId| {
-            let z = grid.zone(n);
-            (0..dims).all(|d| d == pgrid_types::DimensionLayout::VIRTUAL_DIM || z.hi(d) > coord[d])
+        let vd = DimensionLayout::VIRTUAL_DIM;
+        let mut need = coord;
+        need[vd] = f64::NEG_INFINITY;
+        let w = Walk {
+            ce,
+            slot: self.ai.ce_index(ce),
+            need,
         };
+        self.open_generation(grid.len());
+        self.visit(current);
 
         loop {
             // 2. A node that can start the job immediately ends the
@@ -436,21 +521,12 @@ impl Matchmaker for PushingMatchmaker {
             // virtual slices keep the walk from being cornered.
             let mut best: Option<(NodeId, usize, f64)> = None;
             if pushes < self.params.max_pushes {
-                let vd = pgrid_types::DimensionLayout::VIRTUAL_DIM;
                 for d in 0..dims {
                     let dirs: &[i8] = if d == vd { &[1, -1] } else { &[1] };
                     for &dir in dirs {
                         for &n in grid.face_neighbors(current, d, dir) {
-                            if !reaches(n) || self.visited_gen[n.idx()] == self.cur_gen {
+                            let Some(fd) = self.candidate(grid, &w, n, d, dir) else {
                                 continue;
-                            }
-                            let fd = if dir == 1 {
-                                self.push_objective(grid, n, d, ce)
-                            } else {
-                                // No aggregated info toward the origin:
-                                // judge the inward virtual move by the
-                                // target's local load alone.
-                                self.local_objective(grid, n, ce)
                             };
                             let better = match best {
                                 None => fd < f64::INFINITY,
@@ -468,7 +544,7 @@ impl Matchmaker for PushingMatchmaker {
             let want_stop = match best {
                 None => true, // outer corner or no capable region left
                 Some((_, td, _)) => {
-                    let beyond = self.ai.beyond(grid, current, td, ce).nodes;
+                    let beyond = self.region_beyond(grid, &w, current, td).nodes;
                     rng.unit() < stop_probability(beyond, self.params.stopping_factor)
                 }
             };
@@ -493,7 +569,7 @@ impl Matchmaker for PushingMatchmaker {
             }
             let (target, _, _) = best.expect("push target exists");
             current = target;
-            self.visited_gen[target.idx()] = self.cur_gen;
+            self.visit(target);
             pushes += 1;
         }
 

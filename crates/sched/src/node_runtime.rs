@@ -15,8 +15,7 @@
 //! need disjoint CEs may overtake, preserving per-CE FIFO order — a
 //! GPU job never starves behind a CPU-bound queue head).
 
-use pgrid_types::{CeType, JobId, JobSpec, NodeId, NodeSpec};
-use std::collections::HashSet;
+use pgrid_types::{CeRequirement, CeType, JobId, JobSpec, NodeId, NodeSpec};
 
 /// Occupancy of one computing element.
 #[derive(Debug, Clone)]
@@ -26,6 +25,51 @@ struct CeState {
     total_cores: u32,
     used_cores: u32,
     running_jobs: u32,
+    /// Waiters in the node's queue with a requirement on this CE, and
+    /// the cores those requirements occupy: what a scan of the queue
+    /// would count, kept as the queue changes (`DESIGN.md` §6,
+    /// invariant C1). Written by [`NodeRuntime::count_waiter`] and
+    /// zeroed by [`NodeRuntime::evict_split`], nowhere else.
+    queued_jobs: u32,
+    queued_cores: u32,
+}
+
+impl CeState {
+    /// Whether the CE could take `r` now, were nobody queueing for it.
+    fn has_room(&self, r: &CeRequirement) -> bool {
+        if self.dedicated {
+            self.running_jobs == 0
+        } else {
+            self.used_cores + r.occupied_cores() <= self.total_cores
+        }
+    }
+
+    /// `(cores, required_cores)`: see [`NodeRuntime::load_of`].
+    fn load(&self) -> (f64, f64) {
+        let required = if self.dedicated {
+            // A dedicated CE contributes its core count as capacity and
+            // whole-CE units of demand.
+            (f64::from(self.running_jobs) + f64::from(self.queued_jobs))
+                * f64::from(self.total_cores)
+        } else {
+            f64::from(self.used_cores + self.queued_cores)
+        };
+        (f64::from(self.total_cores), required)
+    }
+}
+
+/// A set of CE types (a [`CeType`] is one byte).
+#[derive(Default)]
+struct CeSet([u64; 4]);
+
+impl CeSet {
+    fn insert(&mut self, ty: CeType) {
+        self.0[usize::from(ty.0 >> 6)] |= 1 << (ty.0 & 63);
+    }
+
+    fn contains(&self, ty: CeType) -> bool {
+        self.0[usize::from(ty.0 >> 6)] & (1 << (ty.0 & 63)) != 0
+    }
 }
 
 /// A job waiting in the node's FIFO queue.
@@ -70,6 +114,8 @@ impl NodeRuntime {
                 total_cores: c.cores,
                 used_cores: 0,
                 running_jobs: 0,
+                queued_jobs: 0,
+                queued_cores: 0,
             })
             .collect();
         NodeRuntime {
@@ -112,6 +158,8 @@ impl NodeRuntime {
         for ce in &mut self.ces {
             ce.used_cores = 0;
             ce.running_jobs = 0;
+            ce.queued_jobs = 0;
+            ce.queued_cores = 0;
         }
         (running, queued)
     }
@@ -141,40 +189,23 @@ impl NodeRuntime {
     /// Whether every CE the job needs has capacity *right now*
     /// (ignoring the queue).
     pub fn has_capacity(&self, job: &JobSpec) -> bool {
-        job.ce_reqs.iter().all(|r| match self.ce_state(r.ce_type) {
-            None => false,
-            Some(ce) => {
-                if ce.dedicated {
-                    ce.running_jobs == 0
-                } else {
-                    ce.used_cores + r.occupied_cores() <= ce.total_cores
-                }
-            }
-        })
-    }
-
-    /// CE types that queued jobs are waiting for (the conservative
-    /// backfill's blocked set).
-    fn blocked_ces(&self) -> HashSet<CeType> {
-        let mut blocked = HashSet::new();
-        for w in &self.queue {
-            for r in &w.job.ce_reqs {
-                blocked.insert(r.ce_type);
-            }
-        }
-        blocked
+        job.ce_reqs
+            .iter()
+            .all(|r| self.ce_state(r.ce_type).is_some_and(|ce| ce.has_room(r)))
     }
 
     /// An **acceptable node** "can start a job's execution without
     /// waiting" (§III-B): it satisfies the job's requirements, every CE
     /// the job needs has capacity, and no queued job is already waiting
-    /// on those CEs.
+    /// on those CEs. The occupancy tests come first: under load they
+    /// fail far more often than the static match, and cost less.
     pub fn is_acceptable(&self, job: &JobSpec) -> bool {
-        if !self.available || !job.satisfied_by(&self.spec) || !self.has_capacity(job) {
-            return false;
-        }
-        let blocked = self.blocked_ces();
-        job.ce_reqs.iter().all(|r| !blocked.contains(&r.ce_type))
+        self.available
+            && job.ce_reqs.iter().all(|r| {
+                self.ce_state(r.ce_type)
+                    .is_some_and(|ce| ce.queued_jobs == 0 && ce.has_room(r))
+            })
+            && job.satisfied_by(&self.spec)
     }
 
     /// Number of running jobs.
@@ -194,25 +225,15 @@ impl NodeRuntime {
         let spec = self.spec.ce(ty)?;
         if ce.dedicated {
             // Eq. 1: running + queued jobs needing this CE, over clock.
-            let queued = self
-                .queue
-                .iter()
-                .filter(|w| w.job.req(ty).is_some())
-                .count() as u32;
             Some(pgrid_types::score::score_dedicated(
-                (ce.running_jobs + queued) as usize,
+                (ce.running_jobs + ce.queued_jobs) as usize,
                 spec.clock,
             ))
         } else {
             // Eq. 2: required cores of running + waiting jobs, over
             // cores, over clock.
-            let queued_cores: u32 = self
-                .queue
-                .iter()
-                .filter_map(|w| w.job.req(ty).map(|r| r.occupied_cores()))
-                .sum();
             Some(pgrid_types::score::score_non_dedicated(
-                ce.used_cores + queued_cores,
+                ce.used_cores + ce.queued_cores,
                 ce.total_cores,
                 spec.clock,
             ))
@@ -224,29 +245,37 @@ impl NodeRuntime {
     /// cores held by running jobs plus cores requested by waiting jobs
     /// (dedicated CEs count whole-CE units).
     pub fn load_of(&self, ty: CeType) -> Option<(f64, f64)> {
-        let ce = self.ce_state(ty)?;
-        if ce.dedicated {
-            let queued = self
-                .queue
-                .iter()
-                .filter(|w| w.job.req(ty).is_some())
-                .count() as f64;
-            // A dedicated CE contributes its core count as capacity and
-            // whole-CE units of demand.
-            Some((
-                f64::from(ce.total_cores),
-                (f64::from(ce.running_jobs) + queued) * f64::from(ce.total_cores),
-            ))
-        } else {
-            let queued_cores: u32 = self
-                .queue
-                .iter()
-                .filter_map(|w| w.job.req(ty).map(|r| r.occupied_cores()))
-                .sum();
-            Some((
-                f64::from(ce.total_cores),
-                f64::from(ce.used_cores + queued_cores),
-            ))
+        self.ce_state(ty).map(CeState::load)
+    }
+
+    /// [`NodeRuntime::load_of`] summed over the node's CEs in spec
+    /// order: the CE-oblivious view can-hom and the pooled aggregate
+    /// take of a node.
+    pub fn pooled_load(&self) -> (f64, f64) {
+        let (mut cores, mut required) = (0.0, 0.0);
+        for ce in &self.ces {
+            let (c, r) = ce.load();
+            cores += c;
+            required += r;
+        }
+        (cores, required)
+    }
+
+    /// Enters a waiter's requirements into the per-CE queue counters,
+    /// or takes them out again when it leaves the queue. A requirement
+    /// on a CE the node lacks counts nowhere, as in a scan.
+    fn count_waiter(&mut self, job: &JobSpec, entered: bool) {
+        for r in &job.ce_reqs {
+            let Some(ce) = self.ce_state_mut(r.ce_type) else {
+                continue;
+            };
+            if entered {
+                ce.queued_jobs += 1;
+                ce.queued_cores += r.occupied_cores();
+            } else {
+                ce.queued_jobs -= 1;
+                ce.queued_cores -= r.occupied_cores();
+            }
         }
     }
 
@@ -258,6 +287,7 @@ impl NodeRuntime {
             job.satisfied_by(&self.spec),
             "run node must satisfy the job"
         );
+        self.count_waiter(&job, true);
         self.queue.push(Waiting {
             job,
             queued_at: now,
@@ -292,6 +322,9 @@ impl NodeRuntime {
                 shed.push(self.queue.remove(0).job);
             }
         }
+        for job in &shed {
+            self.count_waiter(job, false);
+        }
         shed
     }
 
@@ -321,16 +354,17 @@ impl NodeRuntime {
             return Vec::new();
         }
         let mut started = Vec::new();
-        let mut blocked: HashSet<CeType> = HashSet::new();
+        let mut blocked = CeSet::default();
         let mut i = 0;
         while i < self.queue.len() {
             let uses_blocked = self.queue[i]
                 .job
                 .ce_reqs
                 .iter()
-                .any(|r| blocked.contains(&r.ce_type));
+                .any(|r| blocked.contains(r.ce_type));
             if !uses_blocked && self.has_capacity(&self.queue[i].job) {
                 let w = self.queue.remove(i);
+                self.count_waiter(&w.job, false);
                 self.allocate(&w.job);
                 started.push(Started {
                     job: w.job,
@@ -371,6 +405,47 @@ impl NodeRuntime {
                 debug_assert!(ce.used_cores >= occupied);
                 ce.used_cores -= occupied;
             }
+        }
+    }
+
+    /// Test-time invariant check: every per-CE counter equals what a
+    /// scan of the queue and of the running list counts.
+    pub fn check_invariants(&self) {
+        assert!(
+            self.available || self.running.is_empty(),
+            "{}: evicted node with running jobs",
+            self.id
+        );
+        for ce in &self.ces {
+            let ty = ce.ce_type;
+            // (jobs, cores) the listed jobs ask of this CE.
+            let demand = |jobs: &mut dyn Iterator<Item = &JobSpec>| {
+                jobs.filter_map(|j| j.req(ty))
+                    .fold((0u32, 0u32), |(n, c), r| (n + 1, c + r.occupied_cores()))
+            };
+            let (queued_jobs, queued_cores) = demand(&mut self.queue.iter().map(|w| &w.job));
+            let (running_jobs, running_cores) = demand(&mut self.running.iter());
+            let used_cores = match (ce.dedicated, running_jobs) {
+                (true, 0) => 0,
+                (true, _) => ce.total_cores,
+                (false, _) => running_cores,
+            };
+            assert_eq!(
+                (
+                    ce.queued_jobs,
+                    ce.queued_cores,
+                    ce.running_jobs,
+                    ce.used_cores
+                ),
+                (queued_jobs, queued_cores, running_jobs, used_cores),
+                "{} {ty}: (queued jobs, queued cores, running jobs, used cores) diverged",
+                self.id
+            );
+            assert!(
+                ce.used_cores <= ce.total_cores && !(ce.dedicated && ce.running_jobs > 1),
+                "{} {ty}: oversubscribed",
+                self.id
+            );
         }
     }
 }
@@ -820,6 +895,7 @@ mod tests {
                         n.restore();
                     }
                 }
+                n.check_invariants();
                 for ty in types {
                     assert_eq!(
                         n.score(ty).map(f64::to_bits),
