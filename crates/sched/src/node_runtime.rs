@@ -411,6 +411,11 @@ impl NodeRuntime {
     /// Test-time invariant check: every per-CE counter equals what a
     /// scan of the queue and of the running list counts.
     pub fn check_invariants(&self) {
+        /// `(jobs, cores)` that `jobs` ask of the CE of type `ty`.
+        fn demand<'a>(jobs: impl Iterator<Item = &'a JobSpec>, ty: CeType) -> (u32, u32) {
+            jobs.filter_map(|j| j.req(ty))
+                .fold((0, 0), |(n, c), r| (n + 1, c + r.occupied_cores()))
+        }
         assert!(
             self.available || self.running.is_empty(),
             "{}: evicted node with running jobs",
@@ -418,13 +423,8 @@ impl NodeRuntime {
         );
         for ce in &self.ces {
             let ty = ce.ce_type;
-            // (jobs, cores) the listed jobs ask of this CE.
-            let demand = |jobs: &mut dyn Iterator<Item = &JobSpec>| {
-                jobs.filter_map(|j| j.req(ty))
-                    .fold((0u32, 0u32), |(n, c), r| (n + 1, c + r.occupied_cores()))
-            };
-            let (queued_jobs, queued_cores) = demand(&mut self.queue.iter().map(|w| &w.job));
-            let (running_jobs, running_cores) = demand(&mut self.running.iter());
+            let (queued_jobs, queued_cores) = demand(self.queue.iter().map(|w| &w.job), ty);
+            let (running_jobs, running_cores) = demand(self.running.iter(), ty);
             let used_cores = match (ce.dedicated, running_jobs) {
                 (true, 0) => 0,
                 (true, _) => ce.total_cores,
