@@ -384,8 +384,10 @@ fn refresh_materializes_a_grid_long_chain_on_a_small_stack() {
 // list. CI runs these in release (`--test props route`): the
 // every-start and n = 8192 arms are slow at `opt-level = 1`.
 
-/// `StaticGrid`'s topology and zones under the trait's default
-/// `closest_neighbor`.
+/// `StaticGrid`'s topology under the trait's default
+/// `closest_neighbor`, with distance and containment read off the
+/// `Zone` itself — the branching reference, which shares no code with
+/// the grid's flat-bounds arithmetic.
 struct FullScan<'a>(&'a StaticGrid);
 
 impl RoutingView for FullScan<'_> {
@@ -397,10 +399,10 @@ impl RoutingView for FullScan<'_> {
         self.0.route_neighbors(id)
     }
     fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
-        self.0.zone_distance(id, p)
+        self.0.zone(id).distance_to(p)
     }
     fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
-        self.0.zone_contains(id, p)
+        self.0.zone(id).contains(p)
     }
 }
 
@@ -419,10 +421,10 @@ impl RoutingView for Checked<'_> {
         self.0.route_neighbors(id)
     }
     fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
-        self.0.zone_distance(id, p)
+        self.0.zone(id).distance_to(p)
     }
     fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
-        self.0.zone_contains(id, p)
+        self.0.zone(id).contains(p)
     }
     fn closest_neighbor(&self, id: NodeId, p: &Point) -> Option<(NodeId, f64)> {
         let bits = |c: Option<(NodeId, f64)>| c.map(|(n, d)| (n, d.to_bits()));
@@ -457,7 +459,9 @@ fn targets(grid: &StaticGrid, population: &[NodeSpec], per_kind: usize, seed: u6
     let mut rng = SimRng::seed_from_u64(seed);
     let mut out: Vec<Point> = Vec::new();
 
-    let slots = layout.gpu_slots();
+    // The generators know three GPU families; a wider layout's other
+    // GPU dimensions stay at 0, for nodes and jobs alike.
+    let slots = layout.gpu_slots().min(3);
     let cfg = JobGenConfig::paper_defaults(slots, 0.6, 3.0);
     let mut stream = JobStream::with_population(cfg, seed, population.to_vec());
     for _ in 0..per_kind {
@@ -539,6 +543,26 @@ fn route_matches_the_full_scan_on_generated_populations() {
     for (dims, slots) in [(5usize, 0u8), (11, 2)] {
         for (n, per_kind, starts) in [(200, 40, None), (1000, 10, None), (8192, 150, Some(8))] {
             let population = generate_nodes(&NodeGenConfig::paper_defaults(slots), n, 2011);
+            let grid =
+                StaticGrid::build(DimensionLayout::with_dims(dims), population.clone(), 2011);
+            let (routes, mismatches) = differential(&grid, &population, per_kind, starts);
+            assert_eq!(
+                mismatches, 0,
+                "{dims}-d n={n}: {mismatches} of {routes} routes differ from the full scan"
+            );
+        }
+    }
+}
+
+#[test]
+fn route_matches_the_full_scan_on_wide_layouts() {
+    // Three GPU families at 14 dimensions, and the same population in 41
+    // dimensions (twelve GPU slots, nine of them 0 on every node and
+    // job): more faces than one block of classified faces holds, and
+    // runs of dimensions whose terms are all 0.
+    for dims in [14usize, 41] {
+        for (n, per_kind, starts) in [(200, 30, None), (1000, 10, None), (4096, 60, Some(8))] {
+            let population = generate_nodes(&NodeGenConfig::paper_defaults(3), n, 2011);
             let grid =
                 StaticGrid::build(DimensionLayout::with_dims(dims), population.clone(), 2011);
             let (routes, mismatches) = differential(&grid, &population, per_kind, starts);

@@ -9,8 +9,9 @@
 use p2p_ce_grid::can::{route, Point, RoutingView};
 use p2p_ce_grid::prelude::*;
 
-/// `StaticGrid`'s topology and zones under the trait's default
-/// `closest_neighbor`: the full scan.
+/// `StaticGrid`'s topology under the trait's default
+/// `closest_neighbor`: the full scan, with distance and containment
+/// read off the `Zone` itself rather than the grid's flat bounds.
 struct FullScan<'a>(&'a StaticGrid);
 
 impl RoutingView for FullScan<'_> {
@@ -22,17 +23,32 @@ impl RoutingView for FullScan<'_> {
         self.0.route_neighbors(id)
     }
     fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
-        self.0.zone_distance(id, p)
+        self.0.zone(id).distance_to(p)
     }
     fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
-        self.0.zone_contains(id, p)
+        self.0.zone(id).contains(p)
     }
 }
 
 /// The paper workload at population `nodes` (the benchmark's
 /// `fig5_paper` / `fig5_sharded` shapes), first `jobs` jobs.
 fn mismatches(seed: u64, nodes: usize, jobs: usize) -> usize {
+    mismatches_in(default_scenario().with_seed(seed), nodes, jobs)
+}
+
+/// The same on a `dims`-dimensional layout over the three-GPU-family
+/// population: the dimensions of GPU slots past the third are 0 on
+/// every node and every job.
+fn wide_mismatches(seed: u64, dims: usize, nodes: usize, jobs: usize) -> usize {
     let mut sc = default_scenario().with_seed(seed);
+    sc.dims = dims;
+    sc.node_gen = NodeGenConfig::paper_defaults(3);
+    sc.job_gen = JobGenConfig::paper_defaults(3, 0.6, 3.0);
+    mismatches_in(sc, nodes, jobs)
+}
+
+fn mismatches_in(mut sc: LoadBalanceScenario, nodes: usize, jobs: usize) -> usize {
+    let seed = sc.seed;
     sc.nodes = nodes;
     let mut stream = sc.job_stream(generate_nodes(&sc.node_gen, sc.nodes, sc.seed));
     let trace = stream.take_jobs(jobs);
@@ -57,4 +73,17 @@ fn route_matches_the_full_scan_on_figure5_traces() {
         assert_eq!(mismatches(seed, 1000, 4000), 0, "seed {seed}, n=1000");
     }
     assert_eq!(mismatches(2011, 8192, 1500), 0, "seed 2011, n=8192");
+}
+
+#[test]
+fn route_matches_the_full_scan_on_wide_layouts() {
+    for dims in [14, 41] {
+        for seed in [2011, 41] {
+            assert_eq!(
+                wide_mismatches(seed, dims, 1000, 2000),
+                0,
+                "seed {seed}, {dims}-d, n=1000"
+            );
+        }
+    }
 }
