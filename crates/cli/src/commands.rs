@@ -1,7 +1,7 @@
 //! The `pgrid` subcommands.
 
 use crate::args::Args;
-use crate::{report, CliError};
+use crate::{figures, report, CliError};
 use pgrid::prelude::*;
 use pgrid::types::DimensionLayout;
 use pgrid::workload::trace;
@@ -11,7 +11,9 @@ use std::time::Instant;
 
 /// `pgrid help`
 pub fn help() -> String {
-    "\
+    let figures = figure_list(8);
+    format!(
+        "\
 pgrid — P2P computing-element-heterogeneous grid simulator
 (reproduction of Lee/Keleher/Sussman, IEEE CLUSTER 2011)
 
@@ -60,7 +62,12 @@ USAGE:
       a replayable trace under DIR; exits non-zero. --replay re-executes a
       saved trace and checks it against its recorded digest.
 
-  Without --quick the four suites above run at paper scale (minutes).
+  pgrid figure   NAME|all [--quick] [--out DIR]
+      Regenerate one figure of the paper's evaluation or one extension
+      experiment (all: every one in turn); print its tables and write its
+      CSV and SVG files under DIR. NAME is one of:
+{figures}
+  Without --quick the suites and figures above run at paper scale (minutes).
 
   pgrid trace gen-nodes  [--count N] [--dims D] [--seed S] [--out FILE]
   pgrid trace gen-jobs   [--count N] [--dims D] [--ratio R] [--interarrival S]
@@ -71,7 +78,16 @@ USAGE:
   pgrid info
       Print the built-in paper scenario and experiment inventory.
 "
-    .to_string()
+    )
+}
+
+/// One line per [`figures::REGISTRY`] entry, `indent` spaces in: its
+/// name and what it shows.
+fn figure_list(indent: usize) -> String {
+    figures::REGISTRY
+        .iter()
+        .map(|f| format!("{:indent$}{:<20} {}\n", "", f.name, f.about))
+        .collect()
 }
 
 /// `pgrid info`
@@ -93,14 +109,8 @@ pub fn info() -> String {
     let _ = writeln!(out, "  AI refresh period  {} s", s.ai_refresh_period);
     let _ = writeln!(out, "  seed               {}", s.seed);
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "experiments (see crates/bench): fig5 fig6 fig7 fig8 scaling_fit ablation"
-    );
-    let _ = writeln!(
-        out,
-        "extensions: sf_sweep lossy_network routing_under_churn future_gpus contention_model"
-    );
+    let _ = writeln!(out, "figures (pgrid figure NAME | all):");
+    out.push_str(&figure_list(2));
     let _ = writeln!(
         out,
         "fault suites (pgrid subcommands): chaos scenarios detector fuzz"
@@ -221,8 +231,21 @@ pub fn churn(args: Args) -> Result<String, String> {
     let graceful: f64 = args.get_or("graceful", 0.5)?;
     let seed: u64 = args.get_or("seed", 2011)?;
     args.reject_unknown()?;
+    // Values the run cannot survive: a zero-dimensional space, a churn
+    // clock that never advances or runs backwards, a loop with no end.
+    if dims == 0 {
+        return Err("--dims must be at least 1".into());
+    }
+    for (flag, secs) in [("--gap", gap), ("--duration", duration)] {
+        if !(secs.is_finite() && secs > 0.0) {
+            return Err(format!("{flag} must be positive and finite, got {secs}"));
+        }
+    }
     if !(0.0..1.0).contains(&loss) {
         return Err(format!("--loss must be in [0,1), got {loss}"));
+    }
+    if !(0.0..=1.0).contains(&graceful) {
+        return Err(format!("--graceful must be in [0,1], got {graceful}"));
     }
 
     let mut out = format!(
@@ -268,7 +291,7 @@ fn schemes_from(args: &Args) -> Result<Vec<HeartbeatScheme>, String> {
 
 /// `--quick` selects the reduced smoke-run configuration; without it a
 /// suite runs at paper scale.
-fn scale_from(args: &Args) -> Scale {
+pub(crate) fn scale_from(args: &Args) -> Scale {
     if args.switch("quick") {
         Scale::Quick
     } else {
@@ -276,13 +299,13 @@ fn scale_from(args: &Args) -> Scale {
     }
 }
 
-/// `--out`, the directory CSVs and repro traces are written under.
-fn out_dir_from(args: &Args) -> PathBuf {
+/// `--out`, the directory CSVs, SVGs and repro traces are written under.
+pub(crate) fn out_dir_from(args: &Args) -> PathBuf {
     PathBuf::from(args.get("out").unwrap_or("results"))
 }
 
 /// Writes `text` to `file` under `dir`, creating `dir` if missing.
-fn save_under(dir: &Path, file: &str, text: &str) -> Result<PathBuf, String> {
+pub(crate) fn save_under(dir: &Path, file: &str, text: &str) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(file);
     std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -890,6 +913,34 @@ mod tests {
                 "{bad}: {}",
                 err.message
             );
+        }
+    }
+
+    #[test]
+    fn churn_rejects_values_the_run_cannot_survive() {
+        // `--gap 0` never advanced the churn clock, `--gap -5` ran it
+        // backwards and `--dims 0` tripped the zone constructor.
+        for (flag, bad) in [
+            ("--dims", "0"),
+            ("--gap", "0"),
+            ("--gap", "-5"),
+            ("--gap", "nan"),
+            ("--duration", "0"),
+            ("--duration", "inf"),
+            ("--graceful", "1.5"),
+            ("--graceful", "-0.1"),
+        ] {
+            let err = churn(a(&[flag, bad])).unwrap_err();
+            assert!(err.contains(flag), "{flag} {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_and_info_list_every_figure() {
+        let (help, info) = (help(), info());
+        for f in figures::REGISTRY {
+            assert!(help.contains(f.name), "help misses {}", f.name);
+            assert!(info.contains(f.name), "info misses {}", f.name);
         }
     }
 

@@ -16,6 +16,8 @@
 //!   detection under asymmetric link stress and process freezes;
 //! * `pgrid fuzz` — seeded fault-schedule fuzzing with delta-debugged
 //!   repros, plus bit-exact replay of saved traces;
+//! * `pgrid figure` — regenerate a figure of the paper's evaluation or
+//!   an extension experiment, one [`figures::REGISTRY`] entry or all;
 //! * `pgrid trace` — generate node/job traces, or replay previously
 //!   saved traces through a scheduler;
 //! * `pgrid info` — the built-in scenario defaults and experiment
@@ -34,6 +36,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod figures;
 pub mod report;
 #[cfg(test)]
 mod tests;
@@ -49,8 +52,7 @@ pub struct CliError {
     /// Printed after `error: ` on stderr.
     pub message: String,
     /// 1 for a bad invocation or a failed run; 2 for input no grid can
-    /// be built from (the status the experiment binaries use for
-    /// configurations they cannot run).
+    /// be built from.
     pub status: u8,
 }
 
@@ -110,6 +112,7 @@ pub fn dispatch(argv: Vec<String>) -> Result<String, CliError> {
         "scenarios" => commands::scenarios(args::Args::parse(&rest)?)?,
         "detector" => commands::detector(args::Args::parse(&rest)?)?,
         "fuzz" => commands::fuzz(args::Args::parse(&rest)?)?,
+        "figure" => figures::figure(&rest)?,
         "trace" => commands::trace(&rest)?,
         "info" => commands::info(),
         "help" | "--help" | "-h" => commands::help(),

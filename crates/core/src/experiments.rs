@@ -109,7 +109,10 @@ pub struct WaitTimeCell {
     pub results: Vec<SimResult>,
 }
 
-fn scenario_for(scale: Scale) -> LoadBalanceScenario {
+/// The Figure 5 load-balancing scenario at `scale`: the paper's at
+/// [`Scale::Paper`], a tenth of its nodes and jobs at the same load
+/// level at [`Scale::Quick`]. The base of every wait-time experiment.
+pub fn scenario_for(scale: Scale) -> LoadBalanceScenario {
     match scale {
         Scale::Paper => default_scenario(),
         Scale::Quick => {

@@ -1,8 +1,7 @@
-//! Minimal CSV emission (no external serializer needed): experiment
-//! binaries write their raw series next to the printed tables so plots
-//! can be regenerated offline.
+//! Minimal CSV emission (no external serializer needed): the figures
+//! and suites write their raw series next to the printed tables so
+//! plots can be regenerated offline.
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -73,17 +72,6 @@ impl CsvWriter {
         self
     }
 
-    /// Appends a row with a leading label followed by floats.
-    pub fn row_labeled(&mut self, label: &str, cells: &[f64]) -> &mut Self {
-        let mut all = vec![escape(label)];
-        for x in cells {
-            let _ = write!(all.last_mut().unwrap(), ""); // no-op, keep shape
-            all.push(format!("{x}"));
-        }
-        self.push_row(all);
-        self
-    }
-
     /// The CSV text accumulated so far.
     pub fn as_str(&self) -> &str {
         &self.buf
@@ -122,13 +110,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_checked() {
         CsvWriter::new(&["a", "b"]).row(&["only-one"]);
-    }
-
-    #[test]
-    fn labeled_rows() {
-        let mut w = CsvWriter::new(&["scheme", "d", "kb"]);
-        w.row_labeled("Vanilla", &[5.0, 100.25]);
-        assert!(w.as_str().contains("Vanilla,5,100.25"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Static SVG line charts for the figure regenerators — each `figN`
-//! binary can emit the paper figure as a plot next to its table and
-//! CSV (the CSV/table double as the accessible data view).
+//! Static SVG line charts for the figure regenerators — each
+//! `pgrid figure figN` emits the paper figure as a plot next to its
+//! table and CSV (the CSV/table double as the accessible data view).
 //!
 //! Design follows the standard data-viz method: categorical hues in a
 //! fixed, CVD-validated order (never cycled), thin 2px line marks,

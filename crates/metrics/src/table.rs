@@ -1,5 +1,5 @@
-//! Plain-text tables: the benchmark binaries print each figure's data
-//! as an aligned table (rows = x values, columns = series).
+//! Plain-text tables: the figures print their data as aligned tables
+//! (rows = x values, columns = series).
 
 use std::fmt::Write as _;
 
@@ -71,12 +71,6 @@ impl Table {
     }
 }
 
-/// Formats a float with a fixed number of decimals (helper for table
-/// cells).
-pub fn fmt_f(x: f64, decimals: usize) -> String {
-    format!("{x:.decimals$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,12 +94,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn rejects_wrong_arity() {
         Table::new(["a", "b"]).row(["1"]);
-    }
-
-    #[test]
-    fn fmt_helper() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(10.0, 0), "10");
     }
 
     #[test]

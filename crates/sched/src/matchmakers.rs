@@ -85,7 +85,7 @@ pub enum PushMode {
 }
 
 /// Feature toggles for ablation studies of can-het's ingredients
-/// (everything on = Algorithm 1; see the `ablation` bench).
+/// (everything on = Algorithm 1; see `pgrid figure ablation`).
 #[derive(Debug, Clone, Copy)]
 pub struct HetFeatures {
     /// Accept *acceptable* nodes, not only free nodes (§III-B).

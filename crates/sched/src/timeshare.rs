@@ -16,8 +16,8 @@
 //!   the paper's measurements).
 //!
 //! The interesting metric is no longer wait time (always zero) but
-//! **slowdown**: actual duration / ideal duration. The
-//! `contention_model` bench compares schedulers under this model.
+//! **slowdown**: actual duration / ideal duration.
+//! `pgrid figure contention_model` compares placements under this model.
 
 use pgrid_types::{CeType, JobId, JobSpec, NodeSpec};
 

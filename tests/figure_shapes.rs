@@ -1,8 +1,8 @@
 //! Shape checks for every figure of the paper's evaluation, at reduced
 //! scale: these tests encode the *qualitative* claims the reproduction
 //! must preserve (orderings, factors, scaling exponents). The
-//! full-scale numbers live in EXPERIMENTS.md and are regenerated by the
-//! `fig5`..`fig8` binaries.
+//! full-scale numbers live in EXPERIMENTS.md and are regenerated by
+//! `pgrid figure fig5` .. `pgrid figure fig8`.
 
 use p2p_ce_grid::experiments::{self, scaling_exponent, Scale};
 use p2p_ce_grid::prelude::*;
