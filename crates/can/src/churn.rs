@@ -156,10 +156,16 @@ impl ChurnReport {
 /// Runs one churn experiment. `coord_gen` supplies joining nodes'
 /// coordinates (use [`uniform_coords`] for the dimension-scaling
 /// experiments).
-pub fn run_churn(
+pub fn run_churn(cfg: &ChurnConfig, coord_gen: impl FnMut(&mut SimRng) -> Point) -> ChurnReport {
+    run_churn_sim(cfg, coord_gen).0
+}
+
+/// [`run_churn`], handing back the simulator it ran, at the end of
+/// stage 2, for probes of the overlay the churn left behind.
+pub fn run_churn_sim(
     cfg: &ChurnConfig,
     mut coord_gen: impl FnMut(&mut SimRng) -> Point,
-) -> ChurnReport {
+) -> (ChurnReport, CanSim) {
     let mut proto = ProtocolConfig::new(cfg.dims, cfg.scheme);
     proto.heartbeat_period = cfg.heartbeat_period;
     proto.fail_timeout = cfg.fail_timeout;
@@ -223,7 +229,7 @@ pub fn run_churn(
     let delivered_messages = sim.delivered_messages();
     let state_digest = sim.state_digest();
     let acct = sim.accounting();
-    ChurnReport {
+    let report = ChurnReport {
         scheme: cfg.scheme,
         dims: cfg.dims,
         broken_series: series,
@@ -235,7 +241,8 @@ pub fn run_churn(
         repairs,
         delivered_messages,
         state_digest,
-    }
+    };
+    (report, sim)
 }
 
 /// Uniform random coordinates: every dimension populated, which is the

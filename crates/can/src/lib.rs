@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use accounting::{Accounting, Counter};
 pub use adjacency::Adjacency;
-pub use churn::{run_churn, uniform_coords, BrokenSample, ChurnConfig, ChurnReport};
+pub use churn::{run_churn, run_churn_sim, uniform_coords, BrokenSample, ChurnConfig, ChurnReport};
 pub use dst::{run_schedule, scheme_from_label, ScheduleReport};
 pub use geom::{Point, Zone};
 pub use membership::{LocalNode, NeighborEntry, Payload, ReplicaPayload, ZoneReplica};

@@ -12,7 +12,7 @@
 use crate::args::Args;
 use crate::commands::{out_dir_from, save_under, scale_from};
 use crate::CliError;
-use pgrid::can::routing::local_routing_success;
+use pgrid::can::{routing::local_routing_success, run_churn_sim};
 use pgrid::experiments::{
     replicate_broken_links, replicate_waits, scaling_exponent, scenario_for, CostCell, Replicated,
     ReplicatedWaits, WaitTimeCell,
@@ -709,35 +709,7 @@ fn routing_under_churn(scale: Scale, _out: &Path) -> Result<String, String> {
         let mut cfg = ChurnConfig::new(11, scheme, nodes).high_churn();
         cfg.stage2_duration = duration;
         cfg.sample_interval = duration / 8.0;
-
-        // Re-run the churn by hand so the simulator is still available
-        // for routing probes afterwards.
-        let mut proto = ProtocolConfig::new(cfg.dims, cfg.scheme);
-        proto.heartbeat_period = cfg.heartbeat_period;
-        proto.fail_timeout = cfg.fail_timeout;
-        let mut sim = CanSim::new(proto).expect("valid protocol config");
-        let mut rng = SimRng::sub_stream(cfg.seed, 0xC0DE);
-        let mut gen = uniform_coords(cfg.dims);
-        let mut joined = 0;
-        while joined < cfg.initial_nodes {
-            if sim.join(gen(&mut rng)).is_ok() {
-                joined += 1;
-            }
-            sim.advance_to(sim.now() + cfg.bootstrap_spacing);
-        }
-        sim.advance_to(sim.now() + cfg.settle_time);
-        let end = sim.now() + cfg.stage2_duration;
-        let min_nodes = (cfg.initial_nodes / 2).max(2);
-        while sim.now() + cfg.event_gap <= end {
-            sim.advance_to(sim.now() + cfg.event_gap);
-            if sim.len() <= min_nodes || rng.chance(0.5) {
-                let _ = sim.join(gen(&mut rng));
-            } else {
-                let members = sim.members();
-                let victim = members[rng.below(members.len())];
-                sim.leave(victim, rng.chance(cfg.graceful_fraction));
-            }
-        }
+        let (_, sim) = run_churn_sim(&cfg, uniform_coords(11));
         rows.push((
             scheme,
             sim.broken_links(),
