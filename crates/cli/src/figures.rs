@@ -32,79 +32,34 @@ pub struct Figure {
     run: fn(Scale, &Path) -> Result<String, String>,
 }
 
-/// Every figure, in the order `pgrid figure all` runs them.
-pub const REGISTRY: &[Figure] = &[
-    Figure {
-        name: "fig5",
-        about: "wait-time CDFs vs inter-arrival time (Figure 5)",
-        run: fig5,
-    },
-    Figure {
-        name: "fig6",
-        about: "wait-time CDFs vs job constraint ratio (Figure 6)",
-        run: fig6,
-    },
-    Figure {
-        name: "fig7",
-        about: "broken links over time under high churn (Figure 7)",
-        run: fig7,
-    },
-    Figure {
-        name: "fig8",
-        about: "heartbeat count and volume vs dimensions (Figure 8)",
-        run: fig8,
-    },
-    Figure {
-        name: "scaling_fit",
-        about: "log-log fits of the O(d) / O(d^2) claims (§IV-A)",
-        run: scaling_fit,
-    },
-    Figure {
-        name: "ablation",
-        about: "can-het with each ingredient disabled (§III-B)",
-        run: ablation,
-    },
-    Figure {
-        name: "sf_sweep",
-        about: "stopping-factor (Eq. 4) sensitivity",
-        run: sf_sweep,
-    },
-    Figure {
-        name: "lossy_network",
-        about: "heartbeat schemes on lossy links",
-        run: lossy_network,
-    },
-    Figure {
-        name: "routing_under_churn",
-        about: "what broken links cost greedy lookups",
-        run: routing_under_churn,
-    },
-    Figure {
-        name: "future_gpus",
-        about: "dedicated (2011) vs shared GPUs",
-        run: future_gpus,
-    },
-    Figure {
-        name: "contention_model",
-        about: "processor-sharing slowdown by placement policy",
-        run: contention_model,
-    },
-    Figure {
-        name: "confidence",
-        about: "Figures 5 and 7 as mean ± stddev over five seeds",
-        run: confidence,
-    },
-    Figure {
-        name: "eviction",
-        about: "wait times under volunteer desktop reclaims",
-        run: eviction,
-    },
-    Figure {
-        name: "zonemap",
-        about: "2-D CAN zones as nodes join and leave (Figures 1-3)",
-        run: zonemap,
-    },
-];
+/// Declares [`REGISTRY`]; each figure runs the function of its name.
+macro_rules! registry {
+    ($($name:ident: $about:literal,)*) => {
+        /// Every figure, in the order `pgrid figure all` runs them.
+        pub const REGISTRY: &[Figure] = &[$(Figure {
+            name: stringify!($name),
+            about: $about,
+            run: $name,
+        }),*];
+    };
+}
+
+registry! {
+    fig5: "wait-time CDFs vs inter-arrival time (Figure 5)",
+    fig6: "wait-time CDFs vs job constraint ratio (Figure 6)",
+    fig7: "broken links over time under high churn (Figure 7)",
+    fig8: "heartbeat count and volume vs dimensions (Figure 8)",
+    scaling_fit: "log-log fits of the O(d) / O(d^2) claims (§IV-A)",
+    ablation: "can-het with each ingredient disabled (§III-B)",
+    sf_sweep: "stopping-factor (Eq. 4) sensitivity",
+    lossy_network: "heartbeat schemes on lossy links",
+    routing_under_churn: "what broken links cost greedy lookups",
+    future_gpus: "dedicated (2011) vs shared GPUs",
+    contention_model: "processor-sharing slowdown by placement policy",
+    confidence: "Figures 5 and 7 as mean ± stddev over five seeds",
+    eviction: "wait times under volunteer desktop reclaims",
+    zonemap: "2-D CAN zones as nodes join and leave (Figures 1-3)",
+}
 
 /// `pgrid figure NAME|all [--quick] [--out DIR]`
 pub fn figure(rest: &[String]) -> Result<String, CliError> {
@@ -139,51 +94,61 @@ pub fn figure(rest: &[String]) -> Result<String, CliError> {
 fn fig5(scale: Scale, out: &Path) -> Result<String, String> {
     let cells = experiments::fig5(scale);
     let title = "Figure 5: CDF of job wait time varying inter-arrival time";
-    wait_figure(
-        title,
-        scale,
-        out,
-        "fig5",
-        "inter-arrival (s)",
-        "interarrival_s",
-        &cells,
-    )
+    let param = ("inter-arrival (s)", "interarrival_s");
+    wait_figure(title, scale, out, "fig5", param, &cells)
 }
 
 fn fig6(scale: Scale, out: &Path) -> Result<String, String> {
     let cells = experiments::fig6(scale);
     let title = "Figure 6: CDF of job wait time varying job constraint ratio";
-    wait_figure(
-        title,
-        scale,
-        out,
-        "fig6",
-        "constraint ratio",
-        "constraint_ratio",
-        &cells,
-    )
+    let param = ("constraint ratio", "constraint_ratio");
+    wait_figure(title, scale, out, "fig6", param, &cells)
 }
 
-/// A Figure 5/6 run: one CDF table per cell, the full curves as CSV,
-/// one SVG per cell.
+/// A Figure 5/6 run: one CDF table and one SVG (the paper's 80–100%
+/// window) per cell, and every cell's full curves in one CSV. `param`
+/// is the cell parameter's name in the text and in the files.
 fn wait_figure(
     title: &str,
     scale: Scale,
     out: &Path,
     fig: &str,
-    param_name: &str,
-    param_key: &str,
+    param: (&str, &str),
     cells: &[WaitTimeCell],
 ) -> Result<String, String> {
     let mut text = format!("=== {title} ({scale:?}) ===\n\n");
+    let mut csv = CsvWriter::new(&[param.1, "scheme", "wait_s", "cum_percent"]);
     for cell in cells {
-        let _ = writeln!(text, "{}", render_wait_cell(param_name, cell));
+        let _ = writeln!(text, "{}", render_wait_cell(param.0, cell));
+        let mut chart = LineChart::new(
+            format!("CDF of job wait time ({} = {})", param.1, cell.parameter),
+            "job wait time (s)",
+            "jobs with wait \u{2264} x (%)",
+        );
+        chart.y_min = Some(80.0);
+        chart.y_max = Some(100.0);
+        let x_max = cell
+            .results
+            .iter()
+            .filter_map(|r| r.cdf().max())
+            .fold(0.0f64, f64::max)
+            .clamp(1.0, 50_000.0);
+        for r in &cell.results {
+            let cdf = r.cdf();
+            chart.series(r.scheduler.label(), cdf.curve(x_max, 160));
+            for (x, pct) in cdf.curve(cdf.max().unwrap_or(0.0).max(1.0), 200) {
+                csv.row(&[
+                    &format!("{}", cell.parameter),
+                    r.scheduler.label(),
+                    &format!("{x:.1}"),
+                    &format!("{pct:.3}"),
+                ]);
+            }
+        }
+        let file = format!("{fig}_{}.svg", cell.parameter);
+        save_under(out, &file, &chart.render_svg())?;
     }
-    let csv = save_under(out, &format!("{fig}.csv"), &wait_csv(param_key, cells))?;
-    for cell in cells {
-        let svg = wait_svg(param_key, cell).render_svg();
-        save_under(out, &format!("{fig}_{}.svg", cell.parameter), &svg)?;
-    }
+    let csv = save_under(out, &format!("{fig}.csv"), csv.as_str())?;
     let _ = writeln!(
         text,
         "CSV written to {}; {} SVG plots in {}",
@@ -235,64 +200,12 @@ fn render_wait_cell(param_name: &str, cell: &WaitTimeCell) -> String {
     out
 }
 
-/// The full CDF curves of a set of wait-time cells.
-fn wait_csv(param_key: &str, cells: &[WaitTimeCell]) -> String {
-    let mut csv = CsvWriter::new(&[param_key, "scheme", "wait_s", "cum_percent"]);
-    for cell in cells {
-        for r in &cell.results {
-            let cdf = r.cdf();
-            let x_max = cdf.max().unwrap_or(0.0).max(1.0);
-            for (x, pct) in cdf.curve(x_max, 200) {
-                csv.row(&[
-                    &format!("{}", cell.parameter),
-                    r.scheduler.label(),
-                    &format!("{x:.1}"),
-                    &format!("{pct:.3}"),
-                ]);
-            }
-        }
-    }
-    csv.as_str().to_string()
-}
+// ------------------------------------------------------------ Fig 7/8
 
-/// One Figure 5/6 sub-plot, with the paper's 80–100% CDF window.
-fn wait_svg(param_key: &str, cell: &WaitTimeCell) -> LineChart {
-    let mut chart = LineChart::new(
-        format!("CDF of job wait time ({param_key} = {})", cell.parameter),
-        "job wait time (s)",
-        "jobs with wait \u{2264} x (%)",
-    );
-    chart.y_min = Some(80.0);
-    chart.y_max = Some(100.0);
-    let x_max = cell
-        .results
-        .iter()
-        .filter_map(|r| r.cdf().max())
-        .fold(0.0f64, f64::max)
-        .clamp(1.0, 50_000.0);
-    for r in &cell.results {
-        chart.series(r.scheduler.label(), r.cdf().curve(x_max, 160));
-    }
-    chart
-}
-
-// -------------------------------------------------------------- Fig 7
-
+/// Figure 7: the broken-link series as a table (time against each
+/// scheme's count), as a CSV and as one SVG.
 fn fig7(scale: Scale, out: &Path) -> Result<String, String> {
     let reports = experiments::fig7(scale);
-    let csv = save_under(out, "fig7.csv", &fig7_csv(&reports))?;
-    save_under(out, "fig7.svg", &fig7_svg(&reports).render_svg())?;
-    Ok(format!(
-        "=== Figure 7: broken links under high churn ({scale:?}) ===\n\n{}\n\
-         CSV written to {}; SVG plot in {}\n",
-        render_fig7(&reports),
-        csv.display(),
-        out.display()
-    ))
-}
-
-/// Figure 7's series as a table (time vs broken links per scheme).
-fn render_fig7(reports: &[ChurnReport]) -> String {
     let mut table = Table::new(["time(s)", "Vanilla", "Compact", "Adaptive"]);
     let len = reports
         .iter()
@@ -301,34 +214,32 @@ fn render_fig7(reports: &[ChurnReport]) -> String {
         .unwrap_or(0);
     for i in 0..len {
         let t = reports[0].broken_series[i].time;
-        let row: Vec<String> = std::iter::once(format!("{t:.0}"))
-            .chain(
-                reports
-                    .iter()
-                    .map(|r| r.broken_series[i].broken_links.to_string()),
-            )
-            .collect();
-        table.row(row);
+        let counts = reports
+            .iter()
+            .map(|r| r.broken_series[i].broken_links.to_string());
+        table.row(std::iter::once(format!("{t:.0}")).chain(counts));
     }
-    let mut out = table.render();
-    out.push('\n');
-    for r in reports {
-        out.push_str(&format!(
-            "{:>8}: steady-state broken links {:>7.1}  (nodes {}, mean degree {:.1}, repairs {}, full-update rounds {})\n",
+    let mut text = format!(
+        "=== Figure 7: broken links under high churn ({scale:?}) ===\n\n{}\n",
+        table.render()
+    );
+    let mut csv = CsvWriter::new(&["scheme", "time_s", "broken_links", "nodes"]);
+    let mut chart = LineChart::new(
+        "Broken links under high churn (11-dim CAN)",
+        "elapsed time (s)",
+        "broken links",
+    );
+    for r in &reports {
+        let _ = writeln!(
+            text,
+            "{:>8}: steady-state broken links {:>7.1}  (nodes {}, mean degree {:.1}, repairs {}, full-update rounds {})",
             r.scheme.label(),
             r.steady_broken_links(),
             r.final_nodes,
             r.mean_degree,
             r.repairs,
             r.full_update_rounds,
-        ));
-    }
-    out
-}
-
-fn fig7_csv(reports: &[ChurnReport]) -> String {
-    let mut csv = CsvWriter::new(&["scheme", "time_s", "broken_links", "nodes"]);
-    for r in reports {
+        );
         for s in &r.broken_series {
             csv.row(&[
                 r.scheme.label(),
@@ -337,47 +248,30 @@ fn fig7_csv(reports: &[ChurnReport]) -> String {
                 &s.nodes.to_string(),
             ]);
         }
-    }
-    csv.as_str().to_string()
-}
-
-fn fig7_svg(reports: &[ChurnReport]) -> LineChart {
-    let mut chart = LineChart::new(
-        "Broken links under high churn (11-dim CAN)",
-        "elapsed time (s)",
-        "broken links",
-    );
-    for r in reports {
+        let points = r.broken_series.iter();
         chart.series(
             r.scheme.label(),
-            r.broken_series
-                .iter()
-                .map(|s| (s.time, s.broken_links as f64))
-                .collect(),
+            points.map(|s| (s.time, s.broken_links as f64)).collect(),
         );
     }
-    chart
-}
-
-// -------------------------------------------------------------- Fig 8
-
-fn fig8(scale: Scale, out: &Path) -> Result<String, String> {
-    let cells = experiments::fig8(scale);
-    let csv = save_under(out, "fig8.csv", &fig8_csv(&cells))?;
-    save_fig8_svgs(out, &cells)?;
-    Ok(format!(
-        "=== Figure 8: CAN maintenance costs vs dimensions ({scale:?}) ===\n\n{}\n\
-         CSV written to {}; SVG plots in {}\n",
-        render_fig8(&cells),
+    let csv = save_under(out, "fig7.csv", csv.as_str())?;
+    save_under(out, "fig7.svg", &chart.render_svg())?;
+    let _ = writeln!(
+        text,
+        "\nCSV written to {}; SVG plot in {}",
         csv.display(),
         out.display()
-    ))
+    );
+    Ok(text)
 }
 
-/// Figure 8 as two tables (message count and volume per node per
-/// minute vs dimensions), one column per scheme-nodes combination —
-/// the same series as the paper's legend (e.g. "Vanilla-1000").
-fn render_fig8(cells: &[CostCell]) -> String {
+/// Figure 8: per metric (message count, then volume, per node per
+/// minute) a table against dimensions with one column per
+/// scheme-population pair — the paper's legend, e.g. "Vanilla-1000" —
+/// and an SVG with one line per scheme at the largest population; every
+/// cell in one CSV.
+fn fig8(scale: Scale, out: &Path) -> Result<String, String> {
+    let cells = experiments::fig8(scale);
     let mut dims: Vec<usize> = cells.iter().map(|c| c.dims).collect();
     dims.sort_unstable();
     dims.dedup();
@@ -385,103 +279,73 @@ fn render_fig8(cells: &[CostCell]) -> String {
         cells.iter().map(|c| (c.scheme, c.nodes)).collect();
     series.sort_by_key(|&(s, n)| (s.label(), n));
     series.dedup();
-
+    let largest = cells.iter().map(|c| c.nodes).max().unwrap_or(0);
     let find = |scheme, d, n| {
         cells
             .iter()
             .find(|c| c.scheme == scheme && c.dims == d && c.nodes == n)
             .expect("cell present")
     };
-    let mut out = String::new();
-    for (title, metric) in [
-        ("(a) Number of messages per node per minute", 0),
-        ("(b) Volume of messages (KB) per node per minute", 1),
-    ] {
-        out.push_str(&format!("--- Figure 8{title} ---\n"));
-        let mut headers = vec!["dims".to_string()];
-        headers.extend(series.iter().map(|&(s, n)| format!("{}-{}", s.label(), n)));
-        let mut table = Table::new(headers);
-        for &d in &dims {
-            let mut row = vec![d.to_string()];
-            for &(s, n) in &series {
-                let c = find(s, d, n);
-                let v = if metric == 0 {
-                    c.msgs_per_node_min
-                } else {
-                    c.kb_per_node_min
-                };
-                row.push(format!("{v:.1}"));
-            }
-            table.row(row);
-        }
-        out.push_str(&table.render());
-        out.push('\n');
-    }
-    out
-}
-
-fn fig8_csv(cells: &[CostCell]) -> String {
-    let mut csv = CsvWriter::new(&[
-        "scheme",
-        "dims",
-        "nodes",
-        "msgs_per_node_min",
-        "kb_per_node_min",
-        "mean_degree",
-    ]);
-    for c in cells {
-        csv.row(&[
-            c.scheme.label(),
-            &c.dims.to_string(),
-            &c.nodes.to_string(),
-            &format!("{:.3}", c.msgs_per_node_min),
-            &format!("{:.3}", c.kb_per_node_min),
-            &format!("{:.2}", c.mean_degree),
-        ]);
-    }
-    csv.as_str().to_string()
-}
-
-/// Figure 8 as two SVGs (message count and volume vs dims), one line
-/// per scheme at the largest population.
-fn save_fig8_svgs(dir: &Path, cells: &[CostCell]) -> Result<(), String> {
-    let n = cells.iter().map(|c| c.nodes).max().unwrap_or(0);
-    for (file, title, ylabel, metric) in [
+    type Metric = fn(&CostCell) -> f64;
+    let metrics: [(&str, &str, &str, &str, Metric); 2] = [
         (
+            "(a) Number of messages per node per minute",
             "fig8a.svg",
             "Heartbeat messages per node per minute",
             "messages / node / min",
-            0,
+            |c| c.msgs_per_node_min,
         ),
         (
+            "(b) Volume of messages (KB) per node per minute",
             "fig8b.svg",
             "Heartbeat volume per node per minute",
             "KB / node / min",
-            1,
+            |c| c.kb_per_node_min,
         ),
-    ] {
-        let mut chart = LineChart::new(format!("{title} ({n} nodes)"), "CAN dimensions", ylabel);
+    ];
+    let mut text = format!("=== Figure 8: CAN maintenance costs vs dimensions ({scale:?}) ===\n\n");
+    for (title, file, chart_title, ylabel, metric) in metrics {
+        let headers = series.iter().map(|&(s, n)| format!("{}-{n}", s.label()));
+        let mut table = Table::new(std::iter::once("dims".to_string()).chain(headers));
+        for &d in &dims {
+            let values = series
+                .iter()
+                .map(|&(s, n)| format!("{:.1}", metric(find(s, d, n))));
+            table.row(std::iter::once(d.to_string()).chain(values));
+        }
+        let _ = writeln!(text, "--- Figure 8{title} ---\n{}", table.render());
+        let chart_title = format!("{chart_title} ({largest} nodes)");
+        let mut chart = LineChart::new(chart_title, "CAN dimensions", ylabel);
         for scheme in HeartbeatScheme::ALL {
             let mut pts: Vec<(f64, f64)> = cells
                 .iter()
-                .filter(|c| c.scheme == scheme && c.nodes == n)
-                .map(|c| {
-                    (
-                        c.dims as f64,
-                        if metric == 0 {
-                            c.msgs_per_node_min
-                        } else {
-                            c.kb_per_node_min
-                        },
-                    )
-                })
+                .filter(|c| c.scheme == scheme && c.nodes == largest)
+                .map(|c| (c.dims as f64, metric(c)))
                 .collect();
             pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-            chart.series(format!("{}-{n}", scheme.label()), pts);
+            chart.series(format!("{}-{largest}", scheme.label()), pts);
         }
-        save_under(dir, file, &chart.render_svg())?;
+        save_under(out, file, &chart.render_svg())?;
     }
-    Ok(())
+    let csv = Columns::new(vec![
+        Column::csv("scheme", |c: &CostCell| Cell::same(c.scheme.label())),
+        Column::csv("dims", |c| Cell::same(c.dims)),
+        Column::csv("nodes", |c| Cell::same(c.nodes)),
+        Column::csv("msgs_per_node_min", |c| {
+            Cell::real(c.msgs_per_node_min, 3, 3)
+        }),
+        Column::csv("kb_per_node_min", |c| Cell::real(c.kb_per_node_min, 3, 3)),
+        Column::csv("mean_degree", |c| Cell::real(c.mean_degree, 2, 2)),
+    ])
+    .csv(&cells);
+    let csv = save_under(out, "fig8.csv", &csv)?;
+    let _ = writeln!(
+        text,
+        "\nCSV written to {}; SVG plots in {}",
+        csv.display(),
+        out.display()
+    );
+    Ok(text)
 }
 
 // ------------------------------------------------- §IV-A and §III-B
@@ -495,29 +359,20 @@ fn scaling_fit(scale: Scale, _out: &Path) -> Result<String, String> {
     let mut nodes: Vec<usize> = cells.iter().map(|c| c.nodes).collect();
     nodes.sort_unstable();
     nodes.dedup();
-    let mut rows = Vec::new();
+    type Row = (HeartbeatScheme, usize, f64, f64);
+    let mut rows: Vec<Row> = Vec::new();
     for scheme in HeartbeatScheme::ALL {
         for &n in &nodes {
             let fit = |metric: fn(&CostCell) -> f64| {
-                let points: Vec<(f64, f64)> = cells
-                    .iter()
-                    .filter(|c| c.scheme == scheme && c.nodes == n)
-                    .map(|c| (c.dims as f64, metric(c)))
-                    .collect();
-                scaling_exponent(&points)
+                let run = cells.iter().filter(|c| c.scheme == scheme && c.nodes == n);
+                scaling_exponent(&run.map(|c| (c.dims as f64, metric(c))).collect::<Vec<_>>())
             };
-            rows.push((
-                scheme,
-                n,
-                fit(|c| c.msgs_per_node_min),
-                fit(|c| c.kb_per_node_min),
-            ));
+            let (msgs, volume) = (fit(|c| c.msgs_per_node_min), fit(|c| c.kb_per_node_min));
+            rows.push((scheme, n, msgs, volume));
         }
     }
     let table = Columns::new(vec![
-        Column::text("scheme", |r: &(HeartbeatScheme, usize, f64, f64)| {
-            Cell::same(r.0.label())
-        }),
+        Column::text("scheme", |r: &Row| Cell::same(r.0.label())),
         Column::text("nodes", |r| Cell::same(r.1)),
         Column::text("msgs ~ d^b", |r| Cell::real(r.2, 2, 2)),
         Column::text("volume ~ d^b", |r| Cell::real(r.3, 2, 2)),
@@ -560,42 +415,23 @@ fn zero_wait() -> Column<Run> {
 /// score function).
 fn ablation(scale: Scale, _out: &Path) -> Result<String, String> {
     let scenario = scenario_for(scale);
-    let all = HetFeatures::all();
     let variants = [
-        ("full can-het", all),
-        (
-            "no acceptable-node search",
-            HetFeatures {
-                acceptable_nodes: false,
-                ..all
-            },
-        ),
-        (
-            "no dominant-CE ranking",
-            HetFeatures {
-                dominant_ce: false,
-                ..all
-            },
-        ),
-        (
-            "no per-CE aggregates",
-            HetFeatures {
-                per_ce_ai: false,
-                ..all
-            },
-        ),
-        (
-            "all disabled",
-            HetFeatures {
-                acceptable_nodes: false,
-                dominant_ce: false,
-                per_ce_ai: false,
-            },
-        ),
+        ("full can-het", true, true, true),
+        ("no acceptable-node search", false, true, true),
+        ("no dominant-CE ranking", true, false, true),
+        ("no per-CE aggregates", true, true, false),
+        ("all disabled", false, false, false),
     ];
     let rows: Vec<Run> = variants
         .into_iter()
-        .map(|(name, f)| (name.into(), run_load_balance_ablated(&scenario, f)))
+        .map(|(name, acceptable_nodes, dominant_ce, per_ce_ai)| {
+            let features = HetFeatures {
+                acceptable_nodes,
+                dominant_ce,
+                per_ce_ai,
+            };
+            (name.into(), run_load_balance_ablated(&scenario, features))
+        })
         .collect();
     let table = Columns::new(vec![
         Column::text("variant", |r: &Run| Cell::same(&r.0)),
@@ -669,14 +505,9 @@ fn lossy_network(scale: Scale, _out: &Path) -> Result<String, String> {
                 sim.advance_to(sim.now() + 1.0);
             }
             sim.advance_to(sim.now() + 3000.0); // 50 lossy heartbeat periods
-            rows.push((
-                loss,
-                scheme,
-                sim.broken_links(),
-                local_routing_success(&sim, 400, 7),
-                sim.dropped_messages(),
-                sim.full_update_rounds(),
-            ));
+            let success = local_routing_success(&sim, 400, 7);
+            let (dropped, rounds) = (sim.dropped_messages(), sim.full_update_rounds());
+            rows.push((loss, scheme, sim.broken_links(), success, dropped, rounds));
         }
     }
     let table = Columns::new(vec![
@@ -704,22 +535,18 @@ fn routing_under_churn(scale: Scale, _out: &Path) -> Result<String, String> {
         Scale::Paper => (1000, 10_000.0),
         Scale::Quick => (150, 3000.0),
     };
-    let mut rows = Vec::new();
+    type Row = (HeartbeatScheme, usize, f64);
+    let mut rows: Vec<Row> = Vec::new();
     for scheme in HeartbeatScheme::ALL {
         let mut cfg = ChurnConfig::new(11, scheme, nodes).high_churn();
         cfg.stage2_duration = duration;
         cfg.sample_interval = duration / 8.0;
         let (_, sim) = run_churn_sim(&cfg, uniform_coords(11));
-        rows.push((
-            scheme,
-            sim.broken_links(),
-            local_routing_success(&sim, 600, 13),
-        ));
+        let success = local_routing_success(&sim, 600, 13);
+        rows.push((scheme, sim.broken_links(), success));
     }
     let table = Columns::new(vec![
-        Column::text("scheme", |r: &(HeartbeatScheme, usize, f64)| {
-            Cell::same(r.0.label())
-        }),
+        Column::text("scheme", |r: &Row| Cell::same(r.0.label())),
         Column::text("broken links", |r| Cell::same(r.1)),
         Column::text("local routing success", |r| Cell::share(r.2)),
     ])
@@ -784,30 +611,21 @@ fn contention_model(scale: Scale, _out: &Path) -> Result<String, String> {
     };
     let layout = DimensionLayout::with_dims(11);
     let pop = generate_nodes(&NodeGenConfig::paper_defaults(2), nodes, 2011);
-    let mut rows: Vec<(f64, &'static str, TsResult)> = Vec::new();
+    type Row = (f64, &'static str, TsResult);
+    let mut rows: Vec<Row> = Vec::new();
     for ia in [2.0, 3.0, 4.0] {
-        let ia_scaled = ia * 1000.0 / nodes as f64;
-        let mut stream = JobStream::with_population(
-            JobGenConfig::paper_defaults(2, 0.6, ia_scaled),
-            2011,
-            pop.clone(),
-        );
-        let jobs = stream.take_jobs(jobs_n);
+        let job_gen = JobGenConfig::paper_defaults(2, 0.6, ia * 1000.0 / nodes as f64);
+        let jobs = JobStream::with_population(job_gen, 2011, pop.clone()).take_jobs(jobs_n);
         for (name, policy) in [
             ("best-rate", TsPolicy::BestRate),
             ("random", TsPolicy::Random),
         ] {
-            rows.push((
-                ia,
-                name,
-                run_time_shared(&pop, &jobs, &layout, policy, 2011),
-            ));
+            let run = run_time_shared(&pop, &jobs, &layout, policy, 2011);
+            rows.push((ia, name, run));
         }
     }
     let table = Columns::new(vec![
-        Column::text("inter-arrival(s)", |r: &(f64, &'static str, TsResult)| {
-            Cell::same(r.0)
-        }),
+        Column::text("inter-arrival(s)", |r: &Row| Cell::same(r.0)),
         Column::text("policy", |r| Cell::same(r.1)),
         Column::text("mean slowdown", |r| Cell::real(r.2.mean_slowdown(), 3, 3)),
         Column::text("p95 slowdown", |r| {
@@ -902,32 +720,32 @@ fn eviction(scale: Scale, _out: &Path) -> Result<String, String> {
 /// growing populations: how joins partition the space and how a
 /// departure's take-over merges it back. The same at either scale.
 fn zonemap(_scale: Scale, out: &Path) -> Result<String, String> {
-    fn snapshot(can: &CanSim, title: &str) -> String {
+    let mut can = CanSim::new(ProtocolConfig::new(2, HeartbeatScheme::Compact))
+        .expect("valid protocol config");
+    let mut rng = SimRng::seed_from_u64(2011);
+    let mut text = "zone maps written:\n".to_string();
+    let mut snapshot = |can: &CanSim, file: &str, title: &str| -> Result<(), String> {
         let mut map = RectMap::new(title);
         for id in can.members() {
             let z = can.zone(id);
             map.rect(z.lo(0), z.lo(1), z.hi(0), z.hi(1), id.to_string());
         }
-        map.render_svg()
-    }
-    let mut can = CanSim::new(ProtocolConfig::new(2, HeartbeatScheme::Compact))
-        .expect("valid protocol config");
-    let mut rng = SimRng::seed_from_u64(2011);
-    let mut text = "zone maps written:\n".to_string();
+        let path = save_under(out, file, &map.render_svg())?;
+        let _ = writeln!(text, "  {}", path.display());
+        Ok(())
+    };
     for n in [4usize, 16, 64] {
         while can.len() < n {
             let _ = can.join(vec![rng.unit(), rng.unit()]);
             can.advance_to(can.now() + 1.0);
         }
-        let svg = snapshot(&can, &format!("2-D CAN zones, {n} nodes"));
-        let path = save_under(out, &format!("zonemap_{n}.svg"), &svg)?;
-        let _ = writeln!(text, "  {}", path.display());
+        let title = format!("2-D CAN zones, {n} nodes");
+        snapshot(&can, &format!("zonemap_{n}.svg"), &title)?;
     }
     // One departure: the take-over merges/relocates zones.
     let victim = can.members()[7];
     can.leave(victim, true);
-    let svg = snapshot(&can, &format!("after {victim} left (take-over applied)"));
-    let path = save_under(out, "zonemap_after_leave.svg", &svg)?;
-    let _ = writeln!(text, "  {}", path.display());
+    let title = format!("after {victim} left (take-over applied)");
+    snapshot(&can, "zonemap_after_leave.svg", &title)?;
     Ok(text)
 }

@@ -17,7 +17,7 @@
 //! * `pgrid fuzz` — seeded fault-schedule fuzzing with delta-debugged
 //!   repros, plus bit-exact replay of saved traces;
 //! * `pgrid figure` — regenerate a figure of the paper's evaluation or
-//!   an extension experiment, one [`figures::REGISTRY`] entry or all;
+//!   an extension experiment (one registry in `figures`), or all;
 //! * `pgrid trace` — generate node/job traces, or replay previously
 //!   saved traces through a scheduler;
 //! * `pgrid info` — the built-in scenario defaults and experiment
@@ -36,7 +36,7 @@
 
 pub mod args;
 pub mod commands;
-pub mod figures;
+mod figures;
 pub mod report;
 #[cfg(test)]
 mod tests;

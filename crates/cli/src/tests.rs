@@ -41,177 +41,138 @@ fn a(raw: &[&str]) -> Result<Args, String> {
 
 /// `pgrid figure NAME ARGS...` through the front end.
 fn figure(name: &str, args: &[&str]) -> Result<String, crate::CliError> {
-    let argv = ["pgrid", "figure", name]
-        .into_iter()
-        .chain(args.iter().copied());
-    crate::dispatch(argv.map(|s| s.to_string()).collect())
+    let argv = [&["pgrid", "figure", name][..], args].concat();
+    crate::dispatch(argv.iter().map(|s| s.to_string()).collect())
 }
 
-/// A scratch `--out` directory for one figure, emptied first.
-fn figure_out(test: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pgrid_cli_figures").join(test);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// `pgrid figure NAME --quick` into an emptied scratch directory `dir`
+/// (one per test: tests run in parallel): what it printed, and the
+/// directory.
+fn quick_figure(name: &str, dir: &str) -> (String, std::path::PathBuf) {
+    let out = std::env::temp_dir().join("pgrid_cli_figures").join(dir);
+    let _ = std::fs::remove_dir_all(&out);
+    let text = figure(name, &["--quick", "--out", out.to_str().unwrap()]).unwrap();
+    (text, out)
 }
 
-/// Pinned files: `(name, digest)`.
-type Files = &'static [(&'static str, u64)];
-
-/// What each figure prints at `--quick` (the out directory replaced by
-/// `<OUT>`), then every file it writes under `--out`, in name order.
-/// Recorded from the fourteen figure binaries `pgrid figure` replaced.
-const FIGURE_PINS: &[(&str, u64, Files)] = &[
-    (
-        "fig5",
-        0x31d0_5896_6355_746f,
-        &[
-            ("fig5.csv", 0x13f6_f5c1_5a58_b9f0),
-            ("fig5_2.svg", 0xcd51_39e1_8420_e789),
-            ("fig5_3.svg", 0x190a_b7c3_f947_5919),
-            ("fig5_4.svg", 0xae4c_e55d_a0d8_736a),
-        ],
-    ),
-    (
-        "fig6",
-        0x6594_57a9_a7bd_7257,
-        &[
-            ("fig6.csv", 0x9a0f_5f73_2b44_0752),
-            ("fig6_0.4.svg", 0x3095_e756_505f_eb44),
-            ("fig6_0.6.svg", 0x904d_bb02_b424_024c),
-            ("fig6_0.8.svg", 0x9252_5ec7_39c2_229d),
-        ],
-    ),
-    (
-        "fig7",
-        0xcdd1_78f3_af51_2e9d,
-        &[
-            ("fig7.csv", 0x16ae_09e8_7e59_d364),
-            ("fig7.svg", 0x978d_8490_e4f4_131f),
-        ],
-    ),
-    (
-        "fig8",
-        0x3634_3b05_d942_6ab4,
-        &[
-            ("fig8.csv", 0xc9f8_7d4b_244f_ce03),
-            ("fig8a.svg", 0x8ce0_1def_726e_140c),
-            ("fig8b.svg", 0x7f1d_b5ec_6d74_b201),
-        ],
-    ),
-    ("scaling_fit", 0x2ce0_3983_60ca_a3b6, &[]),
-    ("ablation", 0x4a1c_e79e_6160_c3a1, &[]),
-    ("sf_sweep", 0xdae2_43fa_188a_2960, &[]),
-    ("lossy_network", 0x241e_f726_0ae9_2ed4, &[]),
-    ("routing_under_churn", 0x1442_570d_dbb9_c059, &[]),
-    ("future_gpus", 0x10c9_fad9_2c24_b99e, &[]),
-    ("contention_model", 0xc362_3497_22c0_8117, &[]),
-    ("confidence", 0x8273_e598_108a_2143, &[]),
-    ("eviction", 0x56b4_b450_ebb1_9e19, &[]),
-    (
-        "zonemap",
-        0xfcc7_ecbe_257b_de56,
-        &[
-            ("zonemap_16.svg", 0xf3f1_91b6_493e_14ea),
-            ("zonemap_4.svg", 0x0dda_1782_8bcd_f9d2),
-            ("zonemap_64.svg", 0x40b8_347e_d01c_99df),
-            ("zonemap_after_leave.svg", 0xdd79_e734_d284_aa25),
-        ],
-    ),
+/// What each figure prints at `--quick`, keyed by its name (the out
+/// directory replaced by `<OUT>`), and every file it writes under
+/// `--out`, keyed `name/file`. Recorded from the fourteen figure
+/// binaries `pgrid figure` replaced.
+const FIGURE_PINS: &[(&str, u64)] = &[
+    ("fig5", 0x31d0_5896_6355_746f),
+    ("fig5/fig5.csv", 0x13f6_f5c1_5a58_b9f0),
+    ("fig5/fig5_2.svg", 0xcd51_39e1_8420_e789),
+    ("fig5/fig5_3.svg", 0x190a_b7c3_f947_5919),
+    ("fig5/fig5_4.svg", 0xae4c_e55d_a0d8_736a),
+    ("fig6", 0x6594_57a9_a7bd_7257),
+    ("fig6/fig6.csv", 0x9a0f_5f73_2b44_0752),
+    ("fig6/fig6_0.4.svg", 0x3095_e756_505f_eb44),
+    ("fig6/fig6_0.6.svg", 0x904d_bb02_b424_024c),
+    ("fig6/fig6_0.8.svg", 0x9252_5ec7_39c2_229d),
+    ("fig7", 0xcdd1_78f3_af51_2e9d),
+    ("fig7/fig7.csv", 0x16ae_09e8_7e59_d364),
+    ("fig7/fig7.svg", 0x978d_8490_e4f4_131f),
+    ("fig8", 0x3634_3b05_d942_6ab4),
+    ("fig8/fig8.csv", 0xc9f8_7d4b_244f_ce03),
+    ("fig8/fig8a.svg", 0x8ce0_1def_726e_140c),
+    ("fig8/fig8b.svg", 0x7f1d_b5ec_6d74_b201),
+    ("scaling_fit", 0x2ce0_3983_60ca_a3b6),
+    ("ablation", 0x4a1c_e79e_6160_c3a1),
+    ("sf_sweep", 0xdae2_43fa_188a_2960),
+    ("lossy_network", 0x241e_f726_0ae9_2ed4),
+    ("routing_under_churn", 0x1442_570d_dbb9_c059),
+    ("future_gpus", 0x10c9_fad9_2c24_b99e),
+    ("contention_model", 0xc362_3497_22c0_8117),
+    ("confidence", 0x8273_e598_108a_2143),
+    ("eviction", 0x56b4_b450_ebb1_9e19),
+    ("zonemap", 0xfcc7_ecbe_257b_de56),
+    ("zonemap/zonemap_16.svg", 0xf3f1_91b6_493e_14ea),
+    ("zonemap/zonemap_4.svg", 0x0dda_1782_8bcd_f9d2),
+    ("zonemap/zonemap_64.svg", 0x40b8_347e_d01c_99df),
+    ("zonemap/zonemap_after_leave.svg", 0xdd79_e734_d284_aa25),
 ];
 
 #[test]
 fn figures_render_and_csv() {
-    let pinned: Vec<&str> = FIGURE_PINS.iter().map(|p| p.0).collect();
-    let registered: Vec<&str> = figures::REGISTRY.iter().map(|f| f.name).collect();
-    assert_eq!(pinned, registered, "one pin per registered figure");
-    for &(name, stdout, files) in FIGURE_PINS {
-        let out = figure_out(name);
-        let out_str = out.to_str().unwrap();
-        let text = figure(name, &["--quick", "--out", out_str]).unwrap();
-        let text = text.replace(out_str, "<OUT>");
-        assert_pinned(&format!("{name} stdout (quick)"), &text, stdout);
-        let mut written: Vec<String> = std::fs::read_dir(&out)
-            .into_iter()
-            .flatten()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        written.sort();
-        let expected: Vec<&str> = files.iter().map(|f| f.0).collect();
-        assert_eq!(written, expected, "{name}: files written");
-        for &(file, digest) in files {
-            let bytes = std::fs::read_to_string(out.join(file)).unwrap();
-            assert_pinned(&format!("{name} {file} (quick)"), &bytes, digest);
+    let mut published = Vec::new();
+    for f in figures::REGISTRY {
+        let (text, out) = quick_figure(f.name, f.name);
+        published.push((
+            f.name.to_string(),
+            text.replace(out.to_str().unwrap(), "<OUT>"),
+        ));
+        let mut files: Vec<_> = std::fs::read_dir(&out).into_iter().flatten().collect();
+        files.sort_by_key(|e| e.as_ref().unwrap().file_name());
+        for e in files.into_iter().map(Result::unwrap) {
+            let key = format!("{}/{}", f.name, e.file_name().to_str().unwrap());
+            published.push((key, std::fs::read_to_string(e.path()).unwrap()));
         }
     }
+    for (what, bytes) in &published {
+        let pin = FIGURE_PINS.iter().find(|p| p.0 == what);
+        assert_pinned(&format!("{what} (quick)"), bytes, pin.map_or(0, |p| p.1));
+    }
+    let written: Vec<&str> = published.iter().map(|p| p.0.as_str()).collect();
+    let pinned: Vec<&str> = FIGURE_PINS.iter().map(|p| p.0).collect();
+    assert_eq!(written, pinned, "every figure and file it writes, no other");
 }
 
 #[test]
 fn parse_args_accepts_known_flags_and_rejects_typos() {
+    use std::path::Path;
     let args = a(&["--quick", "--out", "/tmp/x"]).unwrap();
     assert_eq!(commands::scale_from(&args), Scale::Quick);
-    assert_eq!(
-        commands::out_dir_from(&args),
-        std::path::Path::new("/tmp/x")
-    );
+    assert_eq!(commands::out_dir_from(&args), Path::new("/tmp/x"));
     let args = a(&[]).unwrap();
     assert_eq!(commands::scale_from(&args), Scale::Paper);
-    assert_eq!(
-        commands::out_dir_from(&args),
-        std::path::Path::new("results")
-    );
+    assert_eq!(commands::out_dir_from(&args), Path::new("results"));
     // A typo'd flag, a stray word or a flag no figure takes must fail
-    // fast, not silently launch a paper-scale run.
-    for bad in [
-        &["--qiuck"][..],
-        &["--out"],
-        &["extra"],
-        &["--quick", "extra"],
-        &["--quick", "--seed", "1"],
+    // fast, not silently launch a paper-scale run; a missing or unknown
+    // name lists the registry.
+    let names: Vec<&str> = figures::REGISTRY.iter().map(|f| f.name).collect();
+    let listing = format!("{} | all", names.join(" | "));
+    for (name, bad) in [
+        ("fig5", &["--qiuck"][..]),
+        ("fig5", &["--out"]),
+        ("fig5", &["extra"]),
+        ("fig5", &["--quick", "extra"]),
+        ("fig5", &["--quick", "--seed", "1"]),
+        ("fig9", &[]),
     ] {
-        let err = figure("fig5", bad).unwrap_err();
+        let err = figure(name, bad).unwrap_err();
         assert_eq!(err.status, 1, "{bad:?}: {}", err.message);
     }
-    // A missing or unknown name lists the registry.
-    for name in [None, Some("fig9")] {
-        let argv = ["pgrid", "figure"].into_iter().chain(name);
-        let err = crate::dispatch(argv.map(String::from).collect()).unwrap_err();
-        let names: Vec<&str> = figures::REGISTRY.iter().map(|f| f.name).collect();
-        let listing = format!("{} | all", names.join(" | "));
-        assert!(err.message.contains(&listing), "{}", err.message);
-    }
+    assert!(figure("fig9", &[]).unwrap_err().message.contains(&listing));
+    let err = crate::dispatch(vec!["pgrid".into(), "figure".into()]).unwrap_err();
+    assert!(err.message.contains(&listing), "{}", err.message);
 }
 
 #[test]
 fn wait_cell_renders_all_schemes() {
-    let out = figure_out("wait_cell");
-    let text = figure("fig5", &["--quick", "--out", out.to_str().unwrap()]).unwrap();
+    let (text, _) = quick_figure("fig5", "wait_cell");
     assert_eq!(text.matches("--- inter-arrival (s) = ").count(), 3);
-    assert!(text.contains("can-het"));
-    assert!(text.contains("can-hom"));
-    assert!(text.contains("central"));
-    assert!(text.contains("wait(s)"));
+    for word in ["can-het", "can-hom", "central", "wait(s)"] {
+        assert!(text.contains(word), "{word}");
+    }
 }
 
 #[test]
 fn wait_csv_and_svg_files_written() {
-    let out = figure_out("wait_files");
-    figure("fig6", &["--quick", "--out", out.to_str().unwrap()]).unwrap();
+    let (_, out) = quick_figure("fig6", "wait_files");
     let csv = std::fs::read_to_string(out.join("fig6.csv")).unwrap();
     assert!(csv.starts_with("constraint_ratio,scheme,wait_s,cum_percent"));
     assert!(csv.lines().count() > 100);
     for ratio in ["0.4", "0.6", "0.8"] {
         let svg = std::fs::read_to_string(out.join(format!("fig6_{ratio}.svg"))).unwrap();
-        assert!(svg.contains("</svg>"));
-        assert!(svg.contains("can-hom"));
+        assert!(svg.ends_with("</svg>") && svg.contains("can-hom"));
     }
 }
 
 #[test]
 fn fig7_render_and_files() {
-    let out = figure_out("fig7");
-    let text = figure("fig7", &["--quick", "--out", out.to_str().unwrap()]).unwrap();
-    assert!(text.contains("Vanilla"));
-    assert!(text.contains("steady-state broken links"));
+    let (text, out) = quick_figure("fig7", "fig7_files");
+    assert!(text.contains("Vanilla") && text.contains("steady-state broken links"));
     assert!(out.join("fig7.csv").exists());
     let svg = std::fs::read_to_string(out.join("fig7.svg")).unwrap();
     assert!(svg.contains("Adaptive"));
@@ -219,13 +180,11 @@ fn fig7_render_and_files() {
 
 #[test]
 fn fig8_render_and_files() {
-    let out = figure_out("fig8");
-    let text = figure("fig8", &["--quick", "--out", out.to_str().unwrap()]).unwrap();
-    assert!(text.contains("Figure 8(a)"));
-    assert!(text.contains("Figure 8(b)"));
-    assert!(out.join("fig8.csv").exists());
-    assert!(out.join("fig8a.svg").exists());
-    assert!(out.join("fig8b.svg").exists());
+    let (text, out) = quick_figure("fig8", "fig8_files");
+    assert!(text.contains("Figure 8(a)") && text.contains("Figure 8(b)"));
+    for file in ["fig8.csv", "fig8a.svg", "fig8b.svg"] {
+        assert!(out.join(file).exists(), "{file}");
+    }
 }
 
 fn chaos_table(scale: Scale) -> Vec<experiments::ChaosRow> {

@@ -2,10 +2,7 @@
 //! and suites write their raw series next to the printed tables so
 //! plots can be regenerated offline.
 
-use std::io;
-use std::path::Path;
-
-/// Builds CSV text in memory; write it out with [`CsvWriter::save`].
+/// Builds CSV text in memory; [`CsvWriter::as_str`] is the file.
 #[derive(Debug, Default, Clone)]
 pub struct CsvWriter {
     buf: String,
@@ -75,11 +72,6 @@ impl CsvWriter {
     /// The CSV text accumulated so far.
     pub fn as_str(&self) -> &str {
         &self.buf
-    }
-
-    /// Writes the CSV to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, &self.buf)
     }
 }
 

@@ -407,11 +407,6 @@ impl RectMap {
         svg.push_str("</svg>");
         svg
     }
-
-    /// Writes the SVG to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.render_svg())
-    }
 }
 
 fn xml_escape(s: &str) -> String {
