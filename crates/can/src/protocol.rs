@@ -2749,9 +2749,10 @@ impl CanSim {
 
     /// Panics unless the ground-truth structures agree with each other:
     /// the split tree is sound, the incremental adjacency is the
-    /// abutment graph of its leaves, members and zombies are disjoint.
-    /// O(n·d + edges); the schedule executor calls it at every
-    /// heartbeat boundary.
+    /// abutment graph of its leaves, every member's recorded zones abut
+    /// its own, members and zombies are disjoint. O(n·d + edges + table
+    /// rows · d); the schedule executor calls it at every heartbeat
+    /// boundary.
     pub fn check_invariants(&self) {
         if let Some(tree) = &self.tree {
             tree.check_invariants();
@@ -2766,6 +2767,16 @@ impl CanSim {
             assert_eq!(tree.len(), self.nodes.len(), "membership out of sync");
         } else {
             assert!(self.nodes.is_empty());
+        }
+        // H4: every recorded zone abuts the own zone (what lets
+        // `LocalNode::hear_fenced` skip the test for an unchanged one).
+        for (id, n) in &self.nodes {
+            for (m, e) in n.table() {
+                assert!(
+                    n.zone().abuts(&e.zone),
+                    "{id}: recorded zone of {m} does not abut"
+                );
+            }
         }
         for z in self.zombies.keys() {
             assert!(
@@ -2815,6 +2826,23 @@ mod tests {
                 scheme.label()
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not abut")]
+    fn check_invariants_catches_a_recorded_zone_that_does_not_abut() {
+        let (mut sim, _) = build(HeartbeatScheme::Vanilla, 20, 3, 7);
+        sim.check_invariants();
+        let id = sim.members()[0];
+        let truth = sim.true_neighbors(id);
+        let far = sim
+            .members()
+            .into_iter()
+            .find(|m| *m != id && !truth.contains(m))
+            .expect("a member that does not abut");
+        let zone = sim.local(far).unwrap().zone().clone();
+        sim.nodes.get_mut(&id).unwrap().plant_record(far, zone);
+        sim.check_invariants();
     }
 
     #[test]
