@@ -95,6 +95,15 @@ impl ChurnConfig {
         self.graceful_fraction = 1.0;
         self
     }
+
+    /// The simulated time stage 2 ends at when every stage-1 join
+    /// succeeds (a join fails only on a coordinate identical to its
+    /// host's, and each failure moves the end one bootstrap spacing
+    /// later). An event gap this clock absorbs (`end + gap == end`)
+    /// never advances stage 2.
+    pub fn stage2_end(&self) -> SimTime {
+        self.initial_nodes as f64 * self.bootstrap_spacing + self.settle_time + self.stage2_duration
+    }
 }
 
 /// One broken-link sample.

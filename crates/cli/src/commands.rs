@@ -247,6 +247,18 @@ pub fn churn(args: Args) -> Result<String, String> {
     if !(0.0..=1.0).contains(&graceful) {
         return Err(format!("--graceful must be in [0,1], got {graceful}"));
     }
+    let mut cfg = ChurnConfig::new(dims, HeartbeatScheme::Vanilla, nodes);
+    cfg.event_gap = gap;
+    cfg.stage2_duration = duration;
+    cfg.graceful_fraction = graceful;
+    cfg.message_loss = loss;
+    cfg.seed = seed;
+    let end = cfg.stage2_end();
+    if end + gap == end {
+        return Err(format!(
+            "--gap {gap:e} is below the resolution of the churn clock, which runs to {end} s"
+        ));
+    }
 
     let mut out = format!(
         "churn: {nodes} nodes, {dims}-dim CAN, event gap {gap}s, loss {:.0}%, {duration}s\n\n",
@@ -260,12 +272,7 @@ pub fn churn(args: Args) -> Result<String, String> {
         "mean degree",
     ]);
     for scheme in schemes {
-        let mut cfg = ChurnConfig::new(dims, scheme, nodes);
-        cfg.event_gap = gap;
-        cfg.stage2_duration = duration;
-        cfg.graceful_fraction = graceful;
-        cfg.message_loss = loss;
-        cfg.seed = seed;
+        cfg.scheme = scheme;
         let r = run_churn(&cfg, uniform_coords(dims));
         table.row([
             scheme.label().to_string(),
@@ -919,12 +926,14 @@ mod tests {
     #[test]
     fn churn_rejects_values_the_run_cannot_survive() {
         // `--gap 0` never advanced the churn clock, `--gap -5` ran it
-        // backwards and `--dims 0` tripped the zone constructor.
+        // backwards, `--gap 1e-20` was absorbed by it and `--dims 0`
+        // tripped the zone constructor.
         for (flag, bad) in [
             ("--dims", "0"),
             ("--gap", "0"),
             ("--gap", "-5"),
             ("--gap", "nan"),
+            ("--gap", "1e-20"),
             ("--duration", "0"),
             ("--duration", "inf"),
             ("--graceful", "1.5"),
