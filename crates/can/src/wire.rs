@@ -180,6 +180,18 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
+    /// Every category, in declaration order.
+    pub const ALL: [MsgKind; 8] = [
+        MsgKind::Heartbeat,
+        MsgKind::FullUpdateRequest,
+        MsgKind::FullUpdateResponse,
+        MsgKind::Join,
+        MsgKind::Handoff,
+        MsgKind::Repair,
+        MsgKind::Probe,
+        MsgKind::Replica,
+    ];
+
     /// Whether this category counts toward the *heartbeat-scheme* cost
     /// reported in Figure 8 (heartbeats plus the adaptive on-demand
     /// machinery, including the targeted take-over repairs the compact
