@@ -96,6 +96,12 @@ impl Zone {
         Zone { bounds }
     }
 
+    /// The lower bounds, then the upper bounds: what `==` compares.
+    #[inline]
+    pub(crate) fn bounds(&self) -> &[f64] {
+        &self.bounds
+    }
+
     /// The lower and the upper bounds, one slice each.
     #[inline]
     fn lo_hi(&self) -> (&[f64], &[f64]) {

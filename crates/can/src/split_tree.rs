@@ -674,7 +674,20 @@ impl SplitTree {
     /// `Ok` implies that no two members' zones overlap: each split
     /// hands its two children disjoint halves, so distinct leaves get
     /// disjoint regions, and a leaf stores exactly its region.
+    ///
+    /// The region lives in one flat array that each split narrows on
+    /// the way down and restores on the way back up, as in
+    /// [`Self::for_each_abutting_pair`]; a `Zone` is built only to name
+    /// a leaf that disagrees with it. Children are visited upper first.
     pub fn audit(&self) -> Result<(), String> {
+        /// One entry of the walk's stack.
+        enum Step {
+            /// Visit a slot, with the parent it must link back to.
+            Visit(Idx, Option<Idx>),
+            /// Write one region bound: a split on the way down, or its
+            /// undo on the way back up.
+            Bound(usize, f64),
+        }
         let Some(root) = self.root else {
             return if self.leaf_of.is_empty() {
                 Ok(())
@@ -682,10 +695,23 @@ impl SplitTree {
                 Err(format!("rootless tree lists {} owners", self.leaf_of.len()))
             };
         };
+        let dims = self.dims;
+        // `[lo.., hi..]`, the layout `Zone::bounds` compares.
+        let mut region: Vec<f64> = [0.0, 1.0]
+            .into_iter()
+            .flat_map(|b| std::iter::repeat_n(b, dims))
+            .collect();
         let mut volume = 0.0;
         let mut leaves = 0usize;
-        let mut stack = vec![(root, Zone::unit(self.dims), None::<Idx>)];
-        while let Some((idx, region, parent)) = stack.pop() {
+        let mut stack = vec![Step::Visit(root, None)];
+        while let Some(step) = stack.pop() {
+            let (idx, parent) = match step {
+                Step::Bound(at, value) => {
+                    region[at] = value;
+                    continue;
+                }
+                Step::Visit(idx, parent) => (idx, parent),
+            };
             match &self.slots[idx] {
                 Slot::Leaf {
                     owner,
@@ -695,7 +721,9 @@ impl SplitTree {
                     if *p != parent {
                         return Err(format!("parent link broken at leaf {idx}"));
                     }
-                    if zone != &region {
+                    if zone.bounds() != region.as_slice() {
+                        let region =
+                            Zone::from_bounds(region[..dims].to_vec(), region[dims..].to_vec());
                         return Err(format!(
                             "leaf zone disagrees with split history: {owner} stores {zone:?}, \
                              its splits give {region:?}"
@@ -717,12 +745,20 @@ impl SplitTree {
                     if *p != parent {
                         return Err(format!("parent link broken at internal {idx}"));
                     }
-                    if !(region.lo(*dim) < *at && *at < region.hi(*dim)) {
+                    let (lo, hi) = (region[*dim], region[dims + dim]);
+                    if !(lo < *at && *at < hi) {
                         return Err(format!("split plane of internal {idx} misses its region"));
                     }
-                    let (lo_region, hi_region) = region.split(*dim, *at);
-                    stack.push((*lower, lo_region, Some(idx)));
-                    stack.push((*upper, hi_region, Some(idx)));
+                    // The lower child drops `hi` to the plane, the upper
+                    // child raises `lo` to it; the upper is popped first.
+                    stack.extend([
+                        Step::Bound(dims + dim, hi),
+                        Step::Visit(*lower, Some(idx)),
+                        Step::Bound(dims + dim, *at),
+                        Step::Bound(*dim, lo),
+                        Step::Visit(*upper, Some(idx)),
+                        Step::Bound(*dim, *at),
+                    ]);
                 }
                 Slot::Free { .. } => return Err(format!("reachable free slot {idx}")),
             }

@@ -505,6 +505,13 @@ pub fn fuzz(args: Args) -> Result<String, CliError> {
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
+    let Some(last) = start.checked_add(seeds as u64 - 1) else {
+        return Err(format!(
+            "--seed {start} --seeds {seeds} runs past the last seed, {}",
+            u64::MAX
+        )
+        .into());
+    };
 
     let mut cfg = FuzzConfig::new(start, seeds);
     if !quick {
@@ -523,7 +530,7 @@ pub fn fuzz(args: Args) -> Result<String, CliError> {
     );
     let mut out = format!(
         "fuzz: seeds {start}..{} ({scale:?} grammar, {budget:.0} s wall budget)\n\n{}\n",
-        start + seeds as u64,
+        u128::from(last) + 1,
         report::fuzz(&summary)
     );
     match summary.failure {
@@ -819,6 +826,21 @@ mod tests {
     #[test]
     fn fuzz_rejects_bad_args() {
         assert!(fuzz(a(&["--seeds", "0"])).is_err());
+        // The range would wrap past u64::MAX and run nothing.
+        let err = fuzz(a(&[
+            "--quick",
+            "--seed",
+            "18446744073709551615",
+            "--seeds",
+            "2",
+        ]))
+        .expect_err("a seed range past u64::MAX");
+        assert_eq!(err.status, 1);
+        assert!(
+            err.message.contains("past the last seed"),
+            "{}",
+            err.message
+        );
         assert!(fuzz(a(&["--budget", "-3"])).is_err());
         assert!(fuzz(a(&["--bogus", "1"])).is_err());
     }

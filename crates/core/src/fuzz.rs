@@ -343,15 +343,17 @@ pub struct FuzzSummary {
     pub hit_wall_budget: bool,
 }
 
-/// Runs schedules for seeds `start_seed..start_seed + seeds` until one
-/// violates an oracle or the wall budget expires. On violation the
+/// Runs schedules for seeds `start_seed..start_seed + seeds` (the range
+/// stops at `u64::MAX`) until one violates an oracle or the wall budget
+/// expires. On violation the
 /// schedule is delta-debugged to a near-minimal repro whose replay
 /// digest is recorded, and the sweep stops.
 pub fn fuzz_search(cfg: &FuzzConfig) -> FuzzSummary {
     let started = Instant::now();
     let mut runs = Vec::new();
     let mut hit_wall_budget = false;
-    for seed in cfg.start_seed..cfg.start_seed + cfg.seeds as u64 {
+    let seeds = (0..cfg.seeds as u64).map_while(|i| cfg.start_seed.checked_add(i));
+    for seed in seeds {
         if !runs.is_empty() && started.elapsed().as_secs_f64() > cfg.wall_budget {
             hit_wall_budget = true;
             break;
@@ -475,6 +477,16 @@ mod tests {
         assert!(summary.failure.is_none(), "{:#?}", summary.failure);
         assert_eq!(summary.runs.len(), 3);
         assert!(!summary.hit_wall_budget);
+    }
+
+    #[test]
+    fn a_sweep_stops_at_the_last_seed() {
+        let mut cfg = FuzzConfig::new(u64::MAX - 1, 5);
+        cfg.wall_budget = 600.0;
+        let summary = fuzz_search(&cfg);
+        assert!(summary.failure.is_none(), "{:#?}", summary.failure);
+        let seeds: Vec<u64> = summary.runs.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, [u64::MAX - 1, u64::MAX]);
     }
 
     #[test]
