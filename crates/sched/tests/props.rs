@@ -761,8 +761,12 @@ impl NaivePush {
         let mut visited: HashSet<NodeId> = HashSet::from([current]);
         let mut pushes = 0usize;
         loop {
-            let mut hood = vec![current];
-            hood.extend_from_slice(grid.neighbors(current));
+            // The current node, then its neighbors in id order: the
+            // picks below rank by id on a tie, whatever order
+            // `neighbors` hands out.
+            let mut hood = grid.neighbors(current).to_vec();
+            hood.sort_unstable();
+            hood.insert(0, current);
             if let Some(node) = self.pick_startable(grid, &hood, job, ce) {
                 return placed(node, pushes, false);
             }

@@ -1,5 +1,6 @@
 //! Golden digests of `StaticGrid::build`'s frozen topology: a 64-bit
-//! FNV-1a fingerprint over every node's sorted neighbor slice, every
+//! FNV-1a fingerprint over every node's sorted neighbor slice (a sorted
+//! copy of `neighbors`, which promises the set, not an order), every
 //! `(dim, dir)` face bucket, its zone bounds and its coordinate.
 //!
 //! Recorded on the incremental `Adjacency::on_split` build, *before*
@@ -26,7 +27,9 @@ fn digest(g: &StaticGrid) -> u64 {
     h.write_usize(g.len());
     for i in 0..g.len() as u32 {
         let id = NodeId(i);
-        write_ids(&mut h, g.neighbors(id));
+        let mut sorted = g.neighbors(id).to_vec();
+        sorted.sort_unstable();
+        write_ids(&mut h, &sorted);
         for d in 0..dims {
             for dir in [1i8, -1] {
                 write_ids(&mut h, g.face_neighbors(id, d, dir));
