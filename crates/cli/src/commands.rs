@@ -140,8 +140,16 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
         );
     }
     s.job_gen.mean_interarrival = interarrival_from(args, s.job_gen.mean_interarrival)?;
-    s.job_gen.constraint_ratio = args.get_or("ratio", s.job_gen.constraint_ratio)?;
+    s.job_gen.constraint_ratio = ratio_from(args, s.job_gen.constraint_ratio)?;
     s.stopping_factor = args.get_or("sf", s.stopping_factor)?;
+    // Eq. 4's exponent: a negative one makes the stop probability
+    // exceed 1, and `nan` makes a walk never stop.
+    if !(s.stopping_factor.is_finite() && s.stopping_factor >= 0.0) {
+        return Err(format!(
+            "--sf must be non-negative and finite, got {}",
+            s.stopping_factor
+        ));
+    }
     s.seed = args.get_or("seed", s.seed)?;
     if args.switch("shared-gpus") {
         s.node_gen.shared_gpus = true;
@@ -160,6 +168,15 @@ fn interarrival_from(args: &Args, default: f64) -> Result<f64, String> {
         ));
     }
     Ok(ia)
+}
+
+/// `--ratio`, the share of jobs that carry a constraint: a probability.
+fn ratio_from(args: &Args, default: f64) -> Result<f64, String> {
+    let ratio: f64 = args.get_or("ratio", default)?;
+    if !(0.0..=1.0).contains(&ratio) {
+        return Err(format!("--ratio must be in [0,1], got {ratio}"));
+    }
+    Ok(ratio)
 }
 
 fn parse_schedulers(spec: &str) -> Result<Vec<SchedulerChoice>, String> {
@@ -581,7 +598,7 @@ pub fn trace(rest: &[String]) -> Result<String, CliError> {
         "gen-jobs" => {
             let count: usize = args.get_or("count", 1000)?;
             let dims: usize = args.get_or("dims", 11)?;
-            let ratio: f64 = args.get_or("ratio", 0.6)?;
+            let ratio = ratio_from(&args, 0.6)?;
             let ia = interarrival_from(&args, 3.0)?;
             let seed: u64 = args.get_or("seed", 2011)?;
             let out_path = args.get("out").map(str::to_string);
@@ -722,6 +739,24 @@ mod tests {
             assert!(err.message.contains("--interarrival"), "{}", err.message);
             let err = trace(&raw(&["gen-jobs", "--interarrival", bad])).unwrap_err();
             assert!(err.message.contains("--interarrival"), "{}", err.message);
+        }
+        // A constraint ratio is a probability; Eq. 4's stopping factor
+        // a non-negative exponent. Both panicked in a debug build.
+        for bad in ["2", "1.5", "-0.1", "nan"] {
+            let err = simulate(a(&["--ratio", bad])).unwrap_err();
+            assert!(err.message.contains("--ratio"), "{}", err.message);
+            assert_eq!(err.status, 1);
+            let err = trace(&raw(&["gen-jobs", "--ratio", bad])).unwrap_err();
+            assert!(err.message.contains("--ratio"), "{}", err.message);
+        }
+        for bad in ["-1", "nan", "inf"] {
+            let err = simulate(a(&["--sf", bad])).unwrap_err();
+            assert!(err.message.contains("--sf"), "{}", err.message);
+            assert_eq!(err.status, 1);
+        }
+        // The ends of each range are still accepted.
+        for ok in [["--ratio", "0"], ["--ratio", "1"], ["--sf", "0"]] {
+            assert!(scenario_from(&a(&ok)).is_ok(), "{ok:?}");
         }
     }
 

@@ -68,7 +68,37 @@ impl AiEntry {
     pub fn objective(&self) -> f64 {
         pgrid_types::score::objective_fd(self.required_cores, self.cores)
     }
+
+    /// The entry as [`Words`], the floats by their bits.
+    fn to_words(self) -> Words {
+        [
+            self.nodes,
+            self.cores.to_bits(),
+            self.required_cores.to_bits(),
+            self.free_nodes,
+            self.pressured,
+        ]
+    }
+
+    /// The entry [`AiEntry::to_words`] wrote, bit for bit.
+    fn from_words(w: Words) -> Self {
+        AiEntry {
+            nodes: w[0],
+            cores: f64::from_bits(w[1]),
+            required_cores: f64::from_bits(w[2]),
+            free_nodes: w[3],
+            pressured: w[4],
+        }
+    }
 }
+
+/// An [`AiEntry`] as five 64-bit words — nodes, cores bits,
+/// required-cores bits, free nodes, pressured nodes — the form the table
+/// keeps its rows in and [`AiTable::local_bits`] ships. All-zero words
+/// are [`AiEntry::EMPTY`], so a table of them can start as a zeroed
+/// allocation whose pages the OS commits only when a row is first
+/// written.
+type Words = [u64; 5];
 
 /// Bit-exact equality: `f64` fields compared via `to_bits`, so a
 /// local entry counts as unchanged — and stales nothing — only when it
@@ -90,17 +120,16 @@ fn build_dim(
     order_d: &[NodeId],
     locals: &[AiEntry],
     slots: usize,
-    chunk: &mut [AiEntry],
+    chunk: &mut [Words],
 ) {
     for &node in order_d {
         for s in 0..slots {
             let mut acc = AiEntry::default();
             for &m in grid.outward_neighbors(node, d) {
                 acc.absorb(&locals[m.idx() * slots + s]);
-                let beyond = chunk[m.idx() * slots + s];
-                acc.absorb(&beyond);
+                acc.absorb(&AiEntry::from_words(chunk[m.idx() * slots + s]));
             }
-            chunk[node.idx() * slots + s] = acc;
+            chunk[node.idx() * slots + s] = acc.to_words();
         }
     }
 }
@@ -124,8 +153,10 @@ pub struct AiTable {
     /// `[dim][node][ce_idx]` flattened — dimension-major, so one
     /// dimension's rows (which only ever read each other) are one
     /// contiguous chunk. A row is meaningful only while its `stale`
-    /// flag is clear.
-    data: Vec<AiEntry>,
+    /// flag is clear. Kept as [`Words`] so that [`AiTable::new`] writes
+    /// none of it: a row's memory is committed when it is first
+    /// materialized.
+    data: Vec<Words>,
     /// `[dim][node]` flattened: the row must be recomputed from
     /// `locals` before it is read. Kept *inward-closed* per dimension
     /// (a stale row's inward face neighbors are all stale), so a fresh
@@ -171,7 +202,7 @@ impl AiTable {
             ce_types,
             dims,
             n,
-            data: vec![AiEntry::default(); n * dims * slots],
+            data: vec![[0; 5]; n * dims * slots],
             stale: vec![true; n * dims],
             locals: vec![AiEntry::default(); n * slots],
             order: Vec::new(),
@@ -378,10 +409,9 @@ impl AiTable {
                 let mut acc = AiEntry::default();
                 for &m in outward {
                     acc.absorb(&self.locals[m.idx() * slots + s]);
-                    let beyond = chunk[m.idx() * slots + s];
-                    acc.absorb(&beyond);
+                    acc.absorb(&AiEntry::from_words(chunk[m.idx() * slots + s]));
                 }
-                chunk[x.idx() * slots + s] = acc;
+                chunk[x.idx() * slots + s] = acc.to_words();
             }
             stale[x.idx()] = false;
             self.stack.pop();
@@ -455,7 +485,7 @@ impl AiTable {
         if self.stale[dim * self.n + node.idx()] {
             self.materialize(grid, node, dim);
         }
-        self.data[self.idx(node, dim, slot)]
+        AiEntry::from_words(self.data[self.idx(node, dim, slot)])
     }
 
     /// Whether row `(node, dim)` is waiting to be recomputed.
@@ -489,35 +519,17 @@ impl AiTable {
     pub fn local_bits(&self, node: NodeId) -> Vec<u64> {
         let slots = self.ce_types.len();
         let row = &self.locals[node.idx() * slots..(node.idx() + 1) * slots];
-        let mut out = Vec::with_capacity(5 * slots);
-        for e in row {
-            out.push(e.nodes);
-            out.push(e.cores.to_bits());
-            out.push(e.required_cores.to_bits());
-            out.push(e.free_nodes);
-            out.push(e.pressured);
-        }
-        out
+        row.iter().flat_map(|e| e.to_words()).collect()
     }
 
     /// Decodes a word vector produced by [`AiTable::local_bits`] back
     /// into per-slot entries. Returns `None` when the length is not a
     /// whole number of five-word slots (a malformed replica).
     pub fn slice_from_bits(bits: &[u64]) -> Option<Vec<AiEntry>> {
-        if !bits.len().is_multiple_of(5) {
+        let (slots, []) = bits.as_chunks::<5>() else {
             return None;
-        }
-        Some(
-            bits.chunks_exact(5)
-                .map(|c| AiEntry {
-                    nodes: c[0],
-                    cores: f64::from_bits(c[1]),
-                    required_cores: f64::from_bits(c[2]),
-                    free_nodes: c[3],
-                    pressured: c[4],
-                })
-                .collect(),
-        )
+        };
+        Some(slots.iter().map(|&w| AiEntry::from_words(w)).collect())
     }
 }
 
@@ -628,6 +640,29 @@ mod tests {
         // Malformed word counts are rejected, not misparsed.
         assert!(AiTable::slice_from_bits(&[1, 2, 3]).is_none());
         assert!(AiTable::slice_from_bits(&[]).is_some_and(|v| v.is_empty()));
+    }
+
+    #[test]
+    fn entries_survive_the_word_form_bit_for_bit() {
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let subnormal = f64::from_bits(0x0000_0000_0000_0003);
+        let floats = [0.0, -0.0, nan, -nan, subnormal, f64::INFINITY, 12.5];
+        for (i, &cores) in floats.iter().enumerate() {
+            for &required_cores in &floats {
+                let e = AiEntry {
+                    nodes: u64::MAX,
+                    cores,
+                    required_cores,
+                    free_nodes: u64::MAX - i as u64,
+                    pressured: u64::MAX,
+                };
+                let back = AiEntry::from_words(e.to_words());
+                assert!(bits_eq(&back, &e), "{e:?} came back as {back:?}");
+            }
+        }
+        // A row the table never wrote reads as the empty region.
+        assert!(bits_eq(&AiEntry::from_words([0; 5]), &AiEntry::EMPTY));
+        assert_eq!(AiEntry::EMPTY.to_words(), [0; 5]);
     }
 
     #[test]

@@ -248,7 +248,9 @@ impl PushingMatchmaker {
     }
 
     /// Candidate pool at a pushing step: the current node plus its
-    /// neighbors, as a non-allocating iterator over the CSR cache.
+    /// neighbors, as a non-allocating iterator over the CSR cache. The
+    /// neighbors come face by face, not by id; both picks below break
+    /// ties by id, so the order never shows.
     fn neighborhood(
         grid: &StaticGrid,
         current: NodeId,
