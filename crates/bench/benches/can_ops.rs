@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the CAN substrate: joins, routing, heartbeat
-//! rounds, churn-event processing and the broken-link metric.
+//! rounds, churn-event processing, the broken-link metric and one
+//! large-population Figure 7 churn run.
 //!
 //! Plain stopwatch harness (run with `cargo bench --bench can_ops`).
 
 use pgrid::prelude::*;
-use pgrid_bench::stopwatch::bench;
+use pgrid_bench::stopwatch::{bench, record};
+use std::time::Instant;
 
 fn build_can(n: usize, d: usize, scheme: HeartbeatScheme) -> CanSim {
     let mut sim = CanSim::new(ProtocolConfig::new(d, scheme)).expect("valid protocol config");
@@ -73,10 +75,30 @@ fn bench_broken_links_metric() {
     });
 }
 
+/// Figure 7's high-churn run on 4096 nodes under the compact scheme
+/// (whose fan-out keeps the run short at this population), with a
+/// tighter bootstrap and window than the figure's: at n = 4096 the
+/// default 1 s join spacing alone would dwarf the measured churn phase.
+/// One iteration is one datagram applied to a live receiver.
+fn bench_fig7_large() {
+    let mut cfg = ChurnConfig::new(11, HeartbeatScheme::Compact, 4096).high_churn();
+    cfg.bootstrap_spacing = 0.25;
+    cfg.stage2_duration = 300.0;
+    cfg.sample_interval = 150.0;
+    let t = Instant::now();
+    let r = run_churn(&cfg, uniform_coords(cfg.dims));
+    record(
+        "fig7/n4096/compact",
+        r.delivered_messages,
+        t.elapsed().as_secs_f64(),
+    );
+}
+
 fn main() {
     bench_join();
     bench_routing();
     bench_heartbeat_round();
     bench_churn_event();
     bench_broken_links_metric();
+    bench_fig7_large();
 }

@@ -1,6 +1,6 @@
 //! Micro-benchmarks: [`stopwatch`], the plain timing loop behind the
-//! `benches/` targets and the `perf` bin (the regression harness
-//! behind `BENCH_hotpath.json`).
+//! `benches/` targets. They print times and gate nothing; the timing
+//! gate is the repo benchmark under `benchmark/`.
 //!
 //! The figures of the paper's evaluation and the extension experiments
 //! are `pgrid figure NAME` (`crates/cli`), which owns their tables, CSVs
@@ -8,9 +8,9 @@
 
 #![forbid(unsafe_code)]
 
-/// Minimal timing harness for the `benches/` targets and the `perf`
-/// bin — a plain stopwatch loop (no external benchmark framework, so
-/// the workspace builds fully offline).
+/// Minimal timing harness for the `benches/` targets — a plain
+/// stopwatch loop (no external benchmark framework, so the workspace
+/// builds fully offline).
 pub mod stopwatch {
     use std::time::Instant;
 
@@ -64,7 +64,14 @@ pub mod stopwatch {
         for _ in 0..iters {
             std::hint::black_box(f());
         }
-        let total_secs = start.elapsed().as_secs_f64();
+        record(label, iters, start.elapsed().as_secs_f64())
+    }
+
+    /// Prints + returns a measurement timed by the caller: `iters`
+    /// units of work (ticks, hops, messages) in `total_secs`. For cells
+    /// whose timed work is interleaved with untimed setup.
+    pub fn record(label: &str, iters: u64, total_secs: f64) -> Measurement {
+        assert!(iters > 0);
         let m = Measurement {
             label: label.to_string(),
             iters,

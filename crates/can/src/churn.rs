@@ -140,8 +140,8 @@ pub struct ChurnReport {
     pub repairs: u64,
     /// Datagrams actually applied to a live receiver over the whole
     /// run (heartbeats, zone updates, keepalives, repairs, probes) —
-    /// the per-event unit of the heartbeat hot path, so perf cells can
-    /// report events/sec like the load-balance cells do.
+    /// the per-event unit of the heartbeat hot path, in which the
+    /// `fig7/n4096/compact` micro-benchmark reports its cost.
     pub delivered_messages: u64,
     /// FNV-1a digest of the final observable simulator state (members,
     /// epochs, zones, every fault/detector counter); pins the exact

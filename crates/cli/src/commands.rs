@@ -125,12 +125,8 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
     if s.jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
-    let dims: usize = args.get_or("dims", s.dims)?;
-    if dims < 5 || !(dims - 5).is_multiple_of(3) || dims > 14 {
-        return Err(format!("--dims must be 5, 8, 11 or 14 (got {dims})"));
-    }
+    let (dims, slots) = dims_from(args)?;
     if dims != s.dims {
-        let slots = ((dims - 5) / 3) as u8;
         s.dims = dims;
         s.node_gen = NodeGenConfig::paper_defaults(slots);
         s.job_gen = JobGenConfig::paper_defaults(
@@ -155,6 +151,17 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
         s.node_gen.shared_gpus = true;
     }
     Ok(s)
+}
+
+/// `--dims`, the CAN dimensionality of a paper workload (default 11):
+/// five CPU dimensions plus three per GPU family, of which there are
+/// zero to three. Returns it with its GPU family count.
+fn dims_from(args: &Args) -> Result<(usize, u8), String> {
+    let dims: usize = args.get_or("dims", 11)?;
+    if dims < 5 || !(dims - 5).is_multiple_of(3) || dims > 14 {
+        return Err(format!("--dims must be 5, 8, 11 or 14 (got {dims})"));
+    }
+    Ok((dims, ((dims - 5) / 3) as u8))
 }
 
 /// `--interarrival`, the mean of the exponential arrival gaps: a
@@ -384,7 +391,7 @@ pub fn chaos(args: Args) -> Result<String, CliError> {
     let chaos_seed = seed.unwrap_or(experiments::CHAOS_SEED);
     let mut out = format!("chaos: scripted faults, seed {chaos_seed} ({scale:?})\n\n");
     out.push_str("--- CAN maintenance under chaos ---\n");
-    let rows = experiments::chaos_rows(&specs, &schemes, scale, chaos_seed, nodes);
+    let rows = experiments::chaos_rows(&specs, &schemes, scale, chaos_seed, nodes)?;
     let table = report::chaos(&rows);
     let _ = writeln!(out, "{}", table.text);
     let chaos_csv = save_under(&out_dir, "chaos.csv", &table.csv)?;
@@ -586,24 +593,22 @@ pub fn trace(rest: &[String]) -> Result<String, CliError> {
     match sub.as_str() {
         "gen-nodes" => {
             let count: usize = args.get_or("count", 100)?;
-            let dims: usize = args.get_or("dims", 11)?;
+            let (_, slots) = dims_from(&args)?;
             let seed: u64 = args.get_or("seed", 2011)?;
             let out_path = args.get("out").map(str::to_string);
             args.reject_unknown()?;
-            let slots = ((dims.saturating_sub(5)) / 3) as u8;
             let nodes = generate_nodes(&NodeGenConfig::paper_defaults(slots), count, seed);
             let text = trace::write_nodes(&nodes);
             Ok(emit(text, out_path)?)
         }
         "gen-jobs" => {
             let count: usize = args.get_or("count", 1000)?;
-            let dims: usize = args.get_or("dims", 11)?;
+            let (_, slots) = dims_from(&args)?;
             let ratio = ratio_from(&args, 0.6)?;
             let ia = interarrival_from(&args, 3.0)?;
             let seed: u64 = args.get_or("seed", 2011)?;
             let out_path = args.get("out").map(str::to_string);
             args.reject_unknown()?;
-            let slots = ((dims.saturating_sub(5)) / 3) as u8;
             let mut stream = JobStream::new(JobGenConfig::paper_defaults(slots, ratio, ia), seed);
             let jobs = stream.take_jobs(count);
             let text = trace::write_jobs(&jobs);
@@ -728,12 +733,22 @@ mod tests {
 
     #[test]
     fn simulate_rejects_bad_dims() {
-        let err = simulate(a(&["--dims", "7"])).unwrap_err();
-        assert!(err.message.contains("--dims"));
+        let raw = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // The trace generators take the same check: 17 panicked in the
+        // node and job generators, 0 and 7 wrote a 5-dimension trace.
+        for bad in ["0", "7", "17"] {
+            let err = simulate(a(&["--dims", bad])).unwrap_err();
+            assert!(err.message.contains("--dims"), "{}", err.message);
+            for gen in ["gen-nodes", "gen-jobs"] {
+                let err = trace(&raw(&[gen, "--count", "3", "--dims", bad])).unwrap_err();
+                assert!(err.message.contains("--dims"), "{gen}: {}", err.message);
+                assert_eq!(err.status, 1);
+            }
+        }
+        assert!(trace(&raw(&["gen-nodes", "--count", "3", "--dims", "14"])).is_ok());
         // Values the run cannot survive: it would panic, not return.
         let err = simulate(a(&["--jobs", "0"])).unwrap_err();
         assert!(err.message.contains("--jobs"), "{}", err.message);
-        let raw = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         for bad in ["-1", "nan"] {
             let err = simulate(a(&["--interarrival", bad])).unwrap_err();
             assert!(err.message.contains("--interarrival"), "{}", err.message);
@@ -810,6 +825,13 @@ mod tests {
         assert_eq!(csv.lines().count(), 2, "{csv}");
         assert!(chaos(a(&["--scheme", "bogus"])).is_err());
         assert!(chaos(a(&["--scenario", "bogus"])).is_err());
+        // An overlay the executor cannot partition: the partition clamp
+        // panicked in release below four nodes.
+        for tiny in ["0", "3"] {
+            let err = chaos(a(&["--quick", "--nodes", tiny, "--out", &dir])).unwrap_err();
+            assert_eq!(err.status, 1);
+            assert!(err.message.contains("nodes"), "{}", err.message);
+        }
         assert!(chaos(a(&["--bogus", "1"])).is_err());
     }
 

@@ -195,6 +195,7 @@ fn chaos_table(scale: Scale) -> Vec<experiments::ChaosRow> {
         experiments::CHAOS_SEED,
         None,
     )
+    .unwrap()
 }
 
 #[test]
@@ -435,7 +436,8 @@ fn chaos_verdict_fails_on_a_violation_in_either_table() {
         Scale::Quick,
         experiments::CHAOS_SEED,
         None,
-    );
+    )
+    .unwrap();
     assert!(chaos_verdict(&rows, &[]).is_ok());
     rows[0].report.violations.push("CAN: ghost owner".into());
     assert_fails_naming(

@@ -264,14 +264,15 @@ pub struct ChaosRow {
 /// schemes' own passive expiry, as they always have.
 ///
 /// Deterministic: the same arguments always produce the same rows;
-/// [`CHAOS_SEED`] is the historical seed.
+/// [`CHAOS_SEED`] is the historical seed. An overlay size the executor
+/// cannot run is an error, [`FaultSchedule::validate`]'s message.
 pub fn chaos_rows(
     specs: &[&'static ScenarioSpec],
     schemes: &[HeartbeatScheme],
     scale: Scale,
     seed: u64,
     nodes: Option<usize>,
-) -> Vec<ChaosRow> {
+) -> Result<Vec<ChaosRow>, String> {
     let (scale_nodes, settle_time) = match scale {
         Scale::Paper => (60, 300.0),
         Scale::Quick => (40, 120.0),
@@ -283,14 +284,15 @@ pub fn chaos_rows(
             s.nodes = nodes.unwrap_or(scale_nodes);
             s.settle_time = settle_time;
             s.detector = None;
+            s.validate()?;
             configs.push((spec.name, scheme, s));
         }
     }
-    parallel_map(configs, |(scenario, scheme, s)| ChaosRow {
+    Ok(parallel_map(configs, |(scenario, scheme, s)| ChaosRow {
         scenario,
         scheme,
         report: run_schedule(&s),
-    })
+    }))
 }
 
 // --------------------------------------------------------------- Takeover
@@ -1214,7 +1216,7 @@ mod tests {
     /// One quick-scale chaos-table run (40 nodes, 120 s settle).
     fn quick_chaos(scenario: &str, scheme: HeartbeatScheme, seed: u64) -> ScheduleReport {
         let spec = crate::scenarios::find(scenario).expect("registered scenario");
-        let mut rows = chaos_rows(&[spec], &[scheme], Scale::Quick, seed, None);
+        let mut rows = chaos_rows(&[spec], &[scheme], Scale::Quick, seed, None).unwrap();
         rows.remove(0).report
     }
 
@@ -1226,7 +1228,7 @@ mod tests {
     #[test]
     fn adaptive_survives_every_scenario() {
         let trio = crate::scenarios::chaos_trio();
-        for row in chaos_rows(&trio, &[HeartbeatScheme::Adaptive], Scale::Quick, 5, None) {
+        for row in chaos_rows(&trio, &[HeartbeatScheme::Adaptive], Scale::Quick, 5, None).unwrap() {
             assert!(
                 row.report.violations.is_empty(),
                 "{}: {:?}",

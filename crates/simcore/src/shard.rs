@@ -449,7 +449,7 @@ impl<E> ShardedQueue<E> {
 }
 
 /// Usable hardware parallelism of the measurement host, recorded
-/// beside wall-clock rows by `perf --scaling` and the repo benchmark.
+/// beside every result by the repo benchmark.
 pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
