@@ -89,7 +89,7 @@ fn bench_fig7_large() {
     let r = run_churn(&cfg, uniform_coords(cfg.dims));
     record(
         "fig7/n4096/compact",
-        r.delivered_messages,
+        r.counters.delivered,
         t.elapsed().as_secs_f64(),
     );
 }

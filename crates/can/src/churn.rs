@@ -13,7 +13,7 @@
 //! the Figure 8 message-cost rates.
 
 use crate::geom::Point;
-use crate::protocol::{CanSim, DetectorConfig, HeartbeatScheme, ProtocolConfig};
+use crate::protocol::{CanCounters, CanSim, DetectorConfig, HeartbeatScheme, ProtocolConfig};
 use pgrid_simcore::{SimRng, SimTime};
 
 /// Configuration of one churn experiment.
@@ -96,6 +96,20 @@ impl ChurnConfig {
         self
     }
 
+    /// The protocol the experiment runs: its scheme, dimensionality,
+    /// timing, loss and detector, with the fault stream seeded from
+    /// [`ChurnConfig::seed`]. [`ProtocolConfig::validate`] on it is what
+    /// [`run_churn`] requires.
+    pub fn protocol(&self) -> ProtocolConfig {
+        let mut proto = ProtocolConfig::new(self.dims, self.scheme);
+        proto.heartbeat_period = self.heartbeat_period;
+        proto.fail_timeout = self.fail_timeout;
+        proto.message_loss = self.message_loss;
+        proto.detector = self.detector;
+        proto.loss_seed = pgrid_simcore::rng::sub_seed(self.seed, 0x7055);
+        proto
+    }
+
     /// The simulated time stage 2 ends at when every stage-1 join
     /// succeeds (a join fails only on a coordinate identical to its
     /// host's, and each failure moves the end one bootstrap spacing
@@ -134,15 +148,10 @@ pub struct ChurnReport {
     pub mean_degree: f64,
     /// Population at the end of stage 2.
     pub final_nodes: usize,
-    /// Adaptive full-update rounds fired.
-    pub full_update_rounds: u64,
-    /// Second-hand repairs performed.
-    pub repairs: u64,
-    /// Datagrams actually applied to a live receiver over the whole
-    /// run (heartbeats, zone updates, keepalives, repairs, probes) —
-    /// the per-event unit of the heartbeat hot path, in which the
-    /// `fig7/n4096/compact` micro-benchmark reports its cost.
-    pub delivered_messages: u64,
+    /// The simulator's work and fault counters over the whole run;
+    /// `delivered` is the unit the `fig7/n4096/compact` micro-benchmark
+    /// reports its cost in.
+    pub counters: CanCounters,
     /// FNV-1a digest of the final observable simulator state (members,
     /// epochs, zones, every fault/detector counter); pins the exact
     /// trajectory for golden tests.
@@ -165,6 +174,8 @@ impl ChurnReport {
 /// Runs one churn experiment. `coord_gen` supplies joining nodes'
 /// coordinates (use [`uniform_coords`] for the dimension-scaling
 /// experiments).
+///
+/// Panics if [`ChurnConfig::protocol`] does not validate.
 pub fn run_churn(cfg: &ChurnConfig, coord_gen: impl FnMut(&mut SimRng) -> Point) -> ChurnReport {
     run_churn_sim(cfg, coord_gen).0
 }
@@ -175,13 +186,7 @@ pub fn run_churn_sim(
     cfg: &ChurnConfig,
     mut coord_gen: impl FnMut(&mut SimRng) -> Point,
 ) -> (ChurnReport, CanSim) {
-    let mut proto = ProtocolConfig::new(cfg.dims, cfg.scheme);
-    proto.heartbeat_period = cfg.heartbeat_period;
-    proto.fail_timeout = cfg.fail_timeout;
-    proto.message_loss = cfg.message_loss;
-    proto.detector = cfg.detector;
-    proto.loss_seed = pgrid_simcore::rng::sub_seed(cfg.seed, 0x7055);
-    let mut sim = CanSim::new(proto).expect("valid protocol config");
+    let mut sim = CanSim::new(cfg.protocol()).expect("valid protocol config");
     let mut rng = SimRng::sub_stream(cfg.seed, 0xC0DE);
 
     // Stage 1: sequential joins.
@@ -233,9 +238,7 @@ pub fn run_churn_sim(
 
     let mean_degree = sim.mean_degree();
     let final_nodes = sim.len();
-    let full_update_rounds = sim.full_update_rounds();
-    let repairs = sim.repairs();
-    let delivered_messages = sim.delivered_messages();
+    let counters = *sim.counters();
     let state_digest = sim.state_digest();
     let acct = sim.accounting();
     let report = ChurnReport {
@@ -246,9 +249,7 @@ pub fn run_churn_sim(
         kb_per_node_min: acct.heartbeat_kb_per_node_min(),
         mean_degree,
         final_nodes,
-        full_update_rounds,
-        repairs,
-        delivered_messages,
+        counters,
         state_digest,
     };
     (report, sim)

@@ -16,7 +16,9 @@
 
 use crate::churn::uniform_coords;
 use crate::oracles;
-use crate::protocol::{CanSim, DetectorConfig, HeartbeatScheme, ProtocolConfig, ReplicationConfig};
+use crate::protocol::{
+    CanCounters, CanSim, DetectorConfig, HeartbeatScheme, ProtocolConfig, ReplicationConfig,
+};
 use crate::routing::route_local;
 use pgrid_simcore::dst::{FaultSchedule, Fnv};
 use pgrid_simcore::fault::{LinkDegrade, NodeFault, Partition};
@@ -56,33 +58,19 @@ pub struct ScheduleReport {
     pub dropped_messages: u64,
     /// Messages dropped by scheduled partitions.
     pub partition_drops: u64,
-    /// Messages discarded because the receiver was frozen.
-    pub frozen_drops: u64,
-    /// Targeted take-over repair messages sent.
-    pub repair_messages: u64,
-    /// Routed gap probes sent (adaptive only).
-    pub gap_probes: u64,
-    /// Adaptive full-update request rounds.
-    pub full_update_rounds: u64,
+    /// The simulator's work and fault counters at the end of the run.
+    /// The replication counters among them are folded into no digest,
+    /// so an armed fault-free run stays bit-identical to the disarmed
+    /// trajectory; replay tests hold them by report equality.
+    pub counters: CanCounters,
     /// Heartbeat-scheme traffic from the start of the fault phase,
     /// messages per node per minute (the Figure 8 metric, under faults).
     pub msgs_per_node_min: f64,
-    /// Suspicions raised by the failure detector (0 when disarmed).
-    pub suspicions: u64,
-    /// Live nodes actively expelled by the detector.
-    pub live_expulsions: u64,
-    /// Expelled nodes that later revived through the epoch fence.
-    pub revivals: u64,
     /// Keepalives received from already-evicted senders (ghost traffic).
     pub stale_keepalives: u64,
-    /// Warm replicas promoted by take-over actors (0 when replication
-    /// is disarmed).
-    pub replica_promotions: u64,
     /// Promotions whose replica carried a non-empty scheduler-aggregate
     /// slice — the adopted zone's matchmaking state survived the crash.
     pub agg_promotions: usize,
-    /// Replica promotions refused by the epoch fence.
-    pub stale_replica_rejects: u64,
     /// Crash take-overs applied during the run.
     pub takeovers: usize,
     /// Mean re-learn window over resolved take-overs, in heartbeat
@@ -323,28 +311,14 @@ pub fn run_faults(schedule: &FaultSchedule, mut sim: CanSim, mut rng: SimRng) ->
         final_nodes: sim.len(),
         dropped_messages: sim.dropped_messages(),
         partition_drops: sim.network().partition_drops(),
-        frozen_drops: sim.frozen_drops(),
-        repair_messages: sim.repair_messages(),
-        gap_probes: sim.gap_probes(),
-        full_update_rounds: sim.full_update_rounds(),
+        counters: *sim.counters(),
         msgs_per_node_min: sim.accounting().heartbeat_msgs_per_node_min(),
-        suspicions: sim.suspicions(),
-        live_expulsions: sim.live_expulsions(),
-        revivals: sim.revivals(),
         stale_keepalives,
-        // Replication counters are report-level only — they are covered
-        // by `ScheduleReport` equality in replay tests and deliberately
-        // kept out of the digest so an armed fault-free run stays
-        // bit-identical to the legacy disarmed trajectory (divergence in
-        // a *faulty* run still surfaces through the per-boundary broken
-        // counts, epoch checksums, and final observable state).
-        replica_promotions: sim.replica_promotions(),
         agg_promotions: sim
             .takeover_log()
             .iter()
             .filter(|r| r.replica_agg.as_ref().is_some_and(|a| !a.is_empty()))
             .count(),
-        stale_replica_rejects: sim.stale_replica_rejects(),
         takeovers: sim.takeover_log().len(),
         relearn_mean_heartbeats: relearn.mean,
         relearn_resolved: relearn.resolved,
@@ -639,7 +613,7 @@ mod tests {
             let b = run_schedule(&s);
             assert_eq!(a, b, "seed {seed} must replay identically");
             assert!(a.violations.is_empty(), "seed {seed}:\n{:#?}", a.violations);
-            promoted += a.replica_promotions;
+            promoted += a.counters.replica_promotions;
         }
         assert!(
             promoted > 0,
@@ -664,8 +638,8 @@ mod tests {
         let baseline = run_schedule(&s);
         s.replication = Some("standby".to_string());
         let armed = run_schedule(&s);
-        assert_eq!(armed.replica_promotions, 0, "nothing to promote");
-        assert_eq!(armed.stale_replica_rejects, 0);
+        assert_eq!(armed.counters.replica_promotions, 0, "nothing to promote");
+        assert_eq!(armed.counters.stale_replica_rejects, 0);
         assert!(armed.violations.is_empty(), "{:#?}", armed.violations);
         assert_eq!(
             armed.digest, baseline.digest,
@@ -691,8 +665,11 @@ mod tests {
         for mode in ["fixed", "adaptive"] {
             s.detector = Some(mode.to_string());
             let armed = run_schedule(&s);
-            assert_eq!(armed.suspicions, 0, "{mode}: fault-free run stays silent");
-            assert_eq!(armed.live_expulsions, 0, "{mode}");
+            assert_eq!(
+                armed.counters.suspicions, 0,
+                "{mode}: fault-free run stays silent"
+            );
+            assert_eq!(armed.counters.live_expulsions, 0, "{mode}");
             assert!(
                 armed.violations.is_empty(),
                 "{mode}: {:#?}",

@@ -47,9 +47,9 @@ pub use geom::{Point, Zone};
 pub use membership::{LocalNode, NeighborEntry, Payload, ReplicaPayload, ZoneReplica};
 pub use oracles::{EpochLedger, ReplicaLedger};
 pub use protocol::{
-    CanSim, ConfigError, DetectorConfig, DetectorMode, HeartbeatScheme, JoinError, ProtocolConfig,
-    ReplicationConfig, TakeoverRecord,
+    CanCounters, CanSim, ConfigError, DetectorConfig, DetectorMode, HeartbeatScheme, JoinError,
+    ProtocolConfig, ReplicationConfig, TakeoverRecord,
 };
 pub use routing::{route, Route, RoutingView};
 pub use split_tree::{SplitTree, TakeoverPlan, ZoneChange};
-pub use wire::{MsgKind, WireModel};
+pub use wire::MsgKind;

@@ -99,15 +99,15 @@ impl NeighborEntry {
         self.gaps = self.gaps.saturating_add(1);
     }
 
-    /// Per-link adaptive silence threshold: EWMA mean plus `k_var`
-    /// standard deviations, clamped to `[period * k_min, cap]`. With
-    /// fewer than 3 observed gaps the statistics are meaningless and
-    /// the fixed cap applies.
-    pub fn suspicion_timeout(&self, period: f64, k_min: f64, k_var: f64, cap: f64) -> f64 {
+    /// Per-link adaptive silence threshold: EWMA mean plus
+    /// `SUSPICION_K_VAR` standard deviations, clamped to
+    /// `[period * SUSPICION_K_MIN, cap]`. With fewer than 3 observed
+    /// gaps the statistics are meaningless and the fixed cap applies.
+    pub fn suspicion_timeout(&self, period: f64, cap: f64) -> f64 {
         if self.gaps < 3 {
             return cap;
         }
-        (self.gap_mean + k_var * self.gap_var.sqrt()).clamp(period * k_min, cap)
+        (self.gap_mean + SUSPICION_K_VAR * self.gap_var.sqrt()).clamp(period * SUSPICION_K_MIN, cap)
     }
 }
 
@@ -1030,7 +1030,7 @@ impl LocalNode {
 
     /// Brings [`LocalNode::replica_version`] up to date with the
     /// replicated content — the zone, the epoch, the first
-    /// `max_neighbors` confirmed records in id order and the aggregate
+    /// [`REPLICA_MAX_NEIGHBORS`] confirmed records in id order and the aggregate
     /// slice — and returns the snapshot holding those records.
     ///
     /// The content is hashed only when the snapshot allocation or the
@@ -1039,7 +1039,7 @@ impl LocalNode {
     /// confirmed ids and zones do ([`LocalNode::snapshot`]), and the
     /// pair holds it, so its address is not reused. The version moves
     /// when the hash does.
-    pub(crate) fn refresh_replica(&mut self, max_neighbors: usize) -> Rc<Payload> {
+    pub(crate) fn refresh_replica(&mut self) -> Rc<Payload> {
         let snap = self.snapshot();
         let hashed = self
             .replica_basis
@@ -1048,13 +1048,13 @@ impl LocalNode {
         if hashed {
             debug_assert_eq!(
                 self.replica_hash,
-                self.replica_hash_scratch(max_neighbors),
+                self.replica_hash_scratch(),
                 "{}: stale replica hash",
                 self.id
             );
             return snap;
         }
-        let nbrs = &snap.neighbors[..snap.neighbors.len().min(max_neighbors)];
+        let nbrs = &snap.neighbors[..snap.neighbors.len().min(REPLICA_MAX_NEIGHBORS)];
         let hash = replica_hash(&snap.zone, snap.epoch, nbrs, &self.agg_slice);
         if self.replica_version == 0 || hash != self.replica_hash {
             self.replica_version += 1;
@@ -1066,7 +1066,7 @@ impl LocalNode {
 
     /// The replica content hash read straight off the table: what
     /// [`LocalNode::refresh_replica`] would hash, with no snapshot.
-    pub(crate) fn replica_hash_scratch(&self, max_neighbors: usize) -> u64 {
+    pub(crate) fn replica_hash_scratch(&self) -> u64 {
         let mut nbrs: Vec<(NodeId, Zone)> = self
             .table
             .iter()
@@ -1074,10 +1074,24 @@ impl LocalNode {
             .map(|(&p, e)| (p, e.zone.clone()))
             .collect();
         nbrs.sort_unstable_by_key(|(p, _)| *p);
-        nbrs.truncate(max_neighbors);
+        nbrs.truncate(REPLICA_MAX_NEIGHBORS);
         replica_hash(&self.zone, self.epoch, &nbrs, &self.agg_slice)
     }
 }
+
+/// Lower clamp of the adaptive suspicion threshold, in heartbeat
+/// periods: a link is never suspected faster than this. Armed either
+/// way, it is also the floor `ProtocolConfig::validate` holds the fail
+/// timeout above.
+pub(crate) const SUSPICION_K_MIN: f64 = 1.5;
+/// Standard deviations of the learned heartbeat gap the adaptive
+/// suspicion threshold allows above its mean.
+const SUSPICION_K_VAR: f64 = 4.0;
+
+/// Cap on the neighbor summary one replica delta carries (sorted by id,
+/// then truncated): comfortably above any realistic CAN neighbor
+/// degree.
+pub(crate) const REPLICA_MAX_NEIGHBORS: usize = 64;
 
 /// FNV-1a over what a replica delta carries: the owner's zone and
 /// epoch, its neighbor summary and its aggregate slice.
@@ -1189,6 +1203,31 @@ mod tests {
     fn node() -> LocalNode {
         // Owns the left half of the unit square.
         LocalNode::new(NodeId(0), vec![0.2, 0.5], z(&[0.0, 0.0], &[0.5, 1.0]), 1)
+    }
+
+    #[test]
+    fn replica_hash_covers_the_first_records_up_to_the_cap() {
+        // More abutting neighbors than a replica summary carries: slabs
+        // of the right half, stacked along y.
+        let k = REPLICA_MAX_NEIGHBORS + 6;
+        let mut n = node();
+        for i in 0..k {
+            let (lo, hi) = (i as f64 / k as f64, (i + 1) as f64 / k as f64);
+            n.hear_with_zone(NodeId(1 + i as u32), &z(&[0.5, lo], &[1.0, hi]), 10.0);
+        }
+        n.refresh_replica();
+        let version = n.replica_version;
+        assert_eq!(n.replica_hash, n.replica_hash_scratch());
+        // A record past the cap moves neither the hash nor the version…
+        n.forget(NodeId(k as u32));
+        n.refresh_replica();
+        assert_eq!(n.replica_version, version);
+        assert_eq!(n.replica_hash, n.replica_hash_scratch());
+        // …one inside it moves both.
+        n.forget(NodeId(1));
+        n.refresh_replica();
+        assert_eq!(n.replica_version, version + 1);
+        assert_eq!(n.replica_hash, n.replica_hash_scratch());
     }
 
     #[test]
@@ -1321,13 +1360,13 @@ mod tests {
         assert!((e.gap_mean - 60.0).abs() < 1e-9, "steady 60 s cadence");
         assert!(e.gap_var < 1e-9);
         // Stable link: threshold clamps to the floor, far below the cap.
-        let th = e.suspicion_timeout(60.0, 1.5, 4.0, 150.0);
+        let th = e.suspicion_timeout(60.0, 150.0);
         assert!((th - 90.0).abs() < 1e-9, "clamped to 1.5 periods, got {th}");
         // Too few samples: the cap applies.
         let mut fresh = node();
         fresh.hear_with_zone(NodeId(1), &zn, 0.0);
         assert_eq!(
-            fresh.table[&NodeId(1)].suspicion_timeout(60.0, 1.5, 4.0, 150.0),
+            fresh.table[&NodeId(1)].suspicion_timeout(60.0, 150.0),
             150.0
         );
     }

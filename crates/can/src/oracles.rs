@@ -496,7 +496,7 @@ mod tests {
             assert!(v.is_empty(), "{v:?}");
         }
         assert!(
-            sim.replica_promotions() >= 1,
+            sim.counters().replica_promotions >= 1,
             "warm promotions expected under clean crashes"
         );
         // The cursor advanced: a second pass re-audits nothing.

@@ -4,7 +4,7 @@ use pgrid_can::adjacency::Adjacency;
 use pgrid_can::geom::Zone;
 use pgrid_can::protocol::{CanSim, HeartbeatScheme, ProtocolConfig};
 use pgrid_can::split_tree::{choose_split_plane, choose_split_plane_free, SplitTree, ZoneChange};
-use pgrid_can::wire::WireModel;
+use pgrid_can::wire::{compact_keepalive, full_heartbeat, zone_update};
 use pgrid_simcore::SimRng;
 use pgrid_types::NodeId;
 use proptest::prelude::*;
@@ -53,11 +53,10 @@ proptest! {
     /// a compact keepalive never exceeds a full heartbeat.
     #[test]
     fn wire_monotonicity(d in 1usize..20, k in 0usize..64) {
-        let w = WireModel::default();
-        prop_assert!(w.full_heartbeat(d, k + 1) > w.full_heartbeat(d, k));
-        prop_assert!(w.full_heartbeat(d + 1, k) > w.full_heartbeat(d, k));
-        prop_assert!(w.compact_keepalive() <= w.full_heartbeat(d, k));
-        prop_assert!(w.zone_update(d) <= w.full_heartbeat(d, k));
+        prop_assert!(full_heartbeat(d, k + 1) > full_heartbeat(d, k));
+        prop_assert!(full_heartbeat(d + 1, k) > full_heartbeat(d, k));
+        prop_assert!(compact_keepalive() <= full_heartbeat(d, k));
+        prop_assert!(zone_update(d) <= full_heartbeat(d, k));
     }
 
     /// Sequential joins always produce a consistent CAN: zones

@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use crate::{figures, report, CliError};
+use pgrid::can::ConfigError;
 use pgrid::prelude::*;
 use pgrid::types::DimensionLayout;
 use pgrid::workload::trace;
@@ -73,6 +74,7 @@ USAGE:
   pgrid trace gen-jobs   [--count N] [--dims D] [--ratio R] [--interarrival S]
                          [--seed S] [--out FILE]
   pgrid trace replay     --nodes FILE --jobs FILE [--scheduler het|hom|central]
+                         [--seed S]
       Generate reusable workload traces, or replay saved traces.
 
   pgrid info
@@ -120,8 +122,8 @@ pub fn info() -> String {
 
 fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
     let mut s = default_scenario();
-    s.nodes = args.get_or("nodes", s.nodes)?;
-    s.jobs = args.get_or("jobs", s.jobs)?;
+    s.nodes = count_from(args, "nodes", s.nodes)?;
+    s.jobs = count_from(args, "jobs", s.jobs)?;
     if s.jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
@@ -135,7 +137,18 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
             s.job_gen.mean_interarrival,
         );
     }
-    s.job_gen.mean_interarrival = interarrival_from(args, s.job_gen.mean_interarrival)?;
+    let ia = interarrival_from(args, s.job_gen.mean_interarrival)?;
+    // The refresh clock must still move at the expected last arrival,
+    // or the run never ends (the rule `--gap` obeys in `pgrid churn`).
+    let last = s.jobs as f64 * ia;
+    if last + s.ai_refresh_period == last {
+        return Err(format!(
+            "--interarrival {ia:e} puts the expected last arrival at {last:e} s, \
+             where the {} s aggregate refresh no longer moves the clock",
+            s.ai_refresh_period
+        ));
+    }
+    s.job_gen.mean_interarrival = ia;
     s.job_gen.constraint_ratio = ratio_from(args, s.job_gen.constraint_ratio)?;
     s.stopping_factor = args.get_or("sf", s.stopping_factor)?;
     // Eq. 4's exponent: a negative one makes the stop probability
@@ -151,6 +164,18 @@ fn scenario_from(args: &Args) -> Result<LoadBalanceScenario, String> {
         s.node_gen.shared_gpus = true;
     }
     Ok(s)
+}
+
+/// A node or job count: ids are `u32`, so at most `u32::MAX`.
+fn count_from(args: &Args, flag: &str, default: usize) -> Result<usize, String> {
+    let n: usize = args.get_or(flag, default)?;
+    if n > u32::MAX as usize {
+        return Err(format!(
+            "--{flag} must be at most {} (ids are u32), got {n}",
+            u32::MAX
+        ));
+    }
+    Ok(n)
 }
 
 /// `--dims`, the CAN dimensionality of a paper workload (default 11):
@@ -246,7 +271,7 @@ pub fn simulate(args: Args) -> Result<String, CliError> {
 
 /// `pgrid churn`
 pub fn churn(args: Args) -> Result<String, String> {
-    let nodes: usize = args.get_or("nodes", 200)?;
+    let nodes = count_from(&args, "nodes", 200)?;
     let dims: usize = args.get_or("dims", 11)?;
     let schemes = schemes_from(&args)?;
     let gap: f64 = args.get_or("gap", 10.0)?;
@@ -255,18 +280,12 @@ pub fn churn(args: Args) -> Result<String, String> {
     let graceful: f64 = args.get_or("graceful", 0.5)?;
     let seed: u64 = args.get_or("seed", 2011)?;
     args.reject_unknown()?;
-    // Values the run cannot survive: a zero-dimensional space, a churn
-    // clock that never advances or runs backwards, a loop with no end.
-    if dims == 0 {
-        return Err("--dims must be at least 1".into());
-    }
+    // Values the run cannot survive: a churn clock that never advances
+    // or runs backwards, a loop with no end.
     for (flag, secs) in [("--gap", gap), ("--duration", duration)] {
         if !(secs.is_finite() && secs > 0.0) {
             return Err(format!("{flag} must be positive and finite, got {secs}"));
         }
-    }
-    if !(0.0..1.0).contains(&loss) {
-        return Err(format!("--loss must be in [0,1), got {loss}"));
     }
     if !(0.0..=1.0).contains(&graceful) {
         return Err(format!("--graceful must be in [0,1], got {graceful}"));
@@ -277,10 +296,17 @@ pub fn churn(args: Args) -> Result<String, String> {
     cfg.graceful_fraction = graceful;
     cfg.message_loss = loss;
     cfg.seed = seed;
+    // The protocol checks the dimensionality and the loss rate.
+    cfg.protocol().validate().map_err(|e| match e {
+        ConfigError::DimsOutOfRange(_) => format!("--dims: {e}"),
+        ConfigError::LossOutOfRange(_) => format!("--loss: {e}"),
+        e => e.to_string(),
+    })?;
     let end = cfg.stage2_end();
     if end + gap == end {
         return Err(format!(
-            "--gap {gap:e} is below the resolution of the churn clock, which runs to {end} s"
+            "--gap {gap:e} is below the resolution of the churn clock, which --nodes and \
+             --duration run to {end} s"
         ));
     }
 
@@ -592,7 +618,7 @@ pub fn trace(rest: &[String]) -> Result<String, CliError> {
     let args = Args::parse(&rest[1..])?;
     match sub.as_str() {
         "gen-nodes" => {
-            let count: usize = args.get_or("count", 100)?;
+            let count = count_from(&args, "count", 100)?;
             let (_, slots) = dims_from(&args)?;
             let seed: u64 = args.get_or("seed", 2011)?;
             let out_path = args.get("out").map(str::to_string);
@@ -602,7 +628,7 @@ pub fn trace(rest: &[String]) -> Result<String, CliError> {
             Ok(emit(text, out_path)?)
         }
         "gen-jobs" => {
-            let count: usize = args.get_or("count", 1000)?;
+            let count = count_from(&args, "count", 1000)?;
             let (_, slots) = dims_from(&args)?;
             let ratio = ratio_from(&args, 0.6)?;
             let ia = interarrival_from(&args, 3.0)?;
@@ -776,6 +802,16 @@ mod tests {
     }
 
     #[test]
+    fn counts_are_bounded_by_the_id_space() {
+        // Past it, `--nodes`, `--jobs` and `--count` allocated past
+        // capacity (the flag sweep holds every flag to that).
+        let max = u32::MAX as usize;
+        let n = |v: usize| count_from(&a(&["--nodes", &v.to_string()]), "nodes", 0);
+        assert_eq!(n(max), Ok(max));
+        assert!(n(max + 1).unwrap_err().contains("--nodes"));
+    }
+
+    #[test]
     fn unbuildable_populations_are_status_2_errors() {
         let err = simulate(a(&["--nodes", "0", "--jobs", "10"])).unwrap_err();
         assert_eq!(err.status, 2, "{}", err.message);
@@ -826,9 +862,10 @@ mod tests {
         assert!(chaos(a(&["--scheme", "bogus"])).is_err());
         assert!(chaos(a(&["--scenario", "bogus"])).is_err());
         // An overlay the executor cannot partition: the partition clamp
-        // panicked in release below four nodes.
-        for tiny in ["0", "3"] {
-            let err = chaos(a(&["--quick", "--nodes", tiny, "--out", &dir])).unwrap_err();
+        // panicked in release below four nodes. Past the u32 id space
+        // the bootstrap never finished.
+        for bad in ["0", "3", "18446744073709551615"] {
+            let err = chaos(a(&["--quick", "--nodes", bad, "--out", &dir])).unwrap_err();
             assert_eq!(err.status, 1);
             assert!(err.message.contains("nodes"), "{}", err.message);
         }
@@ -1005,10 +1042,14 @@ mod tests {
     #[test]
     fn churn_rejects_values_the_run_cannot_survive() {
         // `--gap 0` never advanced the churn clock, `--gap -5` ran it
-        // backwards, `--gap 1e-20` was absorbed by it and `--dims 0`
-        // tripped the zone constructor.
+        // backwards, `--gap 1e-20` was absorbed by it, `--dims 0`
+        // tripped the zone constructor and `--dims`/`--nodes` past the
+        // limits allocated past capacity (`--nodes` blamed `--gap`).
         for (flag, bad) in [
             ("--dims", "0"),
+            ("--dims", "18446744073709551615"),
+            ("--nodes", "18446744073709551615"),
+            ("--loss", "1"),
             ("--gap", "0"),
             ("--gap", "-5"),
             ("--gap", "nan"),

@@ -237,8 +237,8 @@ fn fig7(scale: Scale, out: &Path) -> Result<String, String> {
             r.steady_broken_links(),
             r.final_nodes,
             r.mean_degree,
-            r.repairs,
-            r.full_update_rounds,
+            r.counters.repairs,
+            r.counters.full_update_rounds,
         );
         for s in &r.broken_series {
             csv.row(&[

@@ -52,11 +52,15 @@ pub fn chaos(rows: &[ChaosRow]) -> Published {
             Cell::same(r.report.dropped_messages)
         }),
         Column::csv("partition_drops", |r| Cell::same(r.report.partition_drops)),
-        Column::csv("frozen_drops", |r| Cell::same(r.report.frozen_drops)),
-        Column::both("repairs", "repair_messages", |r| {
-            Cell::same(r.report.repair_messages)
+        Column::csv("frozen_drops", |r| {
+            Cell::same(r.report.counters.frozen_drops)
         }),
-        Column::both("probes", "gap_probes", |r| Cell::same(r.report.gap_probes)),
+        Column::both("repairs", "repair_messages", |r| {
+            Cell::same(r.report.counters.repair_messages)
+        }),
+        Column::both("probes", "gap_probes", |r| {
+            Cell::same(r.report.counters.gap_probes)
+        }),
         // Printed beside the recovery time, saved after the traffic.
         Column::both("relearn(hb)", "relearn_mean_hb", |r: &ChaosRow| {
             Cell::real(r.report.relearn_mean_heartbeats, 2, 3)
@@ -241,19 +245,21 @@ pub fn detector(cells: &[DetectorCell]) -> Published {
             )
         }),
         Column::both("rule", "rule", |r| Cell::same(r.1.mode.label())),
-        Column::both("suspicions", "suspicions", |r| Cell::same(r.1.suspicions)),
+        Column::both("suspicions", "suspicions", |r| {
+            Cell::same(r.1.counters.suspicions)
+        }),
         Column::both("probes", "probe_requests", |r| {
-            Cell::same(r.1.probe_requests)
+            Cell::same(r.1.counters.probe_requests)
         }),
         Column::both("expelled", "live_expulsions", |r| {
-            Cell::same(r.1.live_expulsions)
+            Cell::same(r.1.counters.live_expulsions)
         }),
         Column::both("false pos", "false_expulsions", |r| {
-            Cell::same(r.1.false_expulsions)
+            Cell::same(r.1.counters.false_expulsions)
         }),
-        Column::both("revived", "revivals", |r| Cell::same(r.1.revivals)),
+        Column::both("revived", "revivals", |r| Cell::same(r.1.counters.revivals)),
         Column::both("lag(s)", "detection_lag_s", |r| {
-            Cell::real(r.1.detection_lag, 1, 2)
+            Cell::real(r.1.counters.mean_detection_lag(), 1, 2)
         }),
         Column::both("broken link-s", "broken_link_seconds", |r| {
             Cell::real(r.1.broken_link_seconds, 0, 1)
@@ -266,8 +272,14 @@ pub fn detector(cells: &[DetectorCell]) -> Published {
         .iter()
         .flat_map(|c| c.arms().map(|arm| (c, arm)))
         .collect();
-    let fixed_fp: u64 = cells.iter().map(|c| c.fixed.false_expulsions).sum();
-    let adaptive_fp: u64 = cells.iter().map(|c| c.adaptive.false_expulsions).sum();
+    let fixed_fp: u64 = cells
+        .iter()
+        .map(|c| c.fixed.counters.false_expulsions)
+        .sum();
+    let adaptive_fp: u64 = cells
+        .iter()
+        .map(|c| c.adaptive.counters.false_expulsions)
+        .sum();
     let summary = format!(
         "false-positive expulsions across the sweep: fixed {fixed_fp}, adaptive {adaptive_fp}\n"
     );

@@ -480,12 +480,12 @@ fn scenarios_verdict_fails_on_a_violation_or_a_lost_overload_comparison() {
 fn detector_verdict_enforces_all_three_rules() {
     let arm = |mode, false_expulsions, live_expulsions, revivals| DetectorArm {
         mode,
-        suspicions: 0,
-        probe_requests: 0,
-        live_expulsions,
-        false_expulsions,
-        revivals,
-        detection_lag: None,
+        counters: CanCounters {
+            live_expulsions,
+            false_expulsions,
+            revivals,
+            ..CanCounters::default()
+        },
         broken_link_seconds: 0.0,
         stale_keepalives: 0,
     };

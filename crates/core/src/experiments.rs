@@ -14,8 +14,8 @@
 //! deterministic, so results do not depend on scheduling).
 
 use crate::can::{
-    dst, run_churn, run_schedule, uniform_coords, ChurnConfig, ChurnReport, DetectorMode,
-    HeartbeatScheme, ScheduleReport,
+    dst, run_churn, run_schedule, uniform_coords, CanCounters, ChurnConfig, ChurnReport,
+    DetectorMode, HeartbeatScheme, ScheduleReport,
 };
 use crate::scenarios::ScenarioSpec;
 use crate::sched::{
@@ -360,14 +360,15 @@ impl PooledArm {
     pub fn pooled(reports: &[ScheduleReport]) -> Self {
         let probes: usize = reports.iter().map(|r| r.misdirect_probes).sum();
         let misses: usize = reports.iter().map(|r| r.misdirect_misses).sum();
+        let sum = |count: fn(&CanCounters) -> u64| reports.iter().map(|r| count(&r.counters)).sum();
         PooledArm {
             broken_peak: reports.iter().map(|r| r.broken_peak).max().unwrap_or(0),
-            suspicions: reports.iter().map(|r| r.suspicions).sum(),
-            live_expulsions: reports.iter().map(|r| r.live_expulsions).sum(),
-            revivals: reports.iter().map(|r| r.revivals).sum(),
+            suspicions: sum(|c| c.suspicions),
+            live_expulsions: sum(|c| c.live_expulsions),
+            revivals: sum(|c| c.revivals),
             takeovers: reports.iter().map(|r| r.takeovers).sum(),
-            replica_promotions: reports.iter().map(|r| r.replica_promotions).sum(),
-            stale_replica_rejects: reports.iter().map(|r| r.stale_replica_rejects).sum(),
+            replica_promotions: sum(|c| c.replica_promotions),
+            stale_replica_rejects: sum(|c| c.stale_replica_rejects),
             agg_promotions: reports.iter().map(|r| r.agg_promotions).sum(),
             relearn_mean_heartbeats: relearn_mean(
                 reports
@@ -510,22 +511,12 @@ pub const DETECTOR_SEED: u64 = 71;
 pub struct DetectorArm {
     /// Detection rule under test.
     pub mode: DetectorMode,
-    /// Suspicions raised (adaptive arm only; fixed has no suspicion
-    /// phase).
-    pub suspicions: u64,
-    /// Indirect-probe requests sent.
-    pub probe_requests: u64,
-    /// Live nodes actively expelled.
-    pub live_expulsions: u64,
-    /// Expulsions of nodes that were *not* frozen — the avoidable
-    /// false positives a jittery link tricks the detector into.
-    pub false_expulsions: u64,
-    /// Expelled nodes that revived through the epoch fence.
-    pub revivals: u64,
-    /// Mean seconds from a node going silent to its first suspicion
-    /// (or expulsion, for the fixed rule); `None` when nothing was
-    /// detected.
-    pub detection_lag: Option<f64>,
+    /// The simulator's counters at the end of the arm: suspicions
+    /// (adaptive only — the fixed rule has no suspicion phase), probe
+    /// requests, live and false expulsions (of nodes that were *not*
+    /// frozen — what a jittery link tricks the detector into),
+    /// revivals and the detection lag.
+    pub counters: CanCounters,
     /// Integral of directed broken links over the run, link-seconds.
     pub broken_link_seconds: f64,
     /// Keepalives received from already-expelled senders.
@@ -564,18 +555,18 @@ pub fn detector_regressions(cells: &[DetectorCell]) -> Vec<String> {
     let mut regressions = Vec::new();
     for c in cells {
         let at = format!("stress {:.1} freeze {:.0}", c.link_stress, c.freeze_secs);
-        if c.adaptive.false_expulsions > c.fixed.false_expulsions {
+        if c.adaptive.counters.false_expulsions > c.fixed.counters.false_expulsions {
             regressions.push(format!(
                 "{at}: adaptive false positives {} exceed fixed {}",
-                c.adaptive.false_expulsions, c.fixed.false_expulsions
+                c.adaptive.counters.false_expulsions, c.fixed.counters.false_expulsions
             ));
         }
         if c.freeze_secs > 150.0 {
             for arm in c.arms() {
                 let rule = arm.mode.label();
-                if arm.live_expulsions == 0 {
+                if arm.counters.live_expulsions == 0 {
                     regressions.push(format!("{at}: {rule} rule missed a real failure"));
-                } else if arm.revivals == 0 {
+                } else if arm.counters.revivals == 0 {
                     regressions.push(format!("{at}: {rule} rule never revived the victims"));
                 }
             }
@@ -663,12 +654,7 @@ fn run_detector_arm(
 
     DetectorArm {
         mode,
-        suspicions: sim.suspicions(),
-        probe_requests: sim.probe_requests(),
-        live_expulsions: sim.live_expulsions(),
-        false_expulsions: sim.false_expulsions(),
-        revivals: sim.revivals(),
-        detection_lag: sim.mean_detection_lag(),
+        counters: *sim.counters(),
         broken_link_seconds,
         stale_keepalives: sim.accounting().stale_keepalives,
     }
@@ -1067,7 +1053,8 @@ pub fn scenario_suite_over(
     for spec in specs {
         for scheme in HeartbeatScheme::ALL {
             for rep in 0..repeats {
-                let mut s = spec.compile_for(&scheme.label().to_ascii_lowercase(), seed + rep);
+                let mut s =
+                    spec.compile_for(&scheme.label().to_ascii_lowercase(), seed.wrapping_add(rep));
                 s.nodes = nodes;
                 configs.push(s);
             }
@@ -1193,8 +1180,8 @@ mod tests {
             .filter(|c| c.link_stress == 0.0 && c.freeze_secs == 0.0)
         {
             for arm in cell.arms() {
-                assert_eq!(arm.suspicions, 0, "clean cell stays silent");
-                assert_eq!(arm.live_expulsions, 0);
+                assert_eq!(arm.counters.suspicions, 0, "clean cell stays silent");
+                assert_eq!(arm.counters.live_expulsions, 0);
             }
         }
         // Under asymmetric link stress the fixed timeout must produce
@@ -1202,13 +1189,15 @@ mod tests {
         // the experiment's headline separation.
         let stressed: Vec<&DetectorCell> = cells.iter().filter(|c| c.link_stress > 0.0).collect();
         assert!(
-            stressed.iter().any(|c| c.fixed.false_expulsions > 0),
+            stressed
+                .iter()
+                .any(|c| c.fixed.counters.false_expulsions > 0),
             "link stress never tricked the fixed timeout: {stressed:?}"
         );
         assert!(
             stressed
                 .iter()
-                .any(|c| c.adaptive.false_expulsions < c.fixed.false_expulsions),
+                .any(|c| c.adaptive.counters.false_expulsions < c.fixed.counters.false_expulsions),
             "adaptive never strictly beat fixed: {stressed:?}"
         );
     }
@@ -1247,7 +1236,10 @@ mod tests {
         assert!(report.partition_drops > 0, "partitions drop traffic");
         let report = quick_chaos("lossy-churn", HeartbeatScheme::Adaptive, 7);
         assert!(report.dropped_messages > 0, "loss drops traffic");
-        assert!(report.frozen_drops > 0, "freezes silently eat messages");
+        assert!(
+            report.counters.frozen_drops > 0,
+            "freezes silently eat messages"
+        );
     }
 
     #[test]
@@ -1266,9 +1258,12 @@ mod tests {
         let vanilla = quick_storm(HeartbeatScheme::Adaptive, 17, false);
         let replicated = quick_storm(HeartbeatScheme::Adaptive, 17, true);
         assert!(vanilla.takeovers > 0, "the storm must force take-overs");
-        assert_eq!(vanilla.replica_promotions, 0, "disarmed run cannot promote");
+        assert_eq!(
+            vanilla.counters.replica_promotions, 0,
+            "disarmed run cannot promote"
+        );
         assert!(
-            replicated.replica_promotions > 0,
+            replicated.counters.replica_promotions > 0,
             "armed heirs promote warm replicas: {replicated:?}"
         );
         assert!(

@@ -22,7 +22,7 @@
 //! * [`workload`] — synthetic node populations and job streams;
 //! * [`sched`] — matchmakers (can-het / can-hom / central), node
 //!   execution model, the load-balancing simulator;
-//! * [`metrics`] — CDFs, summaries, time series, tables, CSV.
+//! * [`metrics`] — CDFs, summaries, tables, CSV, SVG charts.
 //!
 //! ## Quickstart
 //!
@@ -53,15 +53,15 @@ pub mod scenarios;
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
     pub use crate::can::{
-        run_churn, uniform_coords, CanSim, ChurnConfig, ChurnReport, DetectorConfig, DetectorMode,
-        HeartbeatScheme, ProtocolConfig, WireModel,
+        run_churn, uniform_coords, CanCounters, CanSim, ChurnConfig, ChurnReport, DetectorConfig,
+        DetectorMode, HeartbeatScheme, ProtocolConfig,
     };
     pub use crate::can::{run_schedule, scheme_from_label, ScheduleReport};
     pub use crate::experiments::{self, Scale};
     pub use crate::fuzz::{
         fuzz_search, replay_trace, run_case, CaseReport, FuzzConfig, FuzzFailure, FuzzSummary,
     };
-    pub use crate::metrics::{Cdf, CsvWriter, Summary, Table, TimeSeries};
+    pub use crate::metrics::{Cdf, CsvWriter, Summary, Table};
     pub use crate::scenarios::{self, ScenarioSpec};
     pub use crate::sched::{
         run_load_balance, run_load_balance_ablated, run_load_balance_chaos, try_run_load_balance,

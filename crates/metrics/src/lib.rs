@@ -1,7 +1,7 @@
 //! Measurement and reporting utilities: CDFs (the paper's Figures 5–6
-//! are wait-time CDFs), histograms, summary statistics, time series
-//! (Figure 7), ASCII tables, CSV export, and column lists that render a
-//! published table in both forms from one declaration.
+//! are wait-time CDFs), summary statistics, ASCII tables, CSV export,
+//! SVG charts, and column lists that render a published table in both
+//! forms from one declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -9,8 +9,6 @@
 pub mod cdf;
 pub mod columns;
 pub mod csv;
-pub mod histogram;
-pub mod series;
 pub mod summary;
 pub mod svg;
 pub mod table;
@@ -18,8 +16,6 @@ pub mod table;
 pub use cdf::Cdf;
 pub use columns::{Cell, Column, Columns};
 pub use csv::CsvWriter;
-pub use histogram::{Buckets, Histogram};
-pub use series::TimeSeries;
 pub use summary::Summary;
 pub use svg::{LineChart, RectMap};
 pub use table::Table;

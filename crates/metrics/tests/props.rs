@@ -1,6 +1,6 @@
 //! Property-based tests for the metrics crate.
 
-use pgrid_metrics::{Buckets, Cdf, CsvWriter, Histogram, Summary, Table, TimeSeries};
+use pgrid_metrics::{Cdf, CsvWriter, Summary, Table};
 use proptest::prelude::*;
 
 proptest! {
@@ -32,35 +32,6 @@ proptest! {
         prop_assert!(cdf.fraction_at(x) + 1e-9 >= q);
     }
 
-    /// Histogram conservation: bucketed + underflow + overflow = total.
-    #[test]
-    fn histogram_conserves(
-        samples in prop::collection::vec(-50.0f64..150.0, 0..500),
-        count in 1usize..40,
-    ) {
-        let h = Histogram::from_iter(
-            Buckets::Linear { lo: 0.0, hi: 100.0, count },
-            samples.iter().copied(),
-        );
-        let bucketed: u64 = (0..h.len()).map(|i| h.count(i)).sum();
-        prop_assert_eq!(bucketed + h.underflow() + h.overflow(), samples.len() as u64);
-    }
-
-    /// Histogram bucket bounds tile the range without gaps.
-    #[test]
-    fn histogram_bounds_tile(count in 1usize..30, log in any::<bool>()) {
-        let b = if log {
-            Buckets::Log { lo: 0.5, hi: 512.0, count }
-        } else {
-            Buckets::Linear { lo: -3.0, hi: 7.0, count }
-        };
-        let h = Histogram::new(b);
-        let rows: Vec<(f64, f64, u64)> = h.rows().collect();
-        for w in rows.windows(2) {
-            prop_assert!((w[0].1 - w[1].0).abs() < 1e-9, "gap between buckets");
-        }
-    }
-
     /// Summary mean always lies within [min, max].
     #[test]
     fn summary_mean_bounded(xs in prop::collection::vec(-1e6f64..1e6, 1..500)) {
@@ -68,20 +39,6 @@ proptest! {
         prop_assert!(s.mean() >= s.min().unwrap() - 1e-6);
         prop_assert!(s.mean() <= s.max().unwrap() + 1e-6);
         prop_assert!(s.variance() >= 0.0);
-    }
-
-    /// Time series tail_mean interpolates between full mean and last
-    /// value.
-    #[test]
-    fn series_tail_mean_in_range(values in prop::collection::vec(0.0f64..100.0, 1..100), frac in 0.01f64..1.0) {
-        let s = TimeSeries::from_points(
-            "x",
-            values.iter().enumerate().map(|(i, v)| (i as f64, *v)).collect(),
-        );
-        let t = s.tail_mean(frac).unwrap();
-        let lo = values.iter().cloned().fold(f64::MAX, f64::min);
-        let hi = values.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!(t >= lo - 1e-9 && t <= hi + 1e-9);
     }
 
     /// Table render always has rows + 2 lines and aligned width.

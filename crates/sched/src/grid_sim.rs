@@ -233,7 +233,6 @@ fn instantiate(
 fn push_params(scenario: &LoadBalanceScenario) -> PushParams {
     PushParams {
         stopping_factor: scenario.stopping_factor,
-        ..PushParams::default()
     }
 }
 

@@ -22,18 +22,18 @@ use pgrid_types::{CeType, DimensionLayout, JobSpec, NodeId};
 pub struct PushParams {
     /// Stopping factor SF of Eq. 4 (larger stops sooner).
     pub stopping_factor: f64,
-    /// Hard cap on pushes per job (safety net; rarely reached).
-    pub max_pushes: usize,
 }
 
 impl Default for PushParams {
     fn default() -> Self {
         PushParams {
             stopping_factor: 2.0,
-            max_pushes: 64,
         }
     }
 }
+
+/// Hard cap on pushes per job (a safety net; rarely reached).
+const MAX_PUSHES: usize = 64;
 
 /// Where a job ended up and how much work it took to decide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -522,7 +522,7 @@ impl Matchmaker for PushingMatchmaker {
             // of its directions are candidates — lateral moves across
             // virtual slices keep the walk from being cornered.
             let mut best: Option<(NodeId, usize, f64)> = None;
-            if pushes < self.params.max_pushes {
+            if pushes < MAX_PUSHES {
                 for d in 0..dims {
                     let dirs: &[i8] = if d == vd { &[1, -1] } else { &[1] };
                     for &dir in dirs {

@@ -208,11 +208,6 @@ impl NodeRuntime {
             && job.satisfied_by(&self.spec)
     }
 
-    /// Number of running jobs.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
     /// Number of waiting jobs.
     pub fn queued_count(&self) -> usize {
         self.queue.len()

@@ -76,11 +76,6 @@ impl TimeSharedNode {
         }
     }
 
-    /// Number of resident jobs.
-    pub fn resident_count(&self) -> usize {
-        self.residents.len()
-    }
-
     /// Demand currently placed on a CE: core-demand for non-dedicated,
     /// job count for dedicated. `None` when the node lacks the CE.
     pub fn demand_on(&self, ty: CeType) -> Option<f64> {

@@ -594,6 +594,10 @@ fn route_matches_the_full_scan_on_identical_nodes() {
 // these in release as well (`--test props place`); the debug run is the
 // one that carries the walk's own `debug_assert!`s.
 
+/// The push walk's hard cap on pushes per job, as the matchmaker
+/// spells it.
+const MAX_PUSHES: usize = 64;
+
 /// Algorithm 1 for can-het (`het`) or can-hom, over its own aggregate
 /// table.
 struct NaivePush {
@@ -773,7 +777,7 @@ impl NaivePush {
             // (target, dimension, objective): the minimum, the lowest id
             // on a tie, infinity never.
             let mut best: Option<(NodeId, usize, f64)> = None;
-            if pushes < self.params.max_pushes {
+            if pushes < MAX_PUSHES {
                 for d in 0..dims {
                     let dirs: &[i8] = if d == vd { &[1, -1] } else { &[1] };
                     for &dir in dirs {

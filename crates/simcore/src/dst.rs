@@ -575,11 +575,6 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// Total number of node-fault events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
     /// Sanity-checks the schedule against the executor's preconditions
     /// (finite non-negative times, `drop < 1`, partition windows inside
     /// the fault phase, positive freeze durations, …).
@@ -600,8 +595,13 @@ impl FaultSchedule {
         if self.dims == 0 || self.dims > 6 {
             return Err(format!("dims must be in 1..=6, got {}", self.dims));
         }
-        if self.nodes < 4 {
-            return Err(format!("nodes must be >= 4, got {}", self.nodes));
+        // Node ids are `u32`.
+        if !(4..=u32::MAX as usize).contains(&self.nodes) {
+            return Err(format!(
+                "nodes must be in 4..={}, got {}",
+                u32::MAX,
+                self.nodes
+            ));
         }
         pos("settle", self.settle_time)?;
         pos("period", self.heartbeat_period)?;

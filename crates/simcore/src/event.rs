@@ -120,12 +120,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Schedules `event` to fire `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.schedule(self.now + delay, event);
-    }
-
     /// Firing time of the next event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -183,16 +177,6 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), 7.0);
         assert_eq!(q.fired(), 2);
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(10.0, "first");
-        q.pop();
-        q.schedule_in(5.0, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 15.0);
     }
 
     #[test]

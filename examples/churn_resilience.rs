@@ -43,7 +43,7 @@ fn main() {
             r.scheme.label(),
             r.steady_broken_links(),
             r.kb_per_node_min,
-            r.full_update_rounds,
+            r.counters.full_update_rounds,
         );
     }
     println!(

@@ -106,11 +106,11 @@ fn corpus_includes_the_rack_crash_storm() {
     // the dead owner's last acknowledged version.
     let can_report = pgrid::can::dst::run_schedule(&schedule);
     assert!(
-        can_report.replica_promotions > 0,
+        can_report.counters.replica_promotions > 0,
         "storm drove no promotions: {can_report:?}"
     );
     assert!(
-        can_report.stale_replica_rejects > 0,
+        can_report.counters.stale_replica_rejects > 0,
         "storm never exercised the stale-replica fence: {can_report:?}"
     );
 }
@@ -152,7 +152,7 @@ fn corpus_includes_the_diurnal_wave() {
     );
     // Every departure is real — the adaptive detector must not expel a
     // single live node while riding the wave.
-    assert_eq!(report.live_expulsions, 0, "{report:?}");
+    assert_eq!(report.counters.live_expulsions, 0, "{report:?}");
     assert_eq!(
         report.final_nodes, schedule.nodes,
         "peaks restore the troughs"
@@ -177,7 +177,7 @@ fn corpus_includes_the_rack_storm() {
     // Three racks of four: every expanded event is a crash burst.
     assert_eq!(schedule.events.len(), 3);
     assert!(
-        report.replica_promotions > 0,
+        report.counters.replica_promotions > 0,
         "the storm must drive warm-replica promotions: {report:?}"
     );
 }
@@ -193,7 +193,7 @@ fn corpus_includes_the_takeover_storm() {
     built.expect_digest = schedule.expect_digest;
     assert_eq!(schedule, built);
     assert!(
-        report.replica_promotions > 0,
+        report.counters.replica_promotions > 0,
         "second-choice heirs must still promote replicas: {report:?}"
     );
 }
@@ -202,11 +202,14 @@ fn corpus_includes_the_takeover_storm() {
 fn corpus_includes_the_straggler_drag() {
     let (schedule, report) = scenario_trace("straggler-drag");
     assert_eq!(schedule.degrades.len(), 1, "one straggler link window");
-    assert!(report.frozen_drops > 0, "the freezes must fire: {report:?}");
+    assert!(
+        report.counters.frozen_drops > 0,
+        "the freezes must fire: {report:?}"
+    );
     // Both freezes are shorter than the fail timeout and the slow links
     // are merely slow: suspicions are fine, expulsions are not.
-    assert!(report.suspicions > 0, "{report:?}");
-    assert_eq!(report.live_expulsions, 0, "{report:?}");
+    assert!(report.counters.suspicions > 0, "{report:?}");
+    assert_eq!(report.counters.live_expulsions, 0, "{report:?}");
 }
 
 #[test]
@@ -218,7 +221,7 @@ fn corpus_includes_the_gray_failure() {
     assert_eq!(schedule.degrades[0].jitter, 0.0);
     assert_eq!(schedule.degrades[1].drop, 0.0);
     assert!(report.dropped_messages > 0, "{report:?}");
-    assert_eq!(report.live_expulsions, 0, "{report:?}");
+    assert_eq!(report.counters.live_expulsions, 0, "{report:?}");
     assert_eq!(
         report.broken_after, 0,
         "limping links must still heal: {report:?}"
@@ -234,9 +237,9 @@ fn corpus_includes_the_relocated_zombie_revival() {
     // probe the zone it last owned (where the expulsion fence lives),
     // not the coordinate — a coordinate probe compares against the
     // absorber's unfenced region and wedges forever.
-    assert!(report.live_expulsions > 0, "{report:?}");
+    assert!(report.counters.live_expulsions > 0, "{report:?}");
     assert_eq!(
-        report.revivals, report.live_expulsions,
+        report.counters.revivals, report.counters.live_expulsions,
         "every expelled node revives once the partitions heal: {report:?}"
     );
     assert_eq!(report.final_nodes, schedule.nodes, "{report:?}");

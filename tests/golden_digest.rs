@@ -2,7 +2,9 @@
 //! every behavior-bearing output of the load-balance simulation
 //! (per-job wait times, final placements, route-hop and push summaries,
 //! churn counters), at quick scale, for all three schedulers, with and
-//! without eviction.
+//! without eviction. The runs without eviction also pin their work
+//! counts (route hops, pushes, fallbacks, events), which name what a
+//! moved digest moved.
 //!
 //! The recorded constants pin the simulation's *exact* trajectory: any
 //! hot-path optimization (CSR adjacency, scratch buffers, precomputed
@@ -83,11 +85,27 @@ fn check(label: &str, expected: u64, r: &SimResult) {
     );
 }
 
+/// Host-independent work counts of one run: Σ route hops, Σ pushes,
+/// fallback placements and events fired.
+fn work(r: &SimResult) -> [u64; 4] {
+    let sum = |s: &Summary| (s.mean() * s.count() as f64).round() as u64;
+    [
+        sum(&r.route_hops),
+        sum(&r.pushes),
+        r.fallback_placements,
+        r.events_fired,
+    ]
+}
+
 const NO_EVICTION: [(&str, u64); 3] = [
     ("can-het", 0xf2d13c481f061b02),
     ("can-hom", 0x4c09d255f21bc163),
     ("central", 0xbc400b2d6f3c8d4a),
 ];
+
+/// [`work`] of the [`NO_EVICTION`] runs.
+const NO_EVICTION_WORK: [[u64; 4]; 3] =
+    [[1901, 301, 6, 1619], [1938, 566, 1, 1628], [0, 0, 0, 1587]];
 
 const WITH_EVICTION: [(&str, u64); 3] = [
     ("can-het+evict", 0x53f2a6ebefd6a08d),
@@ -98,8 +116,23 @@ const WITH_EVICTION: [(&str, u64); 3] = [
 #[test]
 fn golden_digests_without_eviction() {
     let s = quick_scenario();
-    for (choice, (label, expected)) in SchedulerChoice::ALL.into_iter().zip(NO_EVICTION) {
+    for ((choice, (label, expected)), counts) in SchedulerChoice::ALL
+        .into_iter()
+        .zip(NO_EVICTION)
+        .zip(NO_EVICTION_WORK)
+    {
         let r = run_load_balance(&s, choice);
+        // Checked before the digest, so a moved digest says which count
+        // moved with it.
+        if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
+            println!("{label}: {:?}", work(&r));
+        } else {
+            assert_eq!(
+                work(&r),
+                counts,
+                "{label}: [hops, pushes, fallbacks, events]"
+            );
+        }
         check(label, expected, &r);
     }
 }

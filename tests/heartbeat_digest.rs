@@ -7,7 +7,8 @@
 //! final observable simulator state
 //! (`CanSim::fold_observable_state`), so a hot-path "optimization"
 //! that reorders a single message, skips one delivery, or shifts one
-//! RNG draw fails loudly.
+//! RNG draw fails loudly. The n = 256 runs also pin their whole
+//! `CanCounters` record, which names the counter a moved digest moved.
 //!
 //! These constants were originally recorded with the pre-optimization
 //! delivery machinery (per-message fault fate, per-receiver payload
@@ -62,9 +63,9 @@ fn digest(r: &ChurnReport) -> u64 {
     h.f64(r.kb_per_node_min);
     h.f64(r.mean_degree);
     h.u64(r.final_nodes as u64);
-    h.u64(r.full_update_rounds);
-    h.u64(r.repairs);
-    h.u64(r.delivered_messages);
+    h.u64(r.counters.full_update_rounds);
+    h.u64(r.counters.repairs);
+    h.u64(r.counters.delivered);
     h.u64(r.state_digest);
     h.0
 }
@@ -133,12 +134,48 @@ const MID_SCALE: [(&str, u64); 3] = [
     ("adaptive/n256", 0xf57e23c250dc4da6),
 ];
 
+/// The [`MID_SCALE`] runs' counters, whole (every field not named is
+/// zero), checked before their digests so a moved digest says which
+/// counter moved with it.
+fn mid_scale_counters() -> [CanCounters; 3] {
+    [
+        CanCounters {
+            delivered: 176_629,
+            repairs: 2_420,
+            ..CanCounters::default()
+        },
+        CanCounters {
+            delivered: 184_944,
+            repairs: 371,
+            repair_messages: 1_895,
+            ..CanCounters::default()
+        },
+        CanCounters {
+            delivered: 185_552,
+            repairs: 659,
+            full_update_rounds: 275,
+            gap_probes: 4,
+            repair_messages: 1_913,
+            ..CanCounters::default()
+        },
+    ]
+}
+
 #[test]
 fn heartbeat_digests_mid_scale() {
-    for (scheme, (label, expected)) in HeartbeatScheme::ALL.into_iter().zip(MID_SCALE) {
+    for ((scheme, (label, expected)), counters) in HeartbeatScheme::ALL
+        .into_iter()
+        .zip(MID_SCALE)
+        .zip(mid_scale_counters())
+    {
         let mut cfg = ChurnConfig::new(11, scheme, 256).high_churn();
         cfg.stage2_duration = 1800.0;
         let r = run_churn(&cfg, uniform_coords(cfg.dims));
+        if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
+            println!("{label}: {:#?}", r.counters);
+        } else {
+            assert_eq!(r.counters, counters, "{label}: the counters moved");
+        }
         check(label, expected, &r);
     }
 }
@@ -175,7 +212,7 @@ fn digest_is_sensitive_to_results() {
     let cfg = fig7_shape(HeartbeatScheme::Compact, None);
     let r = run_churn(&cfg, uniform_coords(cfg.dims));
     let mut tweaked = r.clone();
-    tweaked.delivered_messages += 1;
+    tweaked.counters.delivered += 1;
     assert_ne!(digest(&r), digest(&tweaked));
     let mut tweaked = r.clone();
     tweaked.state_digest ^= 1;
