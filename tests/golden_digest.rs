@@ -4,7 +4,10 @@
 //! churn counters), at quick scale, for all three schedulers, with and
 //! without eviction. The runs without eviction also pin their work
 //! counts (route hops, pushes, fallbacks, events), which name what a
-//! moved digest moved.
+//! moved digest moved. Two arms run the fault layers hard enough that
+//! every one of their mechanisms fires — a crash every minute, and
+//! bounded queues under crashes and eviction at triple load — and also
+//! pin the recovery and overload records.
 //!
 //! The recorded constants pin the simulation's *exact* trajectory: any
 //! hot-path optimization (CSR adjacency, scratch buffers, precomputed
@@ -18,6 +21,7 @@
 //! `PGRID_PRINT_DIGESTS=1 cargo test --test golden_digest -- --nocapture`
 
 use p2p_ce_grid::prelude::*;
+use p2p_ce_grid::sched::{run_load_balance_overload, OverloadConfig};
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -66,6 +70,40 @@ fn digest(r: &SimResult) -> u64 {
     h.0
 }
 
+/// [`digest`] plus what the fault layers report: the crash-recovery
+/// and overload records, drain-lost jobs and events fired.
+fn fault_digest(r: &SimResult) -> u64 {
+    let mut h = Fnv(digest(r));
+    if let Some(rec) = &r.recovery {
+        for v in [
+            rec.crashes,
+            rec.killed_running,
+            rec.killed_queued,
+            rec.requeued,
+            rec.permanently_failed,
+            u64::from(rec.max_attempts),
+        ] {
+            h.u64(v);
+        }
+        h.f64(rec.wasted_seconds);
+    }
+    if let Some(ov) = &r.overload {
+        for v in [
+            ov.admitted,
+            ov.admission_rejects,
+            ov.shed_admission,
+            ov.shed_queue,
+            ov.push_attempts,
+            ov.max_boundary_depth,
+        ] {
+            h.u64(v);
+        }
+    }
+    h.u64(r.lost_jobs);
+    h.u64(r.events_fired);
+    h.0
+}
+
 fn quick_scenario() -> LoadBalanceScenario {
     let mut s = default_scenario().scaled_down(10); // 100 nodes
     s.jobs = 600;
@@ -73,7 +111,10 @@ fn quick_scenario() -> LoadBalanceScenario {
 }
 
 fn check(label: &str, expected: u64, r: &SimResult) {
-    let got = digest(r);
+    check_digest(label, expected, digest(r));
+}
+
+fn check_digest(label: &str, expected: u64, got: u64) {
     if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
         println!("(\"{label}\", 0x{got:016x}),");
         return;
@@ -173,6 +214,77 @@ fn golden_digests_refresh_heavy() {
     for (choice, (label, expected)) in SchedulerChoice::ALL.into_iter().zip(REFRESH_HEAVY) {
         let r = run_load_balance(&s, choice);
         check(label, expected, &r);
+    }
+}
+
+/// A crash every 60 s: every scheduler exhausts some job's retry
+/// budget, so each backoff step and the retry limit are on the pinned
+/// path.
+const CRASH_HEAVY: [(&str, u64); 3] = [
+    ("can-het+crash60", 0x94c4c00228f996ec),
+    ("can-hom+crash60", 0x869c49eca5f5b68c),
+    ("central+crash60", 0x960e44bac4626ee1),
+];
+
+#[test]
+fn golden_digests_crash_heavy() {
+    let s = quick_scenario();
+    let chaos = CrashChaosConfig::new(60.0);
+    for (choice, (label, expected)) in SchedulerChoice::ALL.into_iter().zip(CRASH_HEAVY) {
+        let r = run_load_balance_chaos(&s, choice, &chaos);
+        let rec = r.recovery.as_ref().expect("chaos run reports recovery");
+        if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
+            println!("{label}: {rec:?}");
+        }
+        assert!(
+            rec.permanently_failed > 0,
+            "{label}: no job exhausted its retries"
+        );
+        assert_eq!(rec.max_attempts, 6, "{label}: 1 + five retries");
+        check_digest(label, expected, fault_digest(&r));
+    }
+}
+
+/// Three times the arrival rate into bounded queues under eviction and
+/// crashes: admission rejects, queue sheds, evictions and crashes all
+/// fire, so the retry delay, the resubmit delay and both outages are
+/// on the pinned path.
+const STRESS: [(&str, u64); 3] = [
+    ("can-het+stress", 0x07bf37ae1b2a66ce),
+    ("can-hom+stress", 0x0ba8332e78cd4712),
+    ("central+stress", 0xb8314eb30fc22a74),
+];
+
+#[test]
+fn golden_digests_stress() {
+    let mut s = quick_scenario().with_eviction(EvictionConfig::new(600.0));
+    s.job_gen.mean_interarrival /= 3.0;
+    let chaos = CrashChaosConfig::new(300.0);
+    let cfg = OverloadConfig {
+        queue_slots: Some(4),
+        max_queue_wait: Some(900.0),
+        retry_refill: 0.01,
+        // The default burst of 3 tokens.
+        ..OverloadConfig::default()
+    };
+    for (choice, (label, expected)) in SchedulerChoice::ALL.into_iter().zip(STRESS) {
+        let r = run_load_balance_overload(&s, choice, Some(&chaos), &cfg);
+        let rec = r.recovery.as_ref().expect("chaos run reports recovery");
+        let ov = r.overload.as_ref().expect("overload run reports stats");
+        if std::env::var_os("PGRID_PRINT_DIGESTS").is_some() {
+            println!("{label}: {} evictions, {rec:?}, {ov:?}", r.evictions);
+        }
+        assert!(
+            r.evictions > 0 && r.resubmissions > 0,
+            "{label}: no eviction fired"
+        );
+        assert!(
+            rec.crashes > 0 && rec.requeued > 0,
+            "{label}: no crash fired"
+        );
+        assert!(ov.admission_rejects > 0, "{label}: no admission reject");
+        assert!(ov.shed_queue > 0, "{label}: no queue shed");
+        check_digest(label, expected, fault_digest(&r));
     }
 }
 
