@@ -996,7 +996,6 @@ pub fn overload_delta(spec: &ScenarioSpec, scale: Scale, seed: u64) -> Option<Ov
         max_queue_wait: Some(rec.wait),
         retry_burst: rec.burst,
         retry_refill: rec.refill,
-        ..OverloadConfig::default()
     };
     let vanilla = run_load_balance(&over, SchedulerChoice::CanHet);
     let controlled = run_load_balance_overload(&over, SchedulerChoice::CanHet, None, &cfg);

@@ -22,6 +22,7 @@
 //! schedule or a digest, so every individual case stays bit-replayable.
 
 use crate::can;
+use crate::sched::recovery::MAX_RETRIES;
 use crate::sched::{
     bounded_queue_violation, retry_storm_violation, run_load_balance_chaos,
     run_load_balance_overload, CrashChaosConfig, OverloadConfig, OverloadStats, SimResult,
@@ -132,7 +133,6 @@ fn run_sched_phase(
         max_queue_wait: Some(o.wait),
         retry_burst: o.burst,
         retry_refill: o.refill,
-        ..OverloadConfig::default()
     });
     // Chaos-only schedules keep the exact historical code path (and
     // therefore digests); `run_load_balance_overload` is entered only
@@ -182,7 +182,7 @@ fn check_sched_oracles(
     if !(result.makespan.is_finite() && result.makespan >= 0.0) {
         violations.push(format!("sched: absurd makespan {}", result.makespan));
     }
-    if let Some(chaos) = chaos {
+    if chaos.is_some() {
         let Some(rec) = &result.recovery else {
             violations.push("sched: chaos run reported no recovery stats".into());
             return;
@@ -197,10 +197,10 @@ fn check_sched_oracles(
                 rec.wasted_seconds, waste_bound, rec.killed_running
             ));
         }
-        if rec.max_attempts > chaos.max_retries + 1 {
+        if rec.max_attempts > MAX_RETRIES + 1 {
             violations.push(format!(
-                "sched: job needed {} attempts with a budget of {} retries",
-                rec.max_attempts, chaos.max_retries
+                "sched: job needed {} attempts with a budget of {MAX_RETRIES} retries",
+                rec.max_attempts
             ));
         }
         if rec.jobs_lost() > 0 && rec.requeued == 0 && rec.permanently_failed == 0 {

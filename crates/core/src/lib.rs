@@ -65,9 +65,9 @@ pub mod prelude {
     pub use crate::scenarios::{self, ScenarioSpec};
     pub use crate::sched::{
         run_load_balance, run_load_balance_ablated, run_load_balance_chaos, try_run_load_balance,
-        AiEntry, AiGrouping, AiTable, BuildError, CentralMatchmaker, CrashChaosConfig, GridShards,
-        HetFeatures, Matchmaker, PushParams, PushingMatchmaker, RecoveryStats, SchedulerChoice,
-        SimResult, StaticGrid, SuspicionConfig,
+        AiEntry, AiGrouping, AiTable, BuildError, CentralMatchmaker, CrashChaosConfig, HetFeatures,
+        Matchmaker, PushParams, PushingMatchmaker, RecoveryStats, SchedulerChoice, SimResult,
+        StaticGrid,
     };
     pub use crate::simcore::{
         EventQueue, FaultSchedule, Fnv, ScheduleBudget, ScheduleMacro, SimRng, TraceParseError,

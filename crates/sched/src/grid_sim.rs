@@ -2,34 +2,25 @@
 //! Poisson job arrivals → matchmaking → FIFO queues → execution scaled
 //! by the dominant CE's clock → per-job wait times.
 //!
-//! # Zone-region lanes
-//!
-//! The event loop runs on a [`ShardedQueue`]: one *coordinator* lane
-//! (lane 0) for global events — arrivals, aggregate refreshes,
-//! evictions, crashes, loss detections — and, under
-//! [`run_trace_sharded`], one lane per zone region for node-local
-//! events (job finishes and node restores, whose `start_ready` chains
-//! never leave their node). Lanes share a single sequence counter, so
-//! the K-way merge pops events in *exactly* the order a single queue
-//! would: the lane count changes where events are stored, never the
-//! trajectory (`tests/shard_equivalence.rs`). Every entry point but
-//! that one runs on one node lane, and nothing runs on a second thread
+//! Every entry point drives one [`EventQueue`] on one thread
 //! (`DESIGN.md` §15).
 
 use crate::grid::{BuildError, StaticGrid};
 use crate::matchmakers::{
     CentralMatchmaker, HetFeatures, Matchmaker, Placement, PushParams, PushingMatchmaker,
 };
-use crate::sharding::GridShards;
 use pgrid_metrics::{Cdf, Summary};
-use pgrid_simcore::shard::ShardedQueue;
-use pgrid_simcore::SimRng;
+use pgrid_simcore::{EventQueue, SimRng};
 use pgrid_types::{DimensionLayout, JobId, JobSpec, NodeId};
 use pgrid_workload::nodegen::generate_nodes;
-use pgrid_workload::profiles::{EvictionConfig, LoadBalanceScenario};
+use pgrid_workload::profiles::{
+    EvictionConfig, LoadBalanceScenario, EVICTION_OUTAGE, RESUBMIT_DELAY,
+};
 
-use crate::overload::{OverloadConfig, OverloadStats, TokenBucket};
-use crate::recovery::{CrashChaosConfig, JobLedger, RecoveryStats};
+use crate::overload::{OverloadConfig, OverloadStats, TokenBucket, RETRY_DELAY};
+use crate::recovery::{
+    backoff, CrashChaosConfig, JobLedger, RecoveryStats, CRASH_OUTAGE, DETECT_TIMEOUT, MAX_RETRIES,
+};
 
 /// Which matchmaker a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +192,6 @@ fn run_scenario(
         scenario.eviction.as_ref(),
         chaos,
         overload,
-        1,
     ))
 }
 
@@ -282,7 +272,6 @@ pub fn run_load_balance_ablated(
         scenario.eviction.as_ref(),
         None,
         None,
-        1,
     )
 }
 
@@ -298,22 +287,6 @@ pub fn run_trace(
     seed: u64,
     choice: SchedulerChoice,
 ) -> SimResult {
-    run_trace_sharded(grid, matchmaker, jobs, ai_refresh_period, seed, choice, 1)
-}
-
-/// [`run_trace`] with the node-local events spread over `shards` zone
-/// regions' queue lanes. Bit-identical to [`run_trace`] for every
-/// count (module docs); `shards <= 1` *is* [`run_trace`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_trace_sharded(
-    grid: &mut StaticGrid,
-    matchmaker: &mut dyn Matchmaker,
-    jobs: &[(f64, JobSpec)],
-    ai_refresh_period: f64,
-    seed: u64,
-    choice: SchedulerChoice,
-    shards: usize,
-) -> SimResult {
     run_with(
         grid,
         matchmaker,
@@ -324,8 +297,21 @@ pub fn run_trace_sharded(
         None,
         None,
         None,
-        shards,
     )
+}
+
+/// [`run_trace`]; the lane count is ignored. Kept only because the repo
+/// benchmark names it (ROADMAP item 3).
+pub fn run_trace_sharded(
+    grid: &mut StaticGrid,
+    matchmaker: &mut dyn Matchmaker,
+    jobs: &[(f64, JobSpec)],
+    ai_refresh_period: f64,
+    seed: u64,
+    choice: SchedulerChoice,
+    _shards: usize,
+) -> SimResult {
+    run_trace(grid, matchmaker, jobs, ai_refresh_period, seed, choice)
 }
 
 /// Heartbeat-boundary shedding: enforces the queue bounds
@@ -357,18 +343,10 @@ fn run_with(
     eviction: Option<&EvictionConfig>,
     chaos: Option<&CrashChaosConfig>,
     overload: Option<&OverloadConfig>,
-    shards: usize,
 ) -> SimResult {
     use std::collections::HashMap;
     let mut rng = SimRng::sub_stream(seed, 0x5C4ED);
-    // Lane 0 is the coordinator (global events); lane 1 + s holds the
-    // node-local events of zone shard s. The shared sequence counter
-    // makes the K-way merge order identical to a single queue, so the
-    // lane count never changes the trajectory (module docs).
-    let gs: Option<GridShards> = (shards > 1).then(|| GridShards::build(grid, shards));
-    let mut queue: ShardedQueue<Ev> = ShardedQueue::new(1 + shards.max(1));
-    let lane_of = |node: NodeId| -> usize { 1 + gs.as_ref().map_or(0, |g| g.lane_of(node)) };
-    const COORD: usize = 0;
+    let mut queue: EventQueue<Ev> = EventQueue::new();
     let index_of: HashMap<JobId, usize> = jobs
         .iter()
         .enumerate()
@@ -418,25 +396,22 @@ fn run_with(
         matchmaker.set_pressure_bound(o.queue_slots);
     }
 
-    match &gs {
-        Some(g) => matchmaker.refresh_threaded(grid, 0.0, g),
-        None => matchmaker.refresh(grid, 0.0),
-    }
+    matchmaker.refresh(grid, 0.0);
     for (i, (t, _)) in jobs.iter().enumerate() {
-        queue.schedule(COORD, *t, Ev::Arrival(i as u32));
+        queue.schedule(*t, Ev::Arrival(i as u32));
     }
-    queue.schedule(COORD, ai_refresh_period, Ev::AiRefresh);
+    queue.schedule(ai_refresh_period, Ev::AiRefresh);
     if let Some(ev) = eviction {
-        queue.schedule(COORD, evict_rng.exponential(ev.mean_interval), Ev::Evict);
+        queue.schedule(evict_rng.exponential(ev.mean_interval), Ev::Evict);
     }
     if let Some(ch) = chaos {
-        queue.schedule(COORD, crash_rng.exponential(ch.mean_interval), Ev::Crash);
+        queue.schedule(crash_rng.exponential(ch.mean_interval), Ev::Crash);
     }
 
     let mut remaining = jobs.len();
     let mut lost = 0u64;
     while remaining > 0 {
-        let Some((now, _lane, ev)) = queue.pop() else {
+        let Some((now, ev)) = queue.pop() else {
             // The event queue drained with jobs outstanding: nothing
             // left can ever start them. Record them as lost first-class
             // report fields instead of aborting the harness (overload
@@ -449,7 +424,9 @@ fn run_with(
             }
             break;
         };
-        match ev {
+        // The arms that can start jobs on a node yield it and the jobs
+        // it started; the start bookkeeping after the match is theirs.
+        let (node, started) = match ev {
             Ev::AiRefresh => {
                 if let Some(o) = armed {
                     // Shed before the aggregate refresh, which then
@@ -461,10 +438,7 @@ fn run_with(
                         remaining -= 1;
                     }
                 }
-                match &gs {
-                    Some(g) => matchmaker.refresh_threaded(grid, now, g),
-                    None => matchmaker.refresh(grid, now),
-                }
+                matchmaker.refresh(grid, now);
                 if armed.is_some() {
                     let depth = (0..grid.len())
                         .map(|i| grid.runtime(NodeId(i as u32)).queued_count())
@@ -473,8 +447,9 @@ fn run_with(
                     ov_stats.max_boundary_depth = ov_stats.max_boundary_depth.max(depth as u64);
                 }
                 if remaining > 0 {
-                    queue.schedule(COORD, now + ai_refresh_period, Ev::AiRefresh);
+                    queue.schedule(now + ai_refresh_period, Ev::AiRefresh);
                 }
+                continue;
             }
             Ev::Arrival(idx) => {
                 let job = &jobs[idx as usize].1;
@@ -502,7 +477,7 @@ fn run_with(
                         if buckets[idx as usize].try_take(now) {
                             // Redirect hint: re-match after the retry
                             // delay, steered by fresher pressure bits.
-                            queue.schedule(COORD, now + o.retry_delay, Ev::Arrival(idx));
+                            queue.schedule(now + RETRY_DELAY, Ev::Arrival(idx));
                         } else {
                             ov_stats.shed_admission += 1;
                             ledger.fail(idx as usize);
@@ -521,18 +496,7 @@ fn run_with(
                     rt.enqueue(job.clone(), now);
                     rt.start_ready()
                 });
-                for started in started {
-                    let jidx = index_of[&started.job.id];
-                    wait_times[jidx] = now - placed_at[jidx];
-                    started_at[jidx] = now;
-                    let dur = started.job.runtime_on(dominant_clock[jidx]);
-                    node_busy_seconds[node.idx()] += dur;
-                    queue.schedule(
-                        lane_of(node),
-                        now + dur,
-                        Ev::Finish(node, started.job.id, submit_gen[jidx]),
-                    );
-                }
+                (node, started)
             }
             Ev::Finish(node, job_id, gen) => {
                 let jidx = index_of[&job_id];
@@ -546,18 +510,7 @@ fn run_with(
                     rt.finish(job_id);
                     rt.start_ready()
                 });
-                for started in started {
-                    let sidx = index_of[&started.job.id];
-                    wait_times[sidx] = now - placed_at[sidx];
-                    started_at[sidx] = now;
-                    let dur = started.job.runtime_on(dominant_clock[sidx]);
-                    node_busy_seconds[node.idx()] += dur;
-                    queue.schedule(
-                        lane_of(node),
-                        now + dur,
-                        Ev::Finish(node, started.job.id, submit_gen[sidx]),
-                    );
-                }
+                (node, started)
             }
             Ev::Evict => {
                 let ev = eviction.expect("Evict event without config");
@@ -573,31 +526,16 @@ fn run_with(
                         let jidx = index_of[&job.id];
                         submit_gen[jidx] += 1; // invalidate pending Finish
                         resubmissions += 1;
-                        queue.schedule(COORD, now + ev.resubmit_delay, Ev::Arrival(jidx as u32));
+                        queue.schedule(now + RESUBMIT_DELAY, Ev::Arrival(jidx as u32));
                     }
-                    queue.schedule(lane_of(victim), now + ev.outage, Ev::Restore(victim));
+                    queue.schedule(now + EVICTION_OUTAGE, Ev::Restore(victim));
                 }
-                queue.schedule(
-                    COORD,
-                    now + evict_rng.exponential(ev.mean_interval),
-                    Ev::Evict,
-                );
+                queue.schedule(now + evict_rng.exponential(ev.mean_interval), Ev::Evict);
+                continue;
             }
             Ev::Restore(node) => {
                 grid.restore_node(node);
-                let started = grid.with_runtime_mut(node, |rt| rt.start_ready());
-                for started in started {
-                    let sidx = index_of[&started.job.id];
-                    wait_times[sidx] = now - placed_at[sidx];
-                    started_at[sidx] = now;
-                    let dur = started.job.runtime_on(dominant_clock[sidx]);
-                    node_busy_seconds[node.idx()] += dur;
-                    queue.schedule(
-                        lane_of(node),
-                        now + dur,
-                        Ev::Finish(node, started.job.id, submit_gen[sidx]),
-                    );
-                }
+                (node, grid.with_runtime_mut(node, |rt| rt.start_ready()))
             }
             Ev::Crash => {
                 let ch = chaos.expect("Crash event without config");
@@ -619,43 +557,48 @@ fn run_with(
                     }
                     rec.killed_queued += queued.len() as u64;
                     // Nothing reacts until the failure detector fires:
-                    // each loss surfaces only after the detection delay
-                    // (fixed timeout, or suspect + grace when the
-                    // suspicion pipeline is armed).
+                    // each loss surfaces only after the detection delay.
                     for job in running.iter().chain(queued.iter()) {
                         let jidx = index_of[&job.id];
                         submit_gen[jidx] += 1; // invalidate pending Finish
                         queue.schedule(
-                            COORD,
-                            now + ch.detection_delay(),
+                            now + DETECT_TIMEOUT,
                             Ev::DetectLoss(jidx as u32, submit_gen[jidx]),
                         );
                     }
-                    queue.schedule(lane_of(victim), now + ch.outage, Ev::Restore(victim));
+                    queue.schedule(now + CRASH_OUTAGE, Ev::Restore(victim));
                 }
-                queue.schedule(
-                    COORD,
-                    now + crash_rng.exponential(ch.mean_interval),
-                    Ev::Crash,
-                );
+                queue.schedule(now + crash_rng.exponential(ch.mean_interval), Ev::Crash);
+                continue;
             }
             Ev::DetectLoss(idx, gen) => {
-                let ch = chaos.expect("DetectLoss event without config");
                 let jidx = idx as usize;
                 if submit_gen[jidx] != gen {
                     continue; // superseded meanwhile
                 }
                 attempts[jidx] += 1;
                 rec.max_attempts = rec.max_attempts.max(attempts[jidx]);
-                if attempts[jidx] > ch.max_retries {
+                if attempts[jidx] > MAX_RETRIES {
                     ledger.fail(jidx);
                     rec.permanently_failed += 1;
                     remaining -= 1;
                 } else {
                     rec.requeued += 1;
-                    queue.schedule(COORD, now + ch.backoff(attempts[jidx]), Ev::Arrival(idx));
+                    queue.schedule(now + backoff(attempts[jidx]), Ev::Arrival(idx));
                 }
+                continue;
             }
+        };
+        for started in started {
+            let jidx = index_of[&started.job.id];
+            wait_times[jidx] = now - placed_at[jidx];
+            started_at[jidx] = now;
+            let dur = started.job.runtime_on(dominant_clock[jidx]);
+            node_busy_seconds[node.idx()] += dur;
+            queue.schedule(
+                now + dur,
+                Ev::Finish(node, started.job.id, submit_gen[jidx]),
+            );
         }
     }
 
@@ -868,36 +811,6 @@ mod tests {
         let b = run_load_balance_chaos(&s, SchedulerChoice::CanHet, &chaos);
         assert_eq!(a.wait_times, b.wait_times);
         assert_eq!(a.recovery, b.recovery);
-    }
-
-    #[test]
-    fn suspicion_timing_shapes_recovery_latency() {
-        use crate::recovery::SuspicionConfig;
-        let s = tiny();
-        // Armed with the default pipeline (90 + 60 = 150 s) the run is
-        // bit-identical to the legacy fixed timeout — the knob changes
-        // *when* losses surface, nothing else.
-        let fixed = CrashChaosConfig::new(400.0);
-        let mut armed = fixed.clone();
-        armed.suspicion = Some(SuspicionConfig::new());
-        let a = run_load_balance_chaos(&s, SchedulerChoice::CanHet, &fixed);
-        let b = run_load_balance_chaos(&s, SchedulerChoice::CanHet, &armed);
-        assert_eq!(a.wait_times, b.wait_times);
-        assert_eq!(a.recovery, b.recovery);
-
-        // A vouch-backed early confirm still conserves every job.
-        let mut eager = fixed.clone();
-        eager.suspicion = Some(SuspicionConfig {
-            suspect_after: 60.0,
-            confirm_grace: 15.0,
-        });
-        let c = run_load_balance_chaos(&s, SchedulerChoice::CanHet, &eager);
-        let rec = c.recovery.as_ref().expect("chaos run reports stats");
-        assert_eq!(
-            c.wait_times.len() as u64 + rec.permanently_failed,
-            400,
-            "suspicion-armed runs conserve jobs"
-        );
     }
 
     #[test]

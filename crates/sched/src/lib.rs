@@ -31,6 +31,6 @@ pub use node_runtime::{NodeRuntime, Started};
 pub use overload::{
     bounded_queue_violation, retry_storm_violation, OverloadConfig, OverloadStats, TokenBucket,
 };
-pub use recovery::{CrashChaosConfig, JobLedger, RecoveryStats, SuspicionConfig};
+pub use recovery::{CrashChaosConfig, JobLedger, RecoveryStats};
 pub use sharding::GridShards;
 pub use timeshare::{run_time_shared, TimeSharedNode, TsCompletion, TsPolicy, TsResult};

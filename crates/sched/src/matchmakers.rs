@@ -57,12 +57,10 @@ pub trait Matchmaker {
     fn place(&mut self, grid: &StaticGrid, job: &JobSpec, rng: &mut SimRng) -> Placement;
     /// Periodic refresh hook (aggregated load information).
     fn refresh(&mut self, _grid: &StaticGrid, _now: f64) {}
-    /// [`Matchmaker::refresh`] as [`crate::run_trace_sharded`] calls it,
-    /// with the zone-region lane assignment. Must be bit-identical to
-    /// the sequential refresh. The default delegates to it and no
-    /// matchmaker here overrides that: the aggregate snapshot is too
-    /// cheap to fan out, so despite the name nothing is threaded. The
-    /// hook stays because the repo benchmark times it.
+    /// [`Matchmaker::refresh`] with a zone-region lane assignment. The
+    /// default delegates to it, no matchmaker here overrides it, and
+    /// nothing in the library calls it: the hook stays only because the
+    /// repo benchmark names it (ROADMAP item 3).
     fn refresh_threaded(&mut self, grid: &StaticGrid, now: f64, _shards: &crate::GridShards) {
         self.refresh(grid, now);
     }

@@ -43,10 +43,11 @@ pub struct OverloadConfig {
     pub retry_burst: u32,
     /// Token-bucket refill rate, tokens per simulated second.
     pub retry_refill: f64,
-    /// Seconds between an admission reject and the re-push attempt
-    /// (the redirect hint's re-match delay).
-    pub retry_delay: f64,
 }
+
+/// Seconds between an admission reject and the re-push attempt (the
+/// redirect hint's re-match delay).
+pub const RETRY_DELAY: f64 = 30.0;
 
 impl Default for OverloadConfig {
     fn default() -> Self {
@@ -55,7 +56,6 @@ impl Default for OverloadConfig {
             max_queue_wait: None,
             retry_burst: 3,
             retry_refill: 0.0,
-            retry_delay: 30.0,
         }
     }
 }

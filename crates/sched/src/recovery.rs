@@ -14,114 +14,41 @@
 //! job ends exactly-once completed or exactly-once permanently failed
 //! — never lost, never double-completed.
 
-/// Two-phase detection timing mirroring the CAN layer's suspicion
-/// pipeline: a lost node is *suspected* after `suspect_after` seconds
-/// of silence, then given `confirm_grace` seconds for an indirect
-/// probe to clear it before the loss is confirmed and recovery starts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuspicionConfig {
-    /// Seconds of silence before a crashed node is suspected.
-    pub suspect_after: f64,
-    /// Grace window for indirect confirmation after suspicion.
-    pub confirm_grace: f64,
+/// Seconds a crashed node stays down before rejoining.
+pub const CRASH_OUTAGE: f64 = 1800.0;
+
+/// Seconds from a crash until the failure detector reports its jobs
+/// lost: nothing reacts to a crash before this elapses.
+pub const DETECT_TIMEOUT: f64 = 150.0;
+
+/// Backoff before the first re-match attempt, seconds.
+pub const RETRY_BASE: f64 = 30.0;
+
+/// Re-match attempts granted per job before it is declared permanently
+/// failed.
+pub const MAX_RETRIES: u32 = 5;
+
+/// Backoff before re-match attempt `attempt` (1-based, at most
+/// [`MAX_RETRIES`]): `RETRY_BASE · 2^(attempt − 1)`, so 30 s to 480 s.
+pub fn backoff(attempt: u32) -> f64 {
+    debug_assert!((1..=MAX_RETRIES).contains(&attempt));
+    RETRY_BASE * f64::from(1u32 << (attempt - 1))
 }
 
-impl SuspicionConfig {
-    /// Defaults matching the CAN adaptive detector: suspicion at the
-    /// adaptive floor (1.5 heartbeat periods) plus a one-period probe
-    /// grace.
-    pub fn new() -> Self {
-        SuspicionConfig {
-            suspect_after: 90.0,
-            confirm_grace: 60.0,
-        }
-    }
-
-    /// Total seconds from crash to confirmed loss.
-    pub fn total(&self) -> f64 {
-        self.suspect_after + self.confirm_grace
-    }
-}
-
-impl Default for SuspicionConfig {
-    fn default() -> Self {
-        SuspicionConfig::new()
-    }
-}
-
-/// Crash-fault model for [`crate::grid_sim::run_load_balance_chaos`].
+/// Crash-fault model for [`crate::grid_sim::run_load_balance_chaos`]:
+/// fail-stop crashes at Poisson times, with the timing constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashChaosConfig {
     /// Mean seconds between crashes (Poisson arrivals).
     pub mean_interval: f64,
-    /// Seconds a crashed node stays down before rejoining.
-    pub outage: f64,
-    /// Seconds until a lost job's absence is detected (failure
-    /// timeout: nothing reacts to a crash before this elapses).
-    pub detect_timeout: f64,
-    /// When set, losses surface through the two-phase suspicion
-    /// pipeline instead of the fixed `detect_timeout`; `None` keeps
-    /// the legacy fixed-timeout timing (and its golden digests)
-    /// bit-identical.
-    pub suspicion: Option<SuspicionConfig>,
-    /// Backoff before the first re-match attempt; attempt `k` waits
-    /// `retry_base * 2^(k-1)`, capped at [`CrashChaosConfig::retry_cap`].
-    pub retry_base: f64,
-    /// Upper bound on the exponential backoff, seconds.
-    pub retry_cap: f64,
-    /// Re-match attempts granted per job before it is declared
-    /// permanently failed.
-    pub max_retries: u32,
 }
 
 impl CrashChaosConfig {
-    /// Defaults mirroring the maintenance layer's failure detector:
-    /// 150 s detection, 30 s base backoff capped at 10 min, 5 retries,
-    /// half-hour outages.
+    /// A crash somewhere in the grid every `mean_interval` seconds on
+    /// average.
     pub fn new(mean_interval: f64) -> Self {
         assert!(mean_interval > 0.0);
-        CrashChaosConfig {
-            mean_interval,
-            outage: 1800.0,
-            detect_timeout: 150.0,
-            suspicion: None,
-            retry_base: 30.0,
-            retry_cap: 600.0,
-            max_retries: 5,
-        }
-    }
-
-    /// Seconds between a crash and the moment recovery reacts to it:
-    /// the suspicion pipeline's suspect-plus-grace total when armed,
-    /// the fixed `detect_timeout` otherwise.
-    pub fn detection_delay(&self) -> f64 {
-        match &self.suspicion {
-            Some(s) => s.total(),
-            None => self.detect_timeout,
-        }
-    }
-
-    /// Absolute ceiling on any computed backoff, in seconds (one day).
-    ///
-    /// [`CrashChaosConfig::retry_cap`] is the *configured* cap; this
-    /// constant is the hard one, so that an absurd configuration
-    /// (`retry_cap = f64::INFINITY`, a huge `retry_base`) can never
-    /// turn the exponential into an infinite or multi-year delay that
-    /// would starve a retry forever.
-    pub const HARD_BACKOFF_CAP: f64 = 86_400.0;
-
-    /// Backoff before re-match attempt `attempt` (1-based).
-    ///
-    /// The exponent is clamped so the doubling cannot overflow `f64`
-    /// at large attempt counts, and the result is clamped to
-    /// `min(retry_cap, HARD_BACKOFF_CAP)` — always finite, whatever
-    /// the attempt count or configuration.
-    pub fn backoff(&self, attempt: u32) -> f64 {
-        debug_assert!(attempt >= 1);
-        let factor = 2.0_f64.powi(attempt.saturating_sub(1).min(62) as i32);
-        (self.retry_base * factor)
-            .min(self.retry_cap)
-            .min(Self::HARD_BACKOFF_CAP)
+        CrashChaosConfig { mean_interval }
     }
 }
 
@@ -263,51 +190,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let c = CrashChaosConfig::new(1000.0);
-        assert_eq!(c.backoff(1), 30.0);
-        assert_eq!(c.backoff(2), 60.0);
-        assert_eq!(c.backoff(3), 120.0);
-        assert_eq!(c.backoff(5), 480.0);
-        assert_eq!(c.backoff(6), 600.0, "capped");
-        assert_eq!(c.backoff(40), 600.0, "no overflow at large attempts");
-    }
-
-    #[test]
-    fn backoff_is_finite_under_absurd_configs() {
-        // Pathological attempt counts must never overflow to inf.
-        let c = CrashChaosConfig::new(1000.0);
-        assert_eq!(c.backoff(u32::MAX), 600.0);
-
-        // An unbounded configured cap falls back to the hard cap.
-        let mut wild = CrashChaosConfig::new(1000.0);
-        wild.retry_cap = f64::INFINITY;
-        assert_eq!(wild.backoff(64), CrashChaosConfig::HARD_BACKOFF_CAP);
-        assert_eq!(wild.backoff(u32::MAX), CrashChaosConfig::HARD_BACKOFF_CAP);
-
-        // Even an absurd base stays finite and within the hard cap.
-        wild.retry_base = 1e300;
-        let b = wild.backoff(u32::MAX);
-        assert!(b.is_finite() && b <= CrashChaosConfig::HARD_BACKOFF_CAP);
-
-        // Sane configs are untouched by the hard cap.
-        assert_eq!(c.backoff(6), 600.0);
-    }
-
-    #[test]
-    fn detection_delay_prefers_the_suspicion_pipeline() {
-        let mut c = CrashChaosConfig::new(1000.0);
-        assert_eq!(c.detection_delay(), 150.0, "legacy fixed timeout");
-        c.suspicion = Some(SuspicionConfig::new());
-        assert_eq!(c.detection_delay(), 150.0, "defaults add up to the same");
-        c.suspicion = Some(SuspicionConfig {
-            suspect_after: 90.0,
-            confirm_grace: 20.0,
-        });
-        assert_eq!(
-            c.detection_delay(),
-            110.0,
-            "a vouch-backed early confirm reacts faster than the fixed timeout"
-        );
+        // The last attempt's 480 s is the longest backoff there is.
+        assert_eq!(backoff(1), 30.0);
+        assert_eq!(backoff(2), 60.0);
+        assert_eq!(backoff(3), 120.0);
+        assert_eq!(backoff(5), 480.0);
     }
 
     #[test]

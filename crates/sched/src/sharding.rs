@@ -1,13 +1,13 @@
 //! Zone-region lane assignment for a built grid.
 //!
-//! [`crate::run_trace_sharded`] lays its event queue out by CAN
-//! coordinate region: a [`RegionPartition`] tiles the unit torus with
-//! `S` hyper-rectangles, and every node is owned by the shard whose
-//! region contains its zone's lower corner (a point inside the zone, so
+//! A [`RegionPartition`] tiles the unit torus with `S`
+//! hyper-rectangles, and every node is owned by the shard whose region
+//! contains its zone's lower corner (a point inside the zone, so
 //! ownership follows the zone tiling exactly). [`GridShards`] bundles
 //! the partition with the concrete node→shard assignment for one grid —
 //! a pure function of the zone map, so it can never orphan or
-//! double-assign a node.
+//! double-assign a node. No simulation uses it: it stays only because
+//! the repo benchmark names it (ROADMAP item 3).
 
 use crate::grid::StaticGrid;
 use pgrid_simcore::shard::{RegionPartition, ShardAssignment};

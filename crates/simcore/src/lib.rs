@@ -22,7 +22,8 @@
 //! * [`shard`] — zone-region lanes: a hyper-rectangular
 //!   [`shard::RegionPartition`] of the unit torus and a
 //!   lane-partitioned [`shard::ShardedQueue`] whose shared sequence
-//!   counter makes the K-way merge bit-identical to a single queue.
+//!   counter makes the K-way merge bit-identical to a single queue;
+//!   no simulation uses them, the repo benchmark does.
 //!
 //! Simulations in this workspace are deterministic by construction and
 //! each one runs on a single thread.

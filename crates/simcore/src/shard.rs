@@ -16,10 +16,10 @@
 //! exist: the lane count changes where an event is stored, never when
 //! it fires.
 //!
-//! Everything here runs on the caller's thread. The window engine and
-//! thread fan-out that once sat on top of the lanes measured 0.93–1.08×
-//! and are gone (`DESIGN.md` §15); the lanes stay because the repo
-//! benchmark's `fig5_sharded` workload measures them.
+//! Everything here runs on the caller's thread, and no simulation in
+//! the workspace runs on the lanes any more: every one drives a single
+//! [`crate::EventQueue`] (`DESIGN.md` §15). The module stays only
+//! because the repo benchmark names it (ROADMAP item 3).
 
 use crate::event::SimTime;
 use std::cmp::Ordering;
@@ -308,7 +308,7 @@ impl<E> Ord for LaneEntry<E> {
 /// sequence counter is shared across lanes, the merged pop order is
 /// *identical* to a single [`crate::EventQueue`] fed the same schedule
 /// calls — the lane structure changes where events are stored, never
-/// when they fire (`tests/shard_equivalence.rs` pins it end to end).
+/// when they fire.
 ///
 /// ```
 /// use pgrid_simcore::shard::ShardedQueue;

@@ -7,33 +7,30 @@ use pgrid_types::NodeSpec;
 
 /// Desktop-grid eviction model: volunteer nodes periodically withdraw
 /// (their owner reclaims the machine), killing resident grid jobs,
-/// then return after an outage. The classic availability model of
-/// volunteer computing, layered on the paper's scenario as an
+/// then return after [`EVICTION_OUTAGE`]. The classic availability
+/// model of volunteer computing, layered on the paper's scenario as an
 /// extension experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvictionConfig {
     /// Mean time between eviction events across the whole grid,
     /// seconds (exponential inter-event times; one node per event).
     pub mean_interval: f64,
-    /// How long an evicted node stays unavailable, seconds.
-    pub outage: f64,
-    /// Delay before the grid notices and resubmits the killed jobs,
-    /// seconds (failure-detection latency).
-    pub resubmit_delay: f64,
 }
 
 impl EvictionConfig {
-    /// A moderate default: one eviction somewhere in the grid every
-    /// `mean_interval` seconds, 30-minute outages, one heartbeat period
-    /// to detect.
+    /// One eviction somewhere in the grid every `mean_interval` seconds
+    /// on average.
     pub fn new(mean_interval: f64) -> Self {
-        EvictionConfig {
-            mean_interval,
-            outage: 1800.0,
-            resubmit_delay: 60.0,
-        }
+        EvictionConfig { mean_interval }
     }
 }
+
+/// How long an evicted node stays unavailable, seconds.
+pub const EVICTION_OUTAGE: f64 = 1800.0;
+
+/// Delay before the grid notices and resubmits an evicted node's jobs,
+/// seconds: one heartbeat period of failure-detection latency.
+pub const RESUBMIT_DELAY: f64 = 60.0;
 
 /// The full configuration of one load-balancing simulation (Figures
 /// 5–6).
