@@ -658,6 +658,10 @@ pub fn trace(rest: &[String]) -> Result<String, CliError> {
                 .map_err(|e| format!("cannot read {jobs_path}: {e}"))?;
             let population = trace::read_nodes(&node_text).map_err(|e| e.to_string())?;
             let jobs = trace::read_jobs(&job_text).map_err(|e| e.to_string())?;
+            if jobs.is_empty() {
+                return Err(format!("{jobs_path} has no jobs").into());
+            }
+            check_horizon(&population, &jobs, &job_text)?;
             let results = replay(&population, &jobs, &schedulers, seed)?;
             Ok(format!(
                 "replayed {} jobs on {} nodes\n\n{}",
@@ -680,6 +684,51 @@ fn emit(text: String, out_path: Option<String>) -> Result<String, String> {
     }
 }
 
+/// Aggregate refresh period of `pgrid trace replay`, seconds.
+const REPLAY_REFRESH_PERIOD: f64 = 60.0;
+
+/// Rejects a job trace whose horizon — the last arrival plus Σ runtime
+/// ÷ the population's slowest clock — absorbs the refresh period: the
+/// refresh clock would stop moving before the run ends, and the run
+/// would never end (the rule `--interarrival` obeys in
+/// `pgrid simulate`). The error names the line and field of the record
+/// that pushes the horizon there; `text` is the trace `jobs` was read
+/// from.
+fn check_horizon(
+    population: &[NodeSpec],
+    jobs: &[(f64, JobSpec)],
+    text: &str,
+) -> Result<(), String> {
+    let slowest = population
+        .iter()
+        .flat_map(|n| n.ces())
+        .map(|c| c.clock)
+        .fold(f64::INFINITY, f64::min);
+    let lines = text.lines().enumerate().filter_map(|(i, l)| {
+        let l = l.trim();
+        (!l.is_empty() && !l.starts_with('#')).then_some(i + 1)
+    });
+    let (mut last, mut work) = (0.0f64, 0.0);
+    for ((t, job), line) in jobs.iter().zip(lines) {
+        last = last.max(*t);
+        work += job.nominal_runtime;
+        let horizon = last + work / slowest;
+        if horizon + REPLAY_REFRESH_PERIOD == horizon {
+            let field = if t + REPLAY_REFRESH_PERIOD == *t {
+                format!("t={t:e}")
+            } else {
+                format!("runtime={:e}", job.nominal_runtime)
+            };
+            return Err(format!(
+                "trace line {line}: {field} puts the horizon (last arrival + Σ runtime ÷ \
+                 slowest clock {slowest}) at {horizon:e} s, where the \
+                 {REPLAY_REFRESH_PERIOD} s aggregate refresh no longer moves the clock"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Replays an explicit (population, jobs) pair through schedulers.
 /// Infers the CAN dimensionality from the largest GPU family present.
 pub fn replay(
@@ -698,9 +747,13 @@ pub fn replay(
     let layout = DimensionLayout::with_dims(dims);
     // Reject jobs the population can never satisfy up front (clear
     // error instead of a simulation panic).
-    for (_, j) in jobs {
+    for (t, j) in jobs {
         if !population.iter().any(|n| j.satisfied_by(n)) {
-            return Err(format!("job {} is unsatisfiable by the population", j.id).into());
+            let record = trace::write_jobs(&[(*t, j.clone())]);
+            let record = record.lines().last().unwrap_or_default();
+            return Err(
+                format!("job {} is unsatisfiable by the population: {record}", j.id).into(),
+            );
         }
     }
     let mut results = Vec::new();
@@ -711,7 +764,7 @@ pub fn replay(
             &mut grid,
             matchmaker.as_mut(),
             jobs,
-            60.0,
+            REPLAY_REFRESH_PERIOD,
             seed,
             choice,
         ));

@@ -40,6 +40,12 @@ fn err(line: usize, message: impl Into<String>) -> TraceError {
     }
 }
 
+/// The value of field `key=v` as a `T`.
+fn value<T: std::str::FromStr>(key: &str, v: &str, line: usize) -> Result<T, TraceError> {
+    v.parse()
+        .map_err(|_| err(line, format!("bad value in {key}={v}")))
+}
+
 // ---------------------------------------------------------------- writing
 
 fn ce_label(ty: CeType) -> String {
@@ -125,7 +131,24 @@ fn repeated_ce(label: &str, line: usize) -> TraceError {
     )
 }
 
-fn subfields(text: &str, line: usize) -> Result<Vec<(String, f64)>, TraceError> {
+/// An amount the simulator computes with: a disk, memory or core count
+/// must be finite and >= 0, a clock finite and > 0 (execution time is
+/// runtime ÷ clock). `field` names it as the record spells it.
+fn amount(x: f64, field: &str, line: usize) -> Result<f64, TraceError> {
+    let clock = field.ends_with("clock:");
+    if x.is_finite() && (x > 0.0 || !clock && x == 0.0) {
+        Ok(x)
+    } else {
+        let bound = if clock { "> 0" } else { ">= 0" };
+        Err(err(
+            line,
+            format!("{field}{x} is not a finite value {bound}"),
+        ))
+    }
+}
+
+/// The `name:value` sub-fields of CE `label`'s value `text`.
+fn subfields(label: &str, text: &str, line: usize) -> Result<Vec<(String, f64)>, TraceError> {
     if text.is_empty() {
         return Ok(Vec::new());
     }
@@ -137,13 +160,18 @@ fn subfields(text: &str, line: usize) -> Result<Vec<(String, f64)>, TraceError> 
             let x: f64 = v
                 .parse()
                 .map_err(|_| err(line, format!("bad number '{v}' in '{kv}'")))?;
+            let x = match k {
+                "clock" | "mem" | "cores" => amount(x, &format!("{label} {k}:"), line)?,
+                _ => x,
+            };
             Ok((k.to_string(), x))
         })
         .collect()
 }
 
-/// Parses a node-population trace. A record naming one CE twice is an
-/// error, not a panic in `NodeSpec::new`.
+/// Parses a node-population trace. A record naming one CE twice, or
+/// giving a disk, clock, memory or core count no node could have, is an
+/// error, not a panic in `NodeSpec::new` or the grid build.
 pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
     let mut nodes = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -164,17 +192,14 @@ pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
                 .split_once('=')
                 .ok_or_else(|| err(line_no, format!("bad field '{f}'")))?;
             if k == "disk" {
-                disk = Some(
-                    v.parse::<f64>()
-                        .map_err(|_| err(line_no, format!("bad disk '{v}'")))?,
-                );
+                disk = Some(amount(value(k, v, line_no)?, "disk=", line_no)?);
                 continue;
             }
             let ty = parse_ce_type(k, line_no)?;
             if cpu.iter().chain(&gpus).any(|ce| ce.ce_type == ty) {
                 return Err(repeated_ce(k, line_no));
             }
-            let subs = subfields(v, line_no)?;
+            let subs = subfields(k, v, line_no)?;
             let get = |name: &str| subs.iter().find(|(n, _)| n == name).map(|(_, x)| *x);
             let clock = get("clock").ok_or_else(|| err(line_no, "CE missing clock"))?;
             let mem = get("mem").ok_or_else(|| err(line_no, "CE missing mem"))?;
@@ -202,8 +227,10 @@ pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
 
 /// Parses a job trace. A record the simulator could not run — an id
 /// seen before, an arrival time that is negative or not finite, a
-/// runtime that is not positive and finite, one CE named twice — is an
-/// error here, not a panic in `JobSpec::new` or the event loop.
+/// runtime that is not positive and finite, one CE named twice, a
+/// requirement no node could meet for being negative or not finite — is
+/// an error here, not a panic in `JobSpec::new`, the grid or the event
+/// loop.
 pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
     let mut jobs = Vec::new();
     let mut seen_ids = std::collections::HashSet::new();
@@ -227,36 +254,16 @@ pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
                 .split_once('=')
                 .ok_or_else(|| err(line_no, format!("bad field '{f}'")))?;
             match k {
-                "t" => {
-                    t = Some(
-                        v.parse::<f64>()
-                            .map_err(|_| err(line_no, format!("bad t '{v}'")))?,
-                    )
-                }
-                "id" => {
-                    id = Some(
-                        v.parse::<u32>()
-                            .map_err(|_| err(line_no, format!("bad id '{v}'")))?,
-                    )
-                }
-                "runtime" => {
-                    runtime = Some(
-                        v.parse::<f64>()
-                            .map_err(|_| err(line_no, format!("bad runtime '{v}'")))?,
-                    )
-                }
-                "disk" => {
-                    disk = Some(
-                        v.parse::<f64>()
-                            .map_err(|_| err(line_no, format!("bad disk '{v}'")))?,
-                    )
-                }
+                "t" => t = Some(value::<f64>(k, v, line_no)?),
+                "id" => id = Some(value::<u32>(k, v, line_no)?),
+                "runtime" => runtime = Some(value::<f64>(k, v, line_no)?),
+                "disk" => disk = Some(amount(value(k, v, line_no)?, "disk=", line_no)?),
                 _ => {
                     let ty = parse_ce_type(k, line_no)?;
                     if reqs.iter().any(|r| r.ce_type == ty) {
                         return Err(repeated_ce(k, line_no));
                     }
-                    let subs = subfields(v, line_no)?;
+                    let subs = subfields(k, v, line_no)?;
                     let get = |name: &str| subs.iter().find(|(n, _)| n == name).map(|(_, x)| *x);
                     reqs.push(CeRequirement {
                         ce_type: ty,
@@ -357,6 +364,34 @@ mod tests {
             assert_eq!(e.line, 2, "{bad}");
             assert!(e.message.contains(what), "{bad}: {}", e.message);
         }
+    }
+
+    #[test]
+    fn amounts_that_are_not_finite_or_are_negative_name_their_field() {
+        let good = "node disk=10 cpu=clock:1,mem:2,cores:4\n";
+        for (bad, what) in [
+            ("node disk=NaN cpu=clock:1,mem:2,cores:4\n", "disk=NaN"),
+            ("node disk=-1 cpu=clock:1,mem:2,cores:4\n", "disk=-1"),
+            ("node disk=10 cpu=clock:0,mem:2,cores:4\n", "cpu clock:0"),
+            (
+                "node disk=10 cpu=clock:inf,mem:2,cores:4\n",
+                "cpu clock:inf",
+            ),
+            ("node disk=10 cpu=clock:1,mem:-2,cores:4\n", "cpu mem:-2"),
+            (
+                "node disk=10 cpu=clock:1,mem:2,cores:NaN\n",
+                "cpu cores:NaN",
+            ),
+        ] {
+            let e = read_nodes(&format!("{good}{bad}")).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}");
+            assert!(e.message.contains(what), "{bad}: {}", e.message);
+        }
+        assert!(read_nodes("node disk=0 cpu=clock:1,mem:0,cores:0\n").is_ok());
+        let e = read_jobs("job t=0 id=0 runtime=60 disk=NaN\n").unwrap_err();
+        assert!(e.message.contains("disk=NaN"), "{}", e.message);
+        let e = read_jobs("job t=0 id=0 runtime=60 gpu0=clock:0\n").unwrap_err();
+        assert!(e.message.contains("gpu0 clock:0"), "{}", e.message);
     }
 
     #[test]
