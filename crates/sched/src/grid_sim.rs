@@ -98,20 +98,16 @@ pub struct SimResult {
     /// Total events processed by the simulation loop — the numerator
     /// of the events/sec throughput metric.
     pub events_fired: u64,
-    /// Crash-recovery accounting — `Some` only for
-    /// [`run_load_balance_chaos`] runs; `None` otherwise, and excluded
-    /// from every digest/baseline so the fault layer stays strictly
-    /// opt-in.
+    /// Crash-recovery accounting — `Some` only when a
+    /// [`CrashChaosConfig`] was supplied to the run.
     pub recovery: Option<RecoveryStats>,
     /// Jobs still outstanding when the event queue drained with no
     /// event left that could ever start them — reported as a
     /// first-class outcome instead of aborting the harness. Zero in
-    /// every healthy run, and excluded from fault-free digests.
+    /// every healthy run.
     pub lost_jobs: u64,
     /// Overload-control accounting — `Some` only when an
-    /// [`OverloadConfig`] was supplied to the run; `None` otherwise,
-    /// and excluded from every digest/baseline so the overload layer
-    /// stays strictly opt-in (mirroring `recovery`).
+    /// [`OverloadConfig`] was supplied to the run.
     pub overload: Option<OverloadStats>,
 }
 
@@ -609,21 +605,12 @@ fn run_with(
         // populations (their stale or never-assigned waits would
         // otherwise pollute the distribution).
         ledger.check_conserved();
-        let keep: Vec<bool> = (0..wait_times.len())
-            .map(|i| !ledger.is_failed(i))
-            .collect();
-        let mut i = 0;
-        wait_times.retain(|_| {
-            i += 1;
-            keep[i - 1]
-        });
-        i = 0;
-        placed_nodes.retain(|_| {
-            i += 1;
-            keep[i - 1]
-        });
+        // `retain` visits every element once, in order.
+        let mut i = 0..;
+        wait_times.retain(|_| !ledger.is_failed(i.next().unwrap()));
+        let mut i = 0..;
+        placed_nodes.retain(|_| !ledger.is_failed(i.next().unwrap()));
     }
-    let recovery = chaos.map(|_| rec);
     debug_assert!(
         wait_times.iter().all(|w| !w.is_nan()),
         "every surviving job must have started"
@@ -640,7 +627,7 @@ fn run_with(
         resubmissions,
         placed_nodes,
         events_fired: queue.fired(),
-        recovery,
+        recovery: chaos.map(|_| rec),
         lost_jobs: lost,
         overload: overload.map(|_| ov_stats),
     }

@@ -98,8 +98,6 @@ enum JobFate {
 #[derive(Debug, Clone)]
 pub struct JobLedger {
     fates: Vec<JobFate>,
-    completed: u64,
-    failed: u64,
 }
 
 impl JobLedger {
@@ -107,9 +105,17 @@ impl JobLedger {
     pub fn new(n: usize) -> Self {
         JobLedger {
             fates: vec![JobFate::Pending; n],
-            completed: 0,
-            failed: 0,
         }
+    }
+
+    /// Moves pending job `idx` to its terminal `fate`.
+    fn settle(&mut self, idx: usize, fate: JobFate) {
+        assert_eq!(
+            self.fates[idx],
+            JobFate::Pending,
+            "job {idx} reached a second terminal state ({fate:?})"
+        );
+        self.fates[idx] = fate;
     }
 
     /// Records completion of job `idx`.
@@ -118,13 +124,7 @@ impl JobLedger {
     ///
     /// Panics if the job already completed or failed.
     pub fn complete(&mut self, idx: usize) {
-        assert_eq!(
-            self.fates[idx],
-            JobFate::Pending,
-            "job {idx} reached a second terminal state (complete)"
-        );
-        self.fates[idx] = JobFate::Completed;
-        self.completed += 1;
+        self.settle(idx, JobFate::Completed);
     }
 
     /// Records permanent failure of job `idx`.
@@ -133,13 +133,7 @@ impl JobLedger {
     ///
     /// Panics if the job already completed or failed.
     pub fn fail(&mut self, idx: usize) {
-        assert_eq!(
-            self.fates[idx],
-            JobFate::Pending,
-            "job {idx} reached a second terminal state (fail)"
-        );
-        self.fates[idx] = JobFate::Failed;
-        self.failed += 1;
+        self.settle(idx, JobFate::Failed);
     }
 
     /// Whether job `idx` failed permanently.
@@ -152,35 +146,17 @@ impl JobLedger {
         self.fates[idx] == JobFate::Pending
     }
 
-    /// Jobs completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Jobs permanently failed so far.
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
     /// Conservation invariant at drain time: every job reached exactly
     /// one terminal state.
     ///
     /// # Panics
     ///
-    /// Panics when some job is still pending or the counters disagree
-    /// with the per-job states.
+    /// Panics when some job is still pending.
     pub fn check_conserved(&self) {
-        let pending = self
-            .fates
-            .iter()
-            .filter(|f| **f == JobFate::Pending)
+        let pending = (0..self.fates.len())
+            .filter(|&i| self.is_pending(i))
             .count();
         assert_eq!(pending, 0, "{pending} jobs lost (neither done nor failed)");
-        assert_eq!(
-            self.completed + self.failed,
-            self.fates.len() as u64,
-            "ledger counters diverged from per-job fates"
-        );
     }
 }
 
@@ -203,9 +179,7 @@ mod tests {
         l.complete(0);
         l.fail(1);
         l.complete(2);
-        assert_eq!(l.completed(), 2);
-        assert_eq!(l.failed(), 1);
-        assert!(l.is_failed(1) && !l.is_failed(0));
+        assert!(l.is_failed(1) && !l.is_failed(0) && !l.is_pending(2));
         l.check_conserved();
     }
 

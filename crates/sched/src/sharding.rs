@@ -1,13 +1,7 @@
-//! Zone-region lane assignment for a built grid.
-//!
-//! A [`RegionPartition`] tiles the unit torus with `S`
-//! hyper-rectangles, and every node is owned by the shard whose region
-//! contains its zone's lower corner (a point inside the zone, so
-//! ownership follows the zone tiling exactly). [`GridShards`] bundles
-//! the partition with the concrete node→shard assignment for one grid —
-//! a pure function of the zone map, so it can never orphan or
-//! double-assign a node. No simulation uses it: it stays only because
-//! the repo benchmark names it (ROADMAP item 3).
+//! Zone-region lane assignment for a built grid: every node is owned by
+//! the [`RegionPartition`] shard holding its zone's lower corner, a
+//! pure function of the zone map. No simulation uses it: it stays only
+//! because the repo benchmark names it (ROADMAP item 3).
 
 use crate::grid::StaticGrid;
 use pgrid_simcore::shard::{RegionPartition, ShardAssignment};
@@ -44,18 +38,6 @@ impl GridShards {
             assignment,
         }
     }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.assignment.shards()
-    }
-
-    /// The shard owning `node`.
-    #[inline]
-    pub fn lane_of(&self, node: NodeId) -> usize {
-        self.assignment.lane_of[node.idx()]
-    }
 }
 
 #[cfg(test)]
@@ -71,11 +53,11 @@ mod tests {
         let grid = StaticGrid::build(layout, pop, 5);
         for shards in [1usize, 2, 4, 8] {
             let gs = GridShards::build(&grid, shards);
-            assert_eq!(gs.shards(), shards);
+            assert_eq!(gs.assignment.members.len(), shards);
             let mut seen = vec![0usize; 200];
             for (s, members) in gs.assignment.members.iter().enumerate() {
                 for &m in members {
-                    assert_eq!(gs.lane_of(NodeId(m as u32)), s);
+                    assert_eq!(gs.assignment.lane_of[m], s);
                     seen[m] += 1;
                 }
             }

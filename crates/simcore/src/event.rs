@@ -7,10 +7,10 @@ use std::collections::BinaryHeap;
 pub type SimTime = f64;
 
 /// One scheduled entry: fires at `time`; `seq` breaks ties FIFO.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+pub(crate) struct Entry<E> {
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) event: E,
 }
 
 impl<E> PartialEq for Entry<E> {

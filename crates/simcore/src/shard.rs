@@ -1,28 +1,14 @@
-//! Zone-region lanes: a partition of the CAN coordinate space and an
-//! event queue laid out along it.
+//! Zone-region lanes: a partition of the CAN coordinate space
+//! ([`RegionPartition`], an exact cover of the unit torus by
+//! hyper-rectangles) and an event queue laid out along it
+//! ([`ShardedQueue`], whose lanes share one sequence counter and so pop
+//! exactly like one [`crate::EventQueue`]).
 //!
-//! The CAN overlay tiles the unit torus `[0,1)^d` with hyper-rectangular
-//! zones, which makes the coordinate space a natural partition key: a
-//! [`RegionPartition`] splits the torus into `S` hyper-rectangular shard
-//! regions by recursive longest-dimension bisection, and every point —
-//! hence every zone centroid, hence every node — lands in exactly one
-//! shard by construction (the lookup walks the split tree, so even
-//! degenerate cuts cannot orphan or double-assign a point).
-//!
-//! [`ShardedQueue`] keeps one event lane per shard plus a coordinator
-//! lane, merged by a strict `(time, seq)` K-way merge with a *shared*
-//! sequence counter. Because the counter is shared, the merged order is
-//! identical to a single [`crate::EventQueue`] no matter how many lanes
-//! exist: the lane count changes where an event is stored, never when
-//! it fires.
-//!
-//! Everything here runs on the caller's thread, and no simulation in
-//! the workspace runs on the lanes any more: every one drives a single
-//! [`crate::EventQueue`] (`DESIGN.md` §15). The module stays only
-//! because the repo benchmark names it (ROADMAP item 3).
+//! No simulation in the workspace runs on the lanes: every one drives a
+//! single [`crate::EventQueue`] (`DESIGN.md` §15). The module stays
+//! only because the repo benchmark names it (ROADMAP item 3).
 
-use crate::event::SimTime;
-use std::cmp::Ordering;
+use crate::event::{Entry, SimTime};
 use std::collections::BinaryHeap;
 
 // ---------------------------------------------------------------------------
@@ -174,12 +160,6 @@ impl RegionPartition {
         self.regions.len()
     }
 
-    /// Dimensionality of the partitioned space.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// The shard regions, indexed by shard id.
     #[inline]
     pub fn regions(&self) -> &[Region] {
@@ -262,44 +242,11 @@ impl ShardAssignment {
         }
         ShardAssignment { lane_of, members }
     }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.members.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Sharded event queue (shared sequence counter)
 // ---------------------------------------------------------------------------
-
-struct LaneEntry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for LaneEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for LaneEntry<E> {}
-impl<E> PartialOrd for LaneEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for LaneEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap inverted: earliest time first, FIFO on ties.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A discrete-event queue partitioned into lanes with one shared
 /// sequence counter.
@@ -321,11 +268,9 @@ impl<E> Ord for LaneEntry<E> {
 /// assert_eq!(q.pop(), Some((5.0, 2, "c")));
 /// ```
 pub struct ShardedQueue<E> {
-    lanes: Vec<BinaryHeap<LaneEntry<E>>>,
+    lanes: Vec<BinaryHeap<Entry<E>>>,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
-    popped_per_lane: Vec<u64>,
 }
 
 impl<E> ShardedQueue<E> {
@@ -340,51 +285,21 @@ impl<E> ShardedQueue<E> {
             lanes: (0..lanes).map(|_| BinaryHeap::new()).collect(),
             next_seq: 0,
             now: 0.0,
-            popped: 0,
-            popped_per_lane: vec![0; lanes],
         }
     }
 
-    /// Number of lanes.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Current simulation time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total number of events fired so far across all lanes.
-    #[inline]
-    pub fn fired(&self) -> u64 {
-        self.popped
-    }
-
-    /// Number of events fired so far on `lane`.
-    #[inline]
-    pub fn fired_on(&self, lane: usize) -> u64 {
-        self.popped_per_lane[lane]
-    }
-
     /// Number of events waiting across all lanes.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.lanes.iter().map(|l| l.len()).sum()
-    }
-
-    /// Whether no events are pending in any lane.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.is_empty())
     }
 
     /// Schedules `event` on `lane` at absolute time `time`.
     ///
     /// # Panics
     ///
-    /// Panics on a non-finite time or a time earlier than [`Self::now`],
-    /// mirroring [`crate::EventQueue::schedule`].
+    /// Panics on a non-finite time or a time earlier than the last
+    /// popped event's, mirroring [`crate::EventQueue::schedule`].
     pub fn schedule(&mut self, lane: usize, time: SimTime, event: E) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         assert!(
@@ -394,57 +309,24 @@ impl<E> ShardedQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.lanes[lane].push(LaneEntry { time, seq, event });
+        self.lanes[lane].push(Entry { time, seq, event });
     }
 
-    /// Schedules `event` on `lane` to fire `delay` seconds from now.
-    pub fn schedule_in(&mut self, lane: usize, delay: SimTime, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.schedule(lane, self.now + delay, event);
-    }
-
-    /// Firing time of the globally next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.min_lane().map(|l| self.lanes[l].peek().unwrap().time)
-    }
-
-    /// Lane holding the globally next event by `(time, seq)`.
-    fn min_lane(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(e) = lane.peek() {
-                let key = (e.time, e.seq, i);
-                let better = match best {
-                    None => true,
-                    Some((bt, bs, _)) => {
-                        e.time.total_cmp(&bt).then_with(|| e.seq.cmp(&bs)) == Ordering::Less
-                    }
-                };
-                if better {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-
-    /// Pops the globally next event, advancing the clock; returns the
-    /// firing time, the lane it fired on, and the event.
+    /// Pops the globally next event by `(time, seq)`, advancing the
+    /// clock; returns the firing time, the lane it fired on, and the
+    /// event.
     pub fn pop(&mut self) -> Option<(SimTime, usize, E)> {
-        let lane = self.min_lane()?;
+        // `Entry`'s order is inverted for the max-heap: the greatest
+        // head is the earliest event.
+        let (_, lane) = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| l.peek().map(|e| (e, i)))
+            .max()?;
         let e = self.lanes[lane].pop().expect("peeked lane is non-empty");
-        debug_assert!(e.time >= self.now);
         self.now = e.time;
-        self.popped += 1;
-        self.popped_per_lane[lane] += 1;
         Some((e.time, lane, e.event))
-    }
-
-    /// Drops all pending events (the clock is unchanged).
-    pub fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.clear();
-        }
     }
 }
 
@@ -507,7 +389,6 @@ mod tests {
                 other => panic!("queues diverged: {other:?}"),
             }
         }
-        assert_eq!(single.fired(), sharded.fired());
     }
 
     #[test]
@@ -516,13 +397,11 @@ mod tests {
         q.schedule(0, 1.0, "a");
         q.schedule(1, 4.0, "d");
         assert_eq!(q.pop().unwrap().2, "a");
-        q.schedule_in(1, 1.0, "b");
+        q.schedule(1, 2.0, "b");
         q.schedule(0, 3.0, "c");
-        assert_eq!(q.pop().unwrap().2, "b");
-        assert_eq!(q.pop().unwrap().2, "c");
-        assert_eq!(q.pop().unwrap().2, "d");
-        assert_eq!(q.fired_on(0), 2);
-        assert_eq!(q.fired_on(1), 2);
+        assert_eq!(q.pop(), Some((2.0, 1, "b")));
+        assert_eq!(q.pop(), Some((3.0, 0, "c")));
+        assert_eq!(q.pop(), Some((4.0, 1, "d")));
     }
 
     #[test]
