@@ -7,17 +7,11 @@
 //! nothing on stdout, names the flag. Companion flags keep an accepted
 //! run small.
 
+mod common;
+
+use common::{run, VALUES};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
-use std::process::{Command, ExitStatus, Stdio};
-use std::time::{Duration, Instant};
-
-/// The values every numeric flag is given.
-const VALUES: [&str; 6] = ["0", "-1", "nan", "inf", "1e300", "18446744073709551615"];
-
-/// Wall-clock cap on one run; the slowest accepted run here takes a
-/// fraction of a second in a debug build.
-const RUN_LIMIT: Duration = Duration::from_secs(60);
+use std::process::Command;
 
 /// Each command, its numeric flags, and the companion flags that keep
 /// an accepted run small (`DIR` is a scratch directory; a companion is
@@ -84,36 +78,6 @@ fn numeric_flags_in_help(help: &str) -> BTreeMap<String, BTreeSet<String>> {
         }
     }
     found
-}
-
-/// Runs `pgrid args` with its output into files under `dir`: the exit
-/// status (`None` past [`RUN_LIMIT`]), stdout and stderr.
-fn run(args: &[String], dir: &Path) -> (Option<ExitStatus>, String, String) {
-    let file = |name| std::fs::File::create(dir.join(name)).expect("output file");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pgrid"))
-        .args(args)
-        .stdin(Stdio::null())
-        .stdout(file("stdout.txt"))
-        .stderr(file("stderr.txt"))
-        .spawn()
-        .expect("spawn pgrid");
-    let read = |name| std::fs::read_to_string(dir.join(name)).unwrap_or_default();
-    let started = Instant::now();
-    let mut in_time = true;
-    while child.try_wait().expect("wait on pgrid").is_none() {
-        if started.elapsed() > RUN_LIMIT {
-            let _ = child.kill();
-            in_time = false;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let status = child.wait().expect("wait on pgrid");
-    (
-        in_time.then_some(status),
-        read("stdout.txt"),
-        read("stderr.txt"),
-    )
 }
 
 fn words(text: &str) -> Vec<String> {

@@ -7,9 +7,11 @@
 //! file's error must name the offending field. The cases that once
 //! panicked, hung or ran on a NaN coordinate must be rejected.
 
+mod common;
+
+use common::{run, VALUES};
 use std::path::Path;
-use std::process::{Command, ExitStatus, Stdio};
-use std::time::{Duration, Instant};
+use std::process::ExitStatus;
 
 const NODES: [&str; 3] = [
     "node disk=64 cpu=clock:2,mem:8,cores:4",
@@ -21,9 +23,6 @@ const JOBS: [&str; 2] = [
     "job t=0 id=0 runtime=60 cpu=cores:1",
     "job t=5 id=1 runtime=30 cpu=cores:2",
 ];
-
-/// The values every numeric field is given.
-const VALUES: [&str; 6] = ["0", "-1", "nan", "inf", "1e300", "18446744073709551615"];
 
 /// Runs that must be rejected, and what the error must say: each
 /// panicked, hung or ran on a NaN coordinate before the trace reader
@@ -37,83 +36,50 @@ const MUST_REJECT: [(&str, &str); 6] = [
     ("empty job file", "has no jobs"),
 ];
 
-/// Wall-clock cap on one run; an accepted run here takes a fraction of
-/// a second in a debug build.
-const RUN_LIMIT: Duration = Duration::from_secs(60);
+fn owned(records: &[&str]) -> Vec<String> {
+    records.iter().map(|s| s.to_string()).collect()
+}
 
-/// Every copy of `records` with one numeric value replaced by `value`,
-/// with the field as an error names it: `key=` for a record field,
-/// `name:` for a CE sub-field.
+/// Every copy of `records` with one number replaced by `value`, and the
+/// field as an error names it: `disk=` for a record field, `cores:`
+/// for a CE sub-field.
 fn variants(records: &[&str], value: &str) -> Vec<(String, Vec<String>)> {
     let mut out = Vec::new();
     for (r, record) in records.iter().enumerate() {
-        let words: Vec<&str> = record.split_whitespace().collect();
-        for (w, word) in words.iter().enumerate().skip(1) {
-            let (key, val) = word.split_once('=').expect("key=value");
-            let subs: Vec<&str> = val.split(',').collect();
-            let fields: Vec<(String, String)> = if val.contains(':') {
-                (0..subs.len())
-                    .map(|s| {
-                        let name = subs[s].split_once(':').expect("name:value").0;
-                        let mut subs = subs.clone();
-                        let replaced = format!("{name}:{value}");
-                        subs[s] = &replaced;
-                        (format!("{name}:"), format!("{key}={}", subs.join(",")))
-                    })
-                    .collect()
-            } else {
-                vec![(format!("{key}="), format!("{key}={value}"))]
-            };
-            for (field, replaced) in fields {
-                let mut copy: Vec<String> = records.iter().map(|s| s.to_string()).collect();
-                let mut record = words.clone();
-                record[w] = &replaced;
-                copy[r] = record.join(" ");
-                out.push((field, copy));
+        for (at, sep) in record.match_indices(['=', ':']) {
+            let start = at + 1;
+            let end = record[start..]
+                .find([',', ' '])
+                .map_or(record.len(), |e| start + e);
+            // `cpu=clock:2` holds sub-fields, not a number.
+            if record[start..end].parse::<f64>().is_err() {
+                continue;
             }
+            let name = record[..at].rfind([' ', ',', '=']).map_or(0, |i| i + 1);
+            let mut copy = owned(records);
+            copy[r] = format!("{}{value}{}", &record[..start], &record[end..]);
+            out.push((format!("{}{sep}", &record[name..at]), copy));
         }
     }
     out
 }
 
-/// Runs `pgrid trace replay` on the two files with its output into
-/// files under `dir`: the exit status (`None` past [`RUN_LIMIT`]) and
-/// stderr.
+/// `pgrid trace replay` on the two files: the exit status (`None` if it
+/// ran out of time) and stderr.
 fn replay(nodes: &[String], jobs: &[String], dir: &Path) -> (Option<ExitStatus>, String) {
     let (node_file, job_file) = (dir.join("nodes.trace"), dir.join("jobs.trace"));
     std::fs::write(&node_file, nodes.join("\n")).unwrap();
     std::fs::write(&job_file, jobs.join("\n")).unwrap();
-    let file = |name| std::fs::File::create(dir.join(name)).expect("output file");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pgrid"))
-        .args(["trace", "replay", "--nodes"])
-        .arg(&node_file)
-        .arg("--jobs")
-        .arg(&job_file)
-        .stdin(Stdio::null())
-        .stdout(file("stdout.txt"))
-        .stderr(file("stderr.txt"))
-        .spawn()
-        .expect("spawn pgrid");
-    let started = Instant::now();
-    let mut in_time = true;
-    while child.try_wait().expect("wait on pgrid").is_none() {
-        if started.elapsed() > RUN_LIMIT {
-            let _ = child.kill();
-            in_time = false;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let status = child.wait().expect("wait on pgrid");
-    let stderr = std::fs::read_to_string(dir.join("stderr.txt")).unwrap_or_default();
-    (in_time.then_some(status), stderr)
+    let files = [node_file, job_file].map(|f| f.display().to_string());
+    let args = ["trace", "replay", "--nodes", &files[0], "--jobs", &files[1]];
+    let (status, _, stderr) = run(&args.map(str::to_string), dir);
+    (status, stderr)
 }
 
 #[test]
 fn malformed_trace_files_exit_0_or_1_without_a_panic_or_a_hang() {
     let dir = std::env::temp_dir().join(format!("pgrid_trace_sweep_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let owned = |records: &[&str]| records.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     let (nodes, jobs) = (owned(&NODES), owned(&JOBS));
     let (status, stderr) = replay(&nodes, &jobs, &dir);
     assert_eq!(
@@ -135,7 +101,7 @@ fn malformed_trace_files_exit_0_or_1_without_a_panic_or_a_hang() {
             "job disk=nan".into(),
             nodes.clone(),
             owned(&[JOBS[0], "job t=5 id=1 runtime=30 disk=nan cpu=cores:2"]),
-            Some("disk=".into()),
+            Some("disk=".to_string()),
         ),
     ];
     for value in VALUES {
@@ -148,6 +114,12 @@ fn malformed_trace_files_exit_0_or_1_without_a_panic_or_a_hang() {
             cases.push((case, nodes.clone(), jobs, Some(field)));
         }
     }
+
+    // Four numbers in every record.
+    assert_eq!(
+        cases.len(),
+        3 + VALUES.len() * 4 * (NODES.len() + JOBS.len())
+    );
 
     let mut failures = Vec::new();
     for (case, nodes, jobs, names) in cases {
