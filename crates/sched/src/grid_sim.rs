@@ -607,9 +607,9 @@ fn run_with(
         ledger.check_conserved();
         // `retain` visits every element once, in order.
         let mut i = 0..;
-        wait_times.retain(|_| !ledger.is_failed(i.next().unwrap()));
+        wait_times.retain(|_| !ledger.is_failed(i.next().expect("unbounded range")));
         let mut i = 0..;
-        placed_nodes.retain(|_| !ledger.is_failed(i.next().unwrap()));
+        placed_nodes.retain(|_| !ledger.is_failed(i.next().expect("unbounded range")));
     }
     debug_assert!(
         wait_times.iter().all(|w| !w.is_nan()),

@@ -31,7 +31,7 @@ pub const MAX_RETRIES: u32 = 5;
 /// Backoff before re-match attempt `attempt` (1-based, at most
 /// [`MAX_RETRIES`]): `RETRY_BASE · 2^(attempt − 1)`, so 30 s to 480 s.
 pub fn backoff(attempt: u32) -> f64 {
-    debug_assert!((1..=MAX_RETRIES).contains(&attempt));
+    assert!((1..=MAX_RETRIES).contains(&attempt), "no retry {attempt}");
     RETRY_BASE * f64::from(1u32 << (attempt - 1))
 }
 
