@@ -40,12 +40,6 @@ fn err(line: usize, message: impl Into<String>) -> TraceError {
     }
 }
 
-/// The value of field `key=v` as a `T`.
-fn value<T: std::str::FromStr>(key: &str, v: &str, line: usize) -> Result<T, TraceError> {
-    v.parse()
-        .map_err(|_| err(line, format!("bad value in {key}={v}")))
-}
-
 // ---------------------------------------------------------------- writing
 
 fn ce_label(ty: CeType) -> String {
@@ -131,15 +125,20 @@ fn repeated_ce(label: &str, line: usize) -> TraceError {
     )
 }
 
+/// The value of field `key=v` as a `T`.
+fn value<T: std::str::FromStr>(key: &str, v: &str, line: usize) -> Result<T, TraceError> {
+    v.parse()
+        .map_err(|_| err(line, format!("bad value in {key}={v}")))
+}
+
 /// An amount the simulator computes with: a disk, memory or core count
 /// must be finite and >= 0, a clock finite and > 0 (execution time is
 /// runtime ÷ clock). `field` names it as the record spells it.
-fn amount(x: f64, field: &str, line: usize) -> Result<f64, TraceError> {
-    let clock = field.ends_with("clock:");
-    if x.is_finite() && (x > 0.0 || !clock && x == 0.0) {
+fn amount(x: f64, field: &str, positive: bool, line: usize) -> Result<f64, TraceError> {
+    if x.is_finite() && (x > 0.0 || !positive && x == 0.0) {
         Ok(x)
     } else {
-        let bound = if clock { "> 0" } else { ">= 0" };
+        let bound = if positive { "> 0" } else { ">= 0" };
         Err(err(
             line,
             format!("{field}{x} is not a finite value {bound}"),
@@ -161,7 +160,9 @@ fn subfields(label: &str, text: &str, line: usize) -> Result<Vec<(String, f64)>,
                 .parse()
                 .map_err(|_| err(line, format!("bad number '{v}' in '{kv}'")))?;
             let x = match k {
-                "clock" | "mem" | "cores" => amount(x, &format!("{label} {k}:"), line)?,
+                "clock" | "mem" | "cores" => {
+                    amount(x, &format!("{label} {k}:"), k == "clock", line)?
+                }
                 _ => x,
             };
             Ok((k.to_string(), x))
@@ -192,7 +193,7 @@ pub fn read_nodes(text: &str) -> Result<Vec<NodeSpec>, TraceError> {
                 .split_once('=')
                 .ok_or_else(|| err(line_no, format!("bad field '{f}'")))?;
             if k == "disk" {
-                disk = Some(amount(value(k, v, line_no)?, "disk=", line_no)?);
+                disk = Some(amount(value(k, v, line_no)?, "disk=", false, line_no)?);
                 continue;
             }
             let ty = parse_ce_type(k, line_no)?;
@@ -257,7 +258,7 @@ pub fn read_jobs(text: &str) -> Result<Vec<(f64, JobSpec)>, TraceError> {
                 "t" => t = Some(value::<f64>(k, v, line_no)?),
                 "id" => id = Some(value::<u32>(k, v, line_no)?),
                 "runtime" => runtime = Some(value::<f64>(k, v, line_no)?),
-                "disk" => disk = Some(amount(value(k, v, line_no)?, "disk=", line_no)?),
+                "disk" => disk = Some(amount(value(k, v, line_no)?, "disk=", false, line_no)?),
                 _ => {
                     let ty = parse_ce_type(k, line_no)?;
                     if reqs.iter().any(|r| r.ce_type == ty) {
